@@ -255,8 +255,8 @@ def _engine(
     trunc: int | None = None,
     pair_budget: int | None = None,
     reduce_tails: bool = True,
-) -> tuple[list[_Elem], list[_Elem]]:
-    """Run Buchberger; returns (all elements, minimal interreduced elements)."""
+) -> list[_Elem]:
+    """Run Buchberger; returns the minimal interreduced elements."""
     if trunc is not None and not order.degree_compatible:
         raise ValueError("truncated bases need a degree-compatible order")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
@@ -357,7 +357,7 @@ def _engine(
             tail = _reduce_pairs(e.terms[1:], others, hk, keyf, ops, trunc, full=True)
             minimal[idx] = _Elem([e.terms[0]] + tail)
             minimal[idx].boundary_done = e.boundary_done
-    return elems, minimal
+    return minimal
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +374,11 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._raw = None
-        self._corners = None
 
     @property
     def leading_monomials(self) -> list[Monomial]:
         key = self.order.key
         return [max(f.terms, key=key) for f in self.elements]
-
-    @property
-    def staircase(self) -> list[Monomial]:
-        """Leading monomials, including the degree-T corner monomials in
-        truncation mode."""
-        return self.leading_monomials + self.corner_monomials()
-
-    def corner_monomials(self) -> list[Monomial]:
-        """Degree-T monomials of the reduced basis of J + m^T not divisible
-        by a lower leading term (empty for untruncated bases)."""
-        if self.trunc_degree is None:
-            return []
-        if self._corners is None:
-            lts = self.leading_monomials
-            self._corners = [
-                m
-                for m in monomials_of_degree(self.ring.nvars, self.trunc_degree)
-                if not any(mono_divides(lt, m) for lt in lts)
-            ]
-        return self._corners
 
     def _raw_elems(self):
         if self._raw is None:
@@ -494,7 +473,7 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
     if cached is not None:
         _GB_MEMO[memo_key] = cached
         return cached
-    _, minimal = _engine(ring, order, gens, trunc, pair_budget, reduce_tails)
+    minimal = _engine(ring, order, gens, trunc, pair_budget, reduce_tails)
     elements = [
         Polynomial(ring, dict(e.terms), _canonical=True) for e in minimal
     ]
@@ -616,9 +595,13 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
         return IdealHandle(I.ring, [I.ring.one()])
     result = I
     for _ in range(n - 1):
-        gens = [f * g for f in result.generators for g in I.generators]
-        result = IdealHandle(I.ring, autoreduce(I.ring, _dedupe(gens)))
+        result = IdealHandle(I.ring, autoreduced_product(result.generators, I))
     return result
+
+
+def autoreduced_product(gens: Sequence[Polynomial], I: IdealHandle) -> list[Polynomial]:
+    """Autoreduced generators of (gens) * I: the step of every power builder."""
+    return autoreduce(I.ring, _dedupe([f * g for f in gens for g in I.generators]))
 
 
 def _dedupe(gens: list[Polynomial]) -> list[Polynomial]:
@@ -782,22 +765,28 @@ def _global_zero_dim_colength(J: IdealHandle) -> int | None:
     """Colength at the origin through the untruncated basis: applies when
     the staircase is finite and every variable is nilpotent mod J (support
     is the origin alone, so the global and local colengths agree).  Returns
-    None when the path does not apply."""
+    None when the path does not apply.  An infinite staircase decides
+    finiteness exactly: R/J has finite length at the origin iff
+    (J : m^inf) is not inside m; NotLocallyFinite is raised otherwise."""
     try:
         gb = J.groebner()
     except ResourceLimit:
         return None
     if gb.contains_one():
         return 0
-    if not gb.elements:
-        return None
     nv = J.ring.nvars
     lts = gb.leading_monomials
     power_bound = 0
     for i in range(nv):
         pure = [lt[i] for lt in lts if sum(lt) == lt[i]]
         if not pure:
-            return None  # staircase infinite: fall back to truncation
+            try:
+                sat = saturate(J, maximal_ideal(J.ring))
+            except ResourceLimit:
+                return None  # left to the truncation ladder
+            if not any(g.constant_term() for g in sat.generators):
+                raise NotLocallyFinite("a positive-dimensional component passes through the origin")
+            return None  # the infinite part misses the origin: truncate
         power_bound += min(pure)
     count = len(_standard_monomials(lts, nv, power_bound + 1))
     for i in range(nv):

@@ -13,18 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import comb
 
 from .errors import (
     NonIntegerCoefficient,
     NoPolynomialTail,
     NotLocallyFinite,
+    ResourceLimit,
     SamplingExhausted,
 )
 from .exactalg import ExactMatrix, QQ, solve_linear
 from .groebner import (
     IdealHandle,
     autoreduce,
+    autoreduced_product,
     ideal_equal,
     ideal_product,
     ideal_sum,
@@ -32,7 +35,7 @@ from .groebner import (
     normal_form,
 )
 from .polyring import Polynomial, RingSpec
-from .transform import ParameterChart, parameter_chart
+from .transform import parameter_chart
 
 SMALL_FIELD_BOUND = 1000  # warn below this: generic choices may misbehave
 
@@ -102,9 +105,6 @@ class ParameterIdealSpec:
 
     lifts: tuple[Polynomial, ...]
 
-    def handle(self, ring: RingSpec) -> IdealHandle:
-        return IdealHandle(ring, self.lifts)
-
 
 def _as_polys(A: QuotientRingSpec, lifts) -> tuple[Polynomial, ...]:
     from .polyring import parse_poly
@@ -120,49 +120,65 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     polys = _as_polys(A, lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
-    spec = ParameterIdealSpec(polys)
-    A2, Q2, _ = _normalized(A, spec)
-    local_colength_info(A2.plus(Q2.handle(A2.ring)), A2.cutoffs)  # raises NotLocallyFinite
-    return spec
+    A2, lifts, _ = _normalized(A, polys)
+    local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cutoffs)  # raises NotLocallyFinite
+    return ParameterIdealSpec(polys)
 
 
 # ---------------------------------------------------------------------------
 # coordinate normalization plumbing
 
 def _normalized(
-    A: QuotientRingSpec, Q: ParameterIdealSpec
-) -> tuple[QuotientRingSpec, ParameterIdealSpec, ParameterChart | None]:
-    """Rewrite (A, Q) through a parameter chart when one applies; results of
-    colength/equality computations are invariant."""
-    chart = parameter_chart(A.ring, Q.lifts)
+    A: QuotientRingSpec, lifts, polys=()
+) -> tuple[QuotientRingSpec, tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """Rewrite A, the parameter lifts and any further polynomials through a
+    parameter chart when one applies (the lifts become plain variables);
+    colengths and ideal equalities are invariant."""
+    chart = parameter_chart(A.ring, lifts)
     if chart is None:
-        return A, Q, None
+        return A, tuple(lifts), tuple(polys)
     defining2 = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
     A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cutoffs)
-    Q2 = ParameterIdealSpec(tuple(chart.lift_polys()))
-    return A2, Q2, chart
+    return A2, tuple(chart.lift_polys()), tuple(chart.transform_polys(polys))
+
+
+# ---------------------------------------------------------------------------
+# powers modulo the defining ideal
+
+def power_bases(A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
+    """Yield the ideals a + S * I^n of R for n = 0, 1, ..., where a is the
+    defining ideal and S = start (default: the unit ideal).
+
+    Steps by a + S * I^{n+1} = a + I * (a + S * I^n): the reduced degrevlex
+    basis of the previous ideal (usually cached already by its colength)
+    times the generators of I.  When that basis exceeds the pair budget,
+    the previous generators are multiplied instead."""
+    gens = start.generators if start is not None else (A.ring.one(),)
+    while True:
+        current = A.plus(IdealHandle(A.ring, gens))
+        yield current
+        try:
+            gens = current.groebner().elements
+        except ResourceLimit:
+            pass
+        gens = autoreduced_product(gens, I)
+
+
+def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int, int]:
+    """l_A(A/I^{n+1}) for n = 0..n_max, passing the previous stabilization
+    cutoff forward as a hint."""
+    H: dict[int, int] = {}
+    hint = A.cutoffs[0]
+    for n, J in zip(range(n_max + 1), power_bases(A, I, start=I)):
+        info = local_colength_info(J, (hint, A.cutoffs[1]))
+        H[n] = info.value
+        if info.window is not None:
+            hint = max(info.window[0], A.cutoffs[0])
+    return H
 
 
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel sampling and coefficient extraction
-
-def _power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int, int]:
-    """l_A(A/I^{n+1}) for n = 0..n_max, reusing the previous power and
-    passing the previous stabilization cutoff forward as a hint."""
-    H: dict[int, int] = {}
-    current = I
-    hint = A.cutoffs[0]
-    cap = A.cutoffs[1]
-    for n in range(n_max + 1):
-        info = local_colength_info(A.plus(current), (hint, cap))
-        H[n] = info.value
-        if info.window is not None:
-            hint = max(info.window[0], A.cutoffs[0])
-        if n < n_max:
-            gens = [f * g for f in current.generators for g in I.generators]
-            current = IdealHandle(A.ring, autoreduce(A.ring, gens))
-    return H
-
 
 def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> dict[int, int]:
     """Sampled Hilbert-Samuel function n -> l_A(A/Q^{n+1}), n = 0..n_max."""
@@ -170,8 +186,8 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
-    A2, Q2, _ = _normalized(A, Q)
-    H = _power_colengths(A2, Q2.handle(A2.ring), n_max)
+    A2, lifts, _ = _normalized(A, Q.lifts)
+    H = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
     if any(H[n] >= H[n + 1] for n in range(n_max)):
         raise AssertionError("Hilbert-Samuel function is not strictly increasing; engine bug")
     return H
@@ -257,7 +273,7 @@ def ideal_hilbert_report(A: QuotientRingSpec, I: IdealHandle, n_max: int | None 
     """Hilbert coefficients of an arbitrary m-primary ideal of A."""
     if n_max is None:
         n_max = A.dim + 6
-    return extract_coeffs(_power_colengths(A, I, n_max), A.dim)
+    return extract_coeffs(power_colengths(A, I, n_max), A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +284,17 @@ def is_reduction(
 ) -> int | None:
     """Least n <= n_cap with I^{n+1} = Q I^n in A (reduction certificate),
     or None.  Requires Q contained in I + defining."""
-    A2, Q2, chart = _normalized(A, Q)
-    I2 = IdealHandle(A.ring, chart.transform_polys(I.generators)) if chart else I
-    Qh = Q2.handle(A2.ring)
-    target = ideal_sum(A2.defining, I2)
-    gb = target.groebner()
-    if any(not normal_form(f, gb).is_zero() for f in Qh.generators):
+    A2, lifts, gens = _normalized(A, Q.lifts, I.generators)
+    Qh, I2 = IdealHandle(A.ring, lifts), IdealHandle(A.ring, gens)
+    gb = A2.plus(I2).groebner()
+    if any(not normal_form(f, gb).is_zero() for f in lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
-    power = IdealHandle(A2.ring, [A2.ring.one()])  # I^0
-    for n in range(n_cap + 1):
-        next_power_gens = [f * g for f in power.generators for g in I2.generators]
-        next_power = IdealHandle(A2.ring, autoreduce(A2.ring, next_power_gens))
-        lhs = ideal_sum(A2.defining, next_power)
-        rhs = ideal_sum(A2.defining, ideal_product(Qh, power))
-        if ideal_equal(lhs, rhs):
+    # power = a + I^n, whose basis power_bases built to step to nxt;
+    # a + Q * basis = a + Q I^n
+    for n, (power, nxt) in zip(range(n_cap + 1), pairwise(power_bases(A2, I2))):
+        basis = IdealHandle(A.ring, power.groebner().elements)
+        if ideal_equal(nxt, A2.plus(ideal_product(Qh, basis))):
             return n
-        power = next_power
     return None
 
 
@@ -297,6 +308,14 @@ def sample_reductions(
     """Seeded random minimal reductions of I: d-tuples of random linear
     combinations of I's generators, kept when the reduction certificate
     passes.  Deterministic for a fixed seed.  Returns (reductions, warnings)."""
+    found, warnings = _certified_samples(A, I, count, seed, n_cap)
+    return [q for q, _ in found], warnings
+
+
+def _certified_samples(
+    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8
+) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
+    """sample_reductions with each reduction's certificate."""
     warnings: list[str] = []
     F = A.ring.field
     if F.kind == "prime" and F.characteristic < SMALL_FIELD_BOUND:
@@ -305,7 +324,7 @@ def sample_reductions(
         )
     gens = autoreduce(A.ring, list(I.generators))
     rng = SplitMix64(seed)
-    found: list[ParameterIdealSpec] = []
+    found: list[tuple[ParameterIdealSpec, int]] = []
     attempts = 0
     max_attempts = 10 * count
     while len(found) < count and attempts < max_attempts:
@@ -324,9 +343,9 @@ def sample_reductions(
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):
             continue
-        if is_reduction(A, Q, I, n_cap) is None:
-            continue
-        found.append(Q)
+        cert = is_reduction(A, Q, I, n_cap)
+        if cert is not None:
+            found.append((Q, cert))
     if len(found) < count:
         raise SamplingExhausted(
             f"found {len(found)}/{count} reductions in {attempts} attempts over {F}"
@@ -366,25 +385,23 @@ def lambda_map(
     threads: int = 1,
 ) -> LambdaReport:
     """e_1 over sampled (and named) minimal reductions of I."""
-    entries: list[LambdaEntry] = []
     warnings: list[str] = []
-    candidates: list[tuple[str, ParameterIdealSpec]] = []
+    candidates: list[tuple[str, ParameterIdealSpec, int]] = []
     for name, q in named or []:
         cert = is_reduction(A, q, I)
         if cert is None:
             warnings.append(f"named ideal {name} is not a reduction of I; skipped")
             continue
-        candidates.append((name, q))
+        candidates.append((name, q, cert))
     if count:
-        sampled, w = sample_reductions(A, I, count, seed)
+        sampled, w = _certified_samples(A, I, count, seed)
         warnings.extend(w)
-        candidates.extend((f"sample{i}", q) for i, q in enumerate(sampled))
-    reports = _map_candidates(A, [q for _, q in candidates], n_max, threads)
-    for (name, q), rep in zip(candidates, reports):
-        cert = is_reduction(A, q, I)
-        entries.append(
-            LambdaEntry(name, tuple(str(f) for f in q.lifts), cert, rep.coeffs)
-        )
+        candidates.extend((f"sample{i}", q, cert) for i, (q, cert) in enumerate(sampled))
+    reports = _map_candidates(A, [q for _, q, _ in candidates], n_max, threads)
+    entries = [
+        LambdaEntry(name, tuple(str(f) for f in q.lifts), cert, rep.coeffs)
+        for (name, q, cert), rep in zip(candidates, reports)
+    ]
     values = sorted({e.coeffs[1] for e in entries})
     return LambdaReport(values, entries, warnings)
 
@@ -437,7 +454,7 @@ def k_plus_j_hilbert(B: QuotientRingSpec, J: IdealHandle, n_max: int | None = No
         n_max = d + 7
     if n_max < 2 * (d + 1) + 1:
         raise ValueError("n_max too small to fit the n >= 1 tail")
-    lengths = _power_colengths(B, J, n_max)
+    lengths = power_colengths(B, J, n_max)
     correction = lengths[0] - 1
     samples = {0: 1}
     for n in range(1, n_max + 1):

@@ -37,6 +37,7 @@ from .hilbert import (
     is_reduction,
     lambda_map,
     parameter_ideal,
+    power_colengths,
     sample_reductions,
 )
 from .polyring import DEGREVLEX, LEX, MonomialOrder, Polynomial, RingSpec, elimination_order, parse_poly
@@ -408,9 +409,7 @@ class TaskRunner:
         A = self._quotient(task)
         I = self._ideal(task)
         n_max = self._nmax(task) or A.dim + 6
-        from .hilbert import _power_colengths
-
-        H = _power_colengths(A, I, n_max)
+        H = power_colengths(A, I, n_max)
         values = [H[n] for n in sorted(H)]
         return {"samples": values, "from": 0}, values, []
 

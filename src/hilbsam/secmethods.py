@@ -16,7 +16,7 @@ so fitting the binomial basis to e_0 * binom(n+2,2) + l(T_n) recovers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import pairwise, permutations
 from math import comb
 
 from .errors import BoundViolation
@@ -26,9 +26,8 @@ from .groebner import (
     IdealHandle,
     colon,
     ideal_equal,
-    ideal_product,
     ideal_sum,
-    ideal_power,
+    local_colength_info,
     normal_form,
     sat_quotient_length,
     saturate,
@@ -44,10 +43,10 @@ from .hilbert import (
     hilbert_report,
     ideal_hilbert_report,
     is_reduction,
+    power_bases,
     _normalized,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
-from .transform import parameter_chart
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +190,8 @@ def e1_via_slice(A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial) -> i
     nonzerodivisor; the caller asserts (or pre-checks) superficiality."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
-    chart = parameter_chart(A.ring, Q.lifts)
-    if chart is not None:
-        defining = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
-        a = chart.transform_poly(a)
-    else:
-        defining = A.defining
-    J = ideal_sum(defining, IdealHandle(A.ring, [a]))
-    return -sat_quotient_length(J, A.cutoffs)
+    A2, _, (a,) = _normalized(A, Q.lifts, (a,))
+    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, [a])), A.cutoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +201,8 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
     """Colon criterion ((e_1..e_{i-1}) : e_i e_j) = ((e_1..e_{i-1}) : e_j)
     for all i <= j, computed in R with the defining ideal added.  With
     all_orders, every permutation of the given sequence is checked."""
-    chart = parameter_chart(A.ring, elems)
-    if chart is not None:
-        defining = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
-        elems = [A.ring.variable(i) for i in chart.pivot_vars]
-    else:
-        defining = A.defining
+    A2, elems, _ = _normalized(A, elems)
+    defining = A2.defining
     gb = defining.groebner()
     if any(normal_form(e, gb).is_zero() for e in elems):
         raise ValueError("sequence member vanishes in A")
@@ -244,27 +233,13 @@ def is_superficial(
 ) -> bool:
     """Windowed check of (Q^{n+1} : a) = Q^n + (0 : a) in A.  A False is
     definitive (a witness n exists); a True is heuristic evidence."""
-    chart = parameter_chart(A.ring, Q.lifts)
-    if chart is not None:
-        defining = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
-        lifts = [A.ring.variable(i) for i in chart.pivot_vars]
-        a = chart.transform_poly(a)
-    else:
-        defining = A.defining
-        lifts = list(Q.lifts)
-    Qh = IdealHandle(A.ring, lifts)
-    zero_colon = colon_by_poly_in_A(defining, a)
-    for n in window:
-        lhs = colon(ideal_sum(defining, ideal_power(Qh, n + 1)), a)
-        rhs = ideal_sum(ideal_sum(defining, ideal_power(Qh, n)), zero_colon)
-        if not ideal_equal(lhs, rhs):
+    A2, lifts, (a,) = _normalized(A, Q.lifts, (a,))
+    zero_colon = colon(A2.defining, a)  # (0 :_A a), as an ideal of R
+    bases = pairwise(power_bases(A2, IdealHandle(A.ring, lifts)))  # (a + Q^n, a + Q^{n+1})
+    for n, (power, nxt) in zip(range(max(window, default=-1) + 1), bases):
+        if n in window and not ideal_equal(colon(nxt, a), ideal_sum(power, zero_colon)):
             return False
     return True
-
-
-def colon_by_poly_in_A(defining: IdealHandle, a: Polynomial) -> IdealHandle:
-    """(0 :_A a) as an ideal of R containing the defining ideal."""
-    return colon(defining, a)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +259,17 @@ def sally_lengths(
     Q must be a reduction of I (verified unless check=False)."""
     if check and is_reduction(A, Q, I) is None:
         raise ValueError("Q is not a reduction of I")
-    A2, Q2, chart = _normalized(A, Q)
-    I2 = IdealHandle(A.ring, chart.transform_polys(I.generators)) if chart else I
-    Qh = Q2.handle(A2.ring)
+    A2, lifts, gens = _normalized(A, Q.lifts, I.generators)
+    I2 = IdealHandle(A.ring, gens)
+    qn_i = power_bases(A2, IdealHandle(A.ring, lifts), start=I2)  # a + Q^n I
+    i_n1 = power_bases(A2, I2, start=I2)  # a + I^{n+1}
     out: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        qn_i = ideal_product(ideal_power(Qh, n), I2)
-        i_n1 = ideal_power(I2, n + 1)
-        out[n] = A2.colength(qn_i) - A2.colength(i_n1)
-        if out[n] < 0:
-            raise AssertionError("negative Sally length; engine bug")
+    cut = A.cutoffs
+    for n, lhs, rhs in zip(range(n_max + 1), qn_i, i_n1):
+        if n:
+            out[n] = local_colength_info(lhs, cut).value - local_colength_info(rhs, cut).value
+            if out[n] < 0:
+                raise AssertionError("negative Sally length; engine bug")
     return out
 
 
@@ -358,6 +334,6 @@ def k_plus_j_analysis(
     for name, q in named:
         if is_reduction(B, q, J) is None:
             raise ValueError(f"{name} is not a reduction of J")
-        r = sally_rank(B, J, q, n_max)
+        r = sally_rank(B, J, q, n_max, check=False)
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))
     return KPlusJReport(rep.coeffs, identity, entries, rep)

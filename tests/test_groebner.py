@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import ring4, staged, two_planes
+from hilbsam import groebner
 from hilbsam.errors import NotLocallyFinite, ResourceLimit, ZeroDivisor
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
@@ -17,6 +18,7 @@ from hilbsam.groebner import (
     ideal_sum,
     intersect,
     local_colength,
+    local_colength_info,
     maximal_ideal,
     member,
     normal_form,
@@ -178,6 +180,32 @@ def test_local_colength_off_origin_component():
     # a component at the origin plus one at x = 1: local part only
     J = ideal(R2, ["x^2 - x^3", "y"])  # x^2(1 - x)
     assert local_colength(J) == 2
+
+
+def test_curve_through_origin_is_decided_without_the_ladder(monkeypatch):
+    # a + Q for a sampled candidate on R/[(X^3, Y^3) cap (Z, W)]: the linear
+    # parts of the lifts are proportional, so a curve through the origin
+    # survives and the untruncated staircase is infinite
+    A = two_planes(3)
+    lifts = [
+        "40*X^3 - 44*X^2*Y + 50*X*Y^2 - 45*Y^3 + 22*Z + 11*W",
+        "-34*X^3 - 18*X^2*Y - 27*X*Y^2 + 9*Y^3 - 40*Z - 20*W",
+    ]
+
+    def no_ladder(*args):
+        raise AssertionError("the truncation ladder ran")
+
+    monkeypatch.setattr(groebner, "_ladder_colength_info", no_ladder)
+    with pytest.raises(NotLocallyFinite):
+        local_colength(ideal_sum(A.defining, ideal(A.ring, lifts)))
+
+
+def test_infinite_staircase_off_the_origin_uses_the_ladder():
+    # the hypersurface Z = 1 misses the origin: locally the ideal is m
+    R = ring4()
+    info = local_colength_info(intersect(maximal_ideal(R), ideal(R, ["Z - 1"])))
+    assert info.value == 1
+    assert info.window is not None
 
 
 def test_reduced_basis_unique_under_permutation():

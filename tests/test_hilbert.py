@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import big_i, fat_point, regular2, two_planes
-from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, SamplingExhausted
-from hilbsam.exactalg import GF32003
-from hilbsam.groebner import IdealHandle, ideal, ideal_sum, local_colength, maximal_ideal
+from hilbsam import groebner
+from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
+from hilbsam.exactalg import GF32003, QQ
+from hilbsam.groebner import IdealHandle, ideal, ideal_power, ideal_sum, local_colength, maximal_ideal
 from hilbsam.hilbert import (
     QuotientRingSpec,
     SplitMix64,
@@ -20,7 +22,9 @@ from hilbsam.hilbert import (
     k_plus_j_hilbert,
     lambda_map,
     parameter_ideal,
+    power_bases,
     sample_reductions,
+    _normalized,
 )
 from hilbsam.polyring import RingSpec, parse_poly
 from hilbsam.transform import parameter_chart
@@ -67,6 +71,46 @@ def test_chart_and_direct_paths_agree():
         n: local_colength(ideal_sum(A.defining, ideal_power(Qh, n + 1))) for n in range(5)
     }
     assert H_chart == H_direct
+
+
+def _assert_powers_match_raw(A, I, n_max):
+    """Colengths of a + I^{n+1} from power_bases against a + ideal_power(I, n+1)."""
+    iterated = [local_colength(J) for J in islice(power_bases(A, I, start=I), n_max + 1)]
+    raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(n_max + 1)]
+    assert iterated == raw
+
+
+def test_power_bases_match_raw_powers_through_a_chart():
+    A = two_planes(2)
+    A2, lifts, _ = _normalized(A, [parse_poly(A.ring, "X*Y-Z"), parse_poly(A.ring, "X^2+Y^2-W")])
+    assert lifts == (A.ring.variable("Z"), A.ring.variable("W"))
+    _assert_powers_match_raw(A2, IdealHandle(A.ring, lifts), 3)
+
+
+def test_power_bases_match_raw_powers_on_the_direct_path():
+    A = two_planes(2)
+    _assert_powers_match_raw(A, big_i(A, 2), 3)
+
+
+def test_power_bases_match_raw_powers_over_qq():
+    A = fat_point(2, QQ)
+    _assert_powers_match_raw(A, maximal_ideal(A.ring), 3)
+
+
+def test_power_bases_start_and_budget_fallback(monkeypatch):
+    A = two_planes(2)
+    I = big_i(A, 2)
+    assert next(power_bases(A, I)).groebner().contains_one()  # a + (1)
+    # with no pair budget no basis can be built: the step multiplies the
+    # previous generators, and the ideals stay the same
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    handles = list(islice(power_bases(A, I, start=I), 3))
+    with pytest.raises(ResourceLimit):
+        handles[0].groebner()
+    monkeypatch.undo()
+    raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
+    assert [local_colength(J) for J in handles] == raw
 
 
 def test_extract_coeffs_examples():
@@ -190,6 +234,10 @@ def test_lambda_map_values():
     named_coeffs = {e.name: e.coeffs for e in rep.entries}
     assert named_coeffs["Q"] == (8, -4, 0)
     assert named_coeffs["Qp"] == (8, -3, 0)
+    # certificates come from the named filter and the sampling itself
+    I = big_i(A, 2)
+    for e in rep.entries:
+        assert e.certificate == is_reduction(A, parameter_ideal(A, list(e.lifts)), I)
 
 
 def test_lambda_map_rejects_non_reduction():
