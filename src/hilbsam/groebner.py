@@ -16,10 +16,12 @@ standard chain/coprime criteria.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -139,26 +141,42 @@ def _sort_pairs(pairs: list, keyf) -> list:
     return pairs
 
 
+# Short exponent vectors (Bachmann & Schoenemann, ISSAC 1998): each variable
+# owns a field of _SEV_BITS bits, of which the low min(e_i, _SEV_BITS) are set.
+# If a divides b then _sev(a) & ~_sev(b) == 0, so a nonzero result rejects a
+# divisor candidate at once; a zero result is confirmed exponent by exponent.
+_SEV_BITS = 8
+_SEV_FIELD = tuple((1 << k) - 1 for k in range(_SEV_BITS + 1))
+
+
+def _sev(m: Monomial) -> int:
+    s = 0
+    for e in m:
+        s = (s << _SEV_BITS) | _SEV_FIELD[e if e < _SEV_BITS else _SEV_BITS]
+    return s
+
+
 class _Elem:
-    __slots__ = ("lt", "deg", "terms", "boundary_done")
+    __slots__ = ("lt", "deg", "sev", "terms", "boundary_done")
 
     def __init__(self, terms: list):
         self.terms = terms  # monic (m, c) pairs, sorted descending
         self.lt = terms[0][0]
         self.deg = sum(self.lt)
+        self.sev = _sev(self.lt)
         self.boundary_done = False
 
 
 def _find_reducer(m: Monomial, deg: int, elems: list[_Elem]):
+    """The first element whose leading monomial divides m, or None."""
+    not_m = ~_sev(m)
     for e in elems:
-        if e.deg > deg:
+        if e.sev & not_m or e.deg > deg:
             continue
-        ok = True
         for a, b in zip(e.lt, m):
             if a > b:
-                ok = False
                 break
-        if ok:
+        else:
             return e
     return None
 
@@ -220,13 +238,13 @@ def _reduce_pairs(pairs: list, elems: list[_Elem], hk, keyf, ops, trunc, full: b
 # Buchberger with Gebauer-Moeller pair pruning
 
 def _gm_update(elems: list[_Elem], pairs: dict, new_idx: int, order: MonomialOrder) -> list:
-    """Gebauer-Moeller update of the pair set after appending elems[new_idx];
-    returns the freshly added pair keys."""
-    f_lt = elems[new_idx].lt
-    for (i, j) in list(pairs):
-        L = pairs[(i, j)]
+    """Gebauer-Moeller update of the pair set (pair key -> (lcm, its sev))
+    after appending elems[new_idx]; returns the freshly added pair keys."""
+    f_lt, f_sev = elems[new_idx].lt, elems[new_idx].sev
+    for (i, j), (L, L_sev) in list(pairs.items()):
         if (
-            mono_divides(f_lt, L)
+            not f_sev & ~L_sev
+            and mono_divides(f_lt, L)
             and mono_lcm(elems[i].lt, f_lt) != L
             and mono_lcm(elems[j].lt, f_lt) != L
         ):
@@ -235,15 +253,16 @@ def _gm_update(elems: list[_Elem], pairs: dict, new_idx: int, order: MonomialOrd
     for i in range(new_idx):
         groups.setdefault(mono_lcm(elems[i].lt, f_lt), []).append(i)
     added = []
-    minimal: list[Monomial] = []
+    minimal: list[tuple[Monomial, int]] = []
     for L in sorted(groups, key=order.key):
-        if any(mono_divides(Lm, L) for Lm in minimal):
+        L_sev = _sev(L)
+        if any(not s & ~L_sev and mono_divides(Lm, L) for Lm, s in minimal):
             continue
-        minimal.append(L)
+        minimal.append((L, L_sev))
         if any(mono_mul(elems[i].lt, f_lt) == L for i in groups[L]):
             continue  # coprime leading terms: S-polynomial reduces to zero
         pair = (min(groups[L]), new_idx)
-        pairs[pair] = L
+        pairs[pair] = (L, L_sev)
         added.append(pair)
     return added
 
@@ -286,7 +305,7 @@ def _engine(
             pr = [(m, mul(c, v)) for (m, v) in pr]
         elems.append(_Elem(pr))
         for (i, j) in _gm_update(elems, pairs, len(elems) - 1, order):
-            L = pairs[(i, j)]
+            L = pairs[(i, j)][0]
             counter += 1
             heapq.heappush(heap, (sum(L), keyf(L), i, j, counter))
 
@@ -308,7 +327,7 @@ def _engine(
             _, _, i, j, _ = heapq.heappop(heap)
             if (i, j) not in pairs:
                 continue
-            L = pairs.pop((i, j))
+            L, _ = pairs.pop((i, j))
             spend()
             ei, ej = elems[i], elems[j]
             ui = mono_div(L, ei.lt)
@@ -325,7 +344,8 @@ def _engine(
             break
         for e in todo:
             e.boundary_done = True
-            if any(o is not e and mono_divides(o.lt, e.lt) for o in elems):
+            not_e = ~e.sev
+            if any(o is not e and not o.sev & not_e and mono_divides(o.lt, e.lt) for o in elems):
                 continue  # covered by the dominating element's boundary
             lowtail = [t for t in e.terms[1:] if sum(t[0]) < e.deg]
             if not lowtail:
@@ -346,7 +366,9 @@ def _engine(
     minimal = [
         e
         for e in cands
-        if not any(o.lt != e.lt and mono_divides(o.lt, e.lt) for o in cands)
+        if not any(
+            not o.sev & ~e.sev and o.lt != e.lt and mono_divides(o.lt, e.lt) for o in cands
+        )
     ]
     minimal.sort(key=lambda e: keyf(e.lt))
     if reduce_tails:
@@ -403,9 +425,20 @@ class GroebnerBasis:
 
 
 def _standard_monomials(lts: list[Monomial], nvars: int, bound: int) -> list[Monomial]:
+    """Monomials of degree < bound divisible by no lt, breadth first from 1.
+
+    The walk tests m + e_i only for standard m.  No lt divides m, so an lt
+    dividing m + e_i exceeds m in variable i alone: its i-th exponent is
+    m_i + 1.  The lts are bucketed by (i, lt_i) and only that bucket is
+    tested."""
     origin = (0,) * nvars
     if any(sum(lt) == 0 for lt in lts):
         return []
+    buckets: dict = {}
+    for lt in lts:
+        for i, e in enumerate(lt):
+            if e:
+                buckets.setdefault((i, e), []).append(lt)
     seen = {origin}
     queue = [origin]
     for m in queue:
@@ -416,7 +449,13 @@ def _standard_monomials(lts: list[Monomial], nvars: int, bound: int) -> list[Mon
             if m2 in seen:
                 continue
             seen.add(m2)
-            if not any(mono_divides(lt, m2) for lt in lts):
+            for lt in buckets.get((i, m2[i]), ()):
+                for a, b in zip(lt, m2):
+                    if a > b:
+                        break
+                else:
+                    break  # lt divides m2
+            else:
                 queue.append(m2)
     return queue
 
@@ -484,12 +523,17 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
 
 
 # optional on-disk basis cache, enabled by HILBSAM_GB_CACHE (documented; off
-# by default).  Stores element term lists as JSON keyed by a content hash.
+# by default).  Stores element term lists as JSON keyed by a content hash of
+# the memo key salted with the format version; bump the version whenever the
+# engine's bases or the entry format change, so older entries are never served.
+_DISK_CACHE_VERSION = "hilbsam-gb-2"
+
+
 def _disk_cache_path(memo_key):
     root = os.environ.get("HILBSAM_GB_CACHE")
     if not root:
         return None
-    digest = hashlib.sha256(repr(memo_key).encode()).hexdigest()
+    digest = hashlib.sha256(repr((_DISK_CACHE_VERSION, memo_key)).encode()).hexdigest()
     return os.path.join(root, digest + ".json")
 
 
@@ -514,20 +558,30 @@ def _disk_cache_load(memo_key, ring, order, trunc):
 
 
 def _disk_cache_store(memo_key, gb: GroebnerBasis) -> None:
+    """Write the entry to a temporary file beside it, then rename it into
+    place: pool workers share the directory, so no reader may see a torn
+    entry."""
     path = _disk_cache_path(memo_key)
     if path is None:
         return
+    payload = {
+        "elements": [
+            [[list(m), str(c)] for m, c in f.sorted_terms(gb.order)] for f in gb.elements
+        ]
+    }
+    directory = os.path.dirname(path)
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "elements": [
-                [[list(m), str(c)] for m, c in f.sorted_terms(gb.order)] for f in gb.elements
-            ]
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     except OSError:
-        pass
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ so e_0 is the multiplicity and the report stores (e_0, ..., e_d).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -407,11 +408,14 @@ def lambda_map(
 
 
 def _map_candidates(A, candidates, n_max, threads) -> list[HilbertReport]:
-    if threads > 1 and len(candidates) > 1:
+    # a fork-started pool launches all its workers at once: never more than
+    # there are candidates or cores
+    workers = min(threads, len(candidates), os.cpu_count() or 1)
+    if workers > 1:
         payloads = [_pickle_payload(A, q, n_max) for q in candidates]
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_coeffs_worker, payloads))
     return [hilbert_report(A, q, n_max) for q in candidates]
 
@@ -449,6 +453,13 @@ def k_plus_j_hilbert(B: QuotientRingSpec, J: IdealHandle, n_max: int | None = No
         l_A(A/m_A^{n+1}) = l_B(B/J^{n+1}) - (l_B(B/J) - 1)   for n >= 1,
 
     with l_A(A/m_A) = 1; coefficients come from the n >= 1 tail."""
+    return _k_plus_j_hilbert(B, J, n_max)[0]
+
+
+def _k_plus_j_hilbert(
+    B: QuotientRingSpec, J: IdealHandle, n_max: int | None
+) -> tuple[HilbertReport, dict[int, int]]:
+    """k_plus_j_hilbert's report and the lengths l_B(B/J^{n+1}) it fitted."""
     d = B.dim
     if n_max is None:
         n_max = d + 7
@@ -459,4 +470,4 @@ def k_plus_j_hilbert(B: QuotientRingSpec, J: IdealHandle, n_max: int | None = No
     samples = {0: 1}
     for n in range(1, n_max + 1):
         samples[n] = lengths[n] - correction
-    return extract_coeffs(samples, d)
+    return extract_coeffs(samples, d), lengths

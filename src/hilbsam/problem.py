@@ -100,6 +100,7 @@ def _require(cond: bool, msg: str) -> None:
 def load_problem(doc: dict, field_override: str | None = None, seed: int | None = None,
                  cutoff: int | None = None, threads: int = 1) -> Problem:
     """Validate and resolve a problem document."""
+    _require(threads >= 1, f"threads must be at least 1, got {threads}")
     _require(isinstance(doc, dict), "problem document must be a JSON object")
     ring_doc = doc.get("ring")
     _require(isinstance(ring_doc, dict), "missing 'ring' object")

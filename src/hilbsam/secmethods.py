@@ -44,6 +44,7 @@ from .hilbert import (
     ideal_hilbert_report,
     is_reduction,
     power_bases,
+    _k_plus_j_hilbert,
     _normalized,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
@@ -291,9 +292,15 @@ def sally_rank(
     Q must be a reduction of I (verified unless check=False)."""
     if check and is_reduction(A, Q, I) is None:
         raise ValueError("Q is not a reduction of I")
-    rep_i = ideal_hilbert_report(A, I, n_max)
+    return _sally_rank(A, ideal_hilbert_report(A, I, n_max), Q, n_max)
+
+
+def _sally_rank(
+    A: QuotientRingSpec, rep_i: HilbertReport, Q: ParameterIdealSpec, n_max: int | None
+) -> SallyRankReport:
+    """sally_rank from the Hilbert report of I, whose n = 0 sample is l(A/I)."""
     rep_q = hilbert_report(A, Q, n_max)
-    col_i = A.colength(I)
+    col_i = rep_i.samples[0]
     rank_value = rep_i.coeffs[1] - rep_i.coeffs[0] - rep_q.coeffs[1] + col_i
     return SallyRankReport(rank_value, rep_i.coeffs[0], rep_i.coeffs[1], rep_q.coeffs[1], col_i)
 
@@ -326,14 +333,15 @@ def k_plus_j_analysis(
     J, the localized Sally length (computed in B, where the Sally modules of
     J and of the maximal ideal of A agree) and the derived first coefficient
     e1 = (e1_m - e0_m + 1) - rank."""
-    from .hilbert import k_plus_j_hilbert
-
-    rep = k_plus_j_hilbert(B, J, n_max)
+    rep, lengths = _k_plus_j_hilbert(B, J, n_max)
     identity = rep.coeffs[1] - rep.coeffs[0] + 1
+    # the Sally ranks fit l(B/J^{n+1}) over sally_rank's window, n <= dim + 6
+    fit_max = B.dim + 6 if n_max is None else n_max
+    rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, B.dim) if named else None
     entries = []
     for name, q in named:
         if is_reduction(B, q, J) is None:
             raise ValueError(f"{name} is not a reduction of J")
-        r = sally_rank(B, J, q, n_max, check=False)
+        r = _sally_rank(B, rep_j, q, n_max)
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))
     return KPlusJReport(rep.coeffs, identity, entries, rep)

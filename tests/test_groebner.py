@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ring4, staged, two_planes
 from hilbsam import groebner
@@ -27,7 +29,7 @@ from hilbsam.groebner import (
     saturate,
     truncation_colength_oracle,
 )
-from hilbsam.polyring import LEX, RingSpec, parse_poly
+from hilbsam.polyring import DEGREVLEX, LEX, RingSpec, mono_divides, mono_mul, parse_poly
 
 R2 = RingSpec(("x", "y"), GF32003)
 
@@ -304,8 +306,109 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert again == base
 
 
+def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
+    import hilbsam.groebner as G
+
+    monkeypatch.setenv("HILBSAM_GB_CACHE", str(tmp_path))
+    monkeypatch.setattr(G, "_GB_MEMO", {})
+
+    def torn_dump(payload, fh):
+        fh.write('{"elements": [')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(G.json, "dump", torn_dump)
+    gb = ideal(ring4(), ["X^2*Z - W^3", "Y^2*Z", "X*W - Y*Z"]).groebner()
+    assert gb.elements  # the failed store does not affect the result
+    assert list(tmp_path.iterdir()) == []  # neither a torn entry nor its temporary file
+
+
+def test_disk_cache_ignores_entries_of_another_format_version(tmp_path, monkeypatch):
+    import hilbsam.groebner as G
+
+    monkeypatch.setenv("HILBSAM_GB_CACHE", str(tmp_path))
+    monkeypatch.setattr(G, "_GB_MEMO", {})
+    R = ring4()
+    gens = ideal(R, ["X^2*Z - W^3", "Y^2*Z", "X*W - Y*Z"]).generators
+    key = G._memo_key(R, DEGREVLEX, gens, None)
+    version = G._DISK_CACHE_VERSION
+    monkeypatch.setattr(G, "_DISK_CACHE_VERSION", "an-older-engine")
+    IdealHandle(R, gens).groebner()
+    assert G._disk_cache_load(key, R, DEGREVLEX, None) is not None
+    monkeypatch.setattr(G, "_DISK_CACHE_VERSION", version)
+    assert G._disk_cache_load(key, R, DEGREVLEX, None) is None
+
+
 def test_rationals_agree_with_prime_field():
     for field in (GF32003, QQ):
         A = two_planes(2, field)
         c = ideal_sum(A.defining, ideal(A.ring, ["X^2", "Y^2", "Z", "W"]))
         assert local_colength(c) == 4
+
+
+# ---------------------------------------------------------------------------
+# the short-exponent-vector divisor test and the scans built on it
+
+def _exponents(nvars, high=12):
+    return st.tuples(*[st.integers(0, high)] * nvars)
+
+
+@st.composite
+def _divisor_cases(draw):
+    """(nvars, leading monomials, m), with m often a multiple of one of them."""
+    nvars = draw(st.integers(1, 4))
+    lts = draw(st.lists(_exponents(nvars), max_size=8))
+    m = draw(_exponents(nvars))
+    if lts and draw(st.booleans()):
+        m = mono_mul(draw(st.sampled_from(lts)), draw(_exponents(nvars, 3)))
+    return nvars, lts, m
+
+
+def _mask_passes(a, b):
+    return not groebner._sev(a) & ~groebner._sev(b)
+
+
+@given(_divisor_cases())
+@settings(max_examples=300, deadline=1000)
+def test_sev_mask_never_rejects_a_divisor(case):
+    _nvars, lts, m = case
+    for a in lts:
+        if mono_divides(a, m):
+            assert _mask_passes(a, m)
+        if max(a) <= groebner._SEV_BITS:  # exact below the field width
+            assert _mask_passes(a, m) == mono_divides(a, m)
+
+
+@given(_divisor_cases())
+@settings(max_examples=300, deadline=1000)
+def test_find_reducer_matches_a_linear_scan(case):
+    _nvars, lts, m = case
+    elems = [groebner._Elem([(lt, 1)]) for lt in lts]
+    first = next((e for e in elems if mono_divides(e.lt, m)), None)
+    assert groebner._find_reducer(m, sum(m), elems) is first
+
+
+def _breadth_first(nvars, bound):
+    """Every monomial of degree < bound, in the order the staircase walk visits them."""
+    origin = (0,) * nvars
+    seen, queue = {origin}, [origin]
+    for m in queue:
+        if sum(m) + 1 >= bound:
+            continue
+        for i in range(nvars):
+            m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+    return queue
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_exponents(n, 6), max_size=6), st.integers(1, 8))
+))
+@settings(max_examples=200, deadline=2000)
+def test_standard_monomials_match_a_brute_force_filter(case):
+    nvars, lts, bound = case
+    expected = [
+        m for m in _breadth_first(nvars, bound) if not any(mono_divides(lt, m) for lt in lts)
+    ]
+    assert groebner._standard_monomials(lts, nvars, bound) == expected

@@ -1,3 +1,4 @@
+import os
 from itertools import islice
 from math import comb
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import big_i, fat_point, regular2, two_planes
-from hilbsam import groebner
+from hilbsam import groebner, hilbert
 from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import IdealHandle, ideal, ideal_power, ideal_sum, local_colength, maximal_ideal
@@ -337,6 +338,39 @@ def test_direct_path_without_chart():
     m2 = ideal(A.ring, ["x^2", "x*y", "y^2"])
     cert = is_reduction(A, Q, m2)
     assert cert is not None
+
+
+@pytest.mark.parametrize("threads, cpus, candidates, pool", [
+    (1000, 64, 2, 2),  # no more workers than candidates
+    (1000, 3, 5, 3),  # nor than cores
+    (8, None, 5, None),  # an unknown core count runs in process
+    (1, 64, 5, None),
+])
+def test_worker_pool_is_clamped(monkeypatch, threads, cpus, candidates, pool):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:  # runs the workers in process; never forks
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    A = regular2()
+    Q = parameter_ideal(A, ["x", "y"])
+    reports = hilbert._map_candidates(A, [Q] * candidates, 5, threads)
+    assert [r.coeffs for r in reports] == [(1, 0, 0)] * candidates
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_hs_function_threads_match():

@@ -132,6 +132,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+def test_threads_below_one_is_an_input_error(capsys):
+    with pytest.raises(InputError):
+        load_problem(_doc(), threads=0)
+    assert main(["suite", "paper", "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
 def test_cli_not_locally_finite_is_exit_3(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import big_i, fat_point, regular2, ring4, staged, two_planes
+from hilbsam import hilbert
 from hilbsam.exactalg import rank
 from hilbsam.groebner import (
     IdealHandle,
@@ -257,12 +258,21 @@ def test_sally_rank_difference_identity():
         assert rq.rank == rqp.rank + (n - 1)
 
 
-def test_k_plus_j_analysis():
+def test_k_plus_j_analysis(monkeypatch):
     B = two_planes(2)
     J = big_i(B, 2)
     Q = parameter_ideal(B, ["X^2-Z", "Y^2-W"])
     Qp = parameter_ideal(B, ["X*Y-Z", "X^2+Y^2-W"])
+    sampled = []
+    power_colengths = hilbert.power_colengths
+
+    def recording(A, I, n_max):
+        sampled.append(I.generators)
+        return power_colengths(A, I, n_max)
+
+    monkeypatch.setattr(hilbert, "power_colengths", recording)
     rep = k_plus_j_analysis(B, J, [("Q", Q), ("Qp", Qp)])
+    assert sampled.count(J.generators) == 1  # the lengths l(B/J^{n+1}) are sampled once
     assert rep.coeffs == (8, 2, -6)
     assert rep.identity_value == -5
     ranks = {e.name: e.rank for e in rep.entries}
