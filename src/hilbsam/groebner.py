@@ -21,9 +21,11 @@ import hashlib
 import heapq
 import json
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,9 +43,6 @@ from .polyring import (
     Polynomial,
     RingSpec,
     elimination_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     monomials_below_degree,
     monomials_of_degree,
@@ -90,104 +89,151 @@ def _field_ops(F: FieldConfig):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomials: lists of (exps, coeff) pairs, strictly descending under
-# the active order.  Reduction runs on a coefficient dict with a lazy
-# max-heap of monomials (cached inverted sort keys, so heapq pops the
-# order-largest monomial first).
+# packed monomials
+#
+# Inside the engine a monomial is one int.  Variable i owns the 16-bit field
+# at bit 16*i, the top bit of each field is a guard bit kept clear, and the
+# total degree sits above all fields.  Every monomial the engine makes has
+# degree below _DEG_LIMIT (checked wherever a degree can grow; ResourceLimit
+# otherwise), so no exponent reaches its guard bit and, with G the guard bits
+# and LOW the 15 exponent bits of every field:
+#   - the product is a + b and the exact quotient is a - b;
+#   - a | b iff ((b | G) - a) & G == G: each field borrows only from its own
+#     guard bit, and keeps it iff a_i <= b_i;
+#   - the lcm takes the same guard borrow as a field-by-field max;
+#   - the degree is m >> shift, so deg(m) < T iff m < T << shift;
+#   - the degrevlex key is m ^ LOW: the degree first, then the exponents
+#     negated, the last variable most significant.
 
-def _heapkey_fn(order: MonomialOrder):
-    """Monomial -> heap key, with smaller heap key = larger monomial."""
-    cache: dict = {}
-    kind, block = order.kind, order.block
-    if kind == "degrevlex":
+_FIELD_BITS = 16
+_DEG_LIMIT = 1 << (_FIELD_BITS - 1)
 
-        def hk(m):
+
+def _out_of_range(degree: int) -> ResourceLimit:
+    return ResourceLimit(f"monomial degree {degree} leaves the packed range (< {_DEG_LIMIT})")
+
+
+class _Packing:
+    """Packed monomials of an nvars-variable ring under one monomial order.
+
+    key(m) is an int that grows with the order; heap(m) = ~key(m), so heapq
+    pops the order-largest monomial first, and unheap inverts heap.  Lex and
+    elimination keys come from MonomialOrder.key on the unpacked tuple,
+    cached for the life of the object."""
+
+    __slots__ = ("nvars", "shift", "guard", "low", "limit", "key", "heap", "unheap", "_struct")
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        self.nvars = nvars
+        self.shift = _FIELD_BITS * nvars
+        self.guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(nvars))
+        self.low = self.guard - (self.guard >> (_FIELD_BITS - 1))
+        self.limit = _DEG_LIMIT << self.shift  # every packed monomial lies below
+        self._struct = struct.Struct(f"<{nvars}H")
+        if order.kind == "degrevlex":
+            self.key = self.low.__xor__
+            self.heap = self.unheap = (~self.low).__xor__
+            return
+        cache: dict = {}
+        back: dict = {}
+        order_key, unpack = order.key, self.unpack
+
+        def key(m):
             k = cache.get(m)
             if k is None:
-                k = (-sum(m), m[::-1])
+                k = 0  # the key's entries, 17 bits each: |x| < 2^16, lcms included
+                for part in order_key(unpack(m)):
+                    for x in part if isinstance(part, tuple) else (part,):
+                        k = k << 17 | (x + 0x10000)
                 cache[m] = k
+                back[~k] = m
             return k
 
-    elif kind == "lex":
-
-        def hk(m):
+        def heap(m):
             k = cache.get(m)
-            if k is None:
-                k = tuple(-e for e in m)
-                cache[m] = k
-            return k
+            return ~(key(m) if k is None else k)
 
-    else:
+        self.key, self.heap, self.unheap = key, heap, back.__getitem__
 
-        def hk(m):
-            k = cache.get(m)
-            if k is None:
-                head, tail = m[:block], m[block:]
-                k = (-sum(head), head[::-1], -sum(tail), tail[::-1])
-                cache[m] = k
-            return k
+    def pack(self, exps: Monomial) -> int:
+        d = sum(exps)
+        if d >= _DEG_LIMIT:
+            raise _out_of_range(d)
+        return int.from_bytes(self._struct.pack(*exps), "little") | d << self.shift
 
-    return hk
+    def unpack(self, m: int) -> Monomial:
+        return self._struct.unpack((m & ~(-1 << self.shift)).to_bytes(2 * self.nvars, "little"))
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        d = (a | self.guard) - b
+        h = d & self.guard  # guard kept iff a_i >= b_i
+        up = d & (h - (h >> (_FIELD_BITS - 1)))  # a_i - b_i there, 0 elsewhere
+        # x % 0xFFFF sums the 16-bit fields of x; deg(up) <= deg(a) < 0xFFFF
+        return b + up + ((up % 0xFFFF) << self.shift)
+
+    def sorted_terms(self, terms: dict, trunc: int | None = None) -> list:
+        """A polynomial's terms as packed (m, c) pairs, strictly descending;
+        terms of degree >= trunc are dropped."""
+        if trunc is not None:
+            terms = {m: c for m, c in terms.items() if sum(m) < trunc}
+        pack = self.pack
+        packed = {pack(m): c for m, c in terms.items()}
+        return [(m, packed[m]) for m in sorted(packed, key=self.key, reverse=True)]
+
+    def polynomial(self, ring: RingSpec, pairs: list) -> Polynomial:
+        unpack = self.unpack
+        return Polynomial(ring, {unpack(m): c for m, c in pairs}, _canonical=True)
 
 
-def _pairs_from_terms(terms: dict, trunc) -> list:
-    if trunc is None:
-        return list(terms.items())
-    return [(m, c) for m, c in terms.items() if sum(m) < trunc]
+@lru_cache(maxsize=None)
+def _degrevlex_packing(nvars: int) -> _Packing:
+    return _Packing(nvars, DEGREVLEX)
 
 
-def _sort_pairs(pairs: list, keyf) -> list:
-    pairs.sort(key=lambda t: keyf(t[0]), reverse=True)
-    return pairs
+def _packing(nvars: int, order: MonomialOrder) -> _Packing:
+    """Degrevlex packings are shared; the others carry a per-call key cache."""
+    if order.kind == "degrevlex":
+        return _degrevlex_packing(nvars)
+    return _Packing(nvars, order)
 
 
-# Short exponent vectors (Bachmann & Schoenemann, ISSAC 1998): each variable
-# owns a field of _SEV_BITS bits, of which the low min(e_i, _SEV_BITS) are set.
-# If a divides b then _sev(a) & ~_sev(b) == 0, so a nonzero result rejects a
-# divisor candidate at once; a zero result is confirmed exponent by exponent.
-_SEV_BITS = 8
-_SEV_FIELD = tuple((1 << k) - 1 for k in range(_SEV_BITS + 1))
-
-
-def _sev(m: Monomial) -> int:
-    s = 0
-    for e in m:
-        s = (s << _SEV_BITS) | _SEV_FIELD[e if e < _SEV_BITS else _SEV_BITS]
-    return s
-
+# ---------------------------------------------------------------------------
+# raw polynomials: lists of packed (m, c) pairs, strictly descending under the
+# active order.  Reduction runs on a coefficient dict with a lazy heap of
+# inverted keys, so heapq pops the order-largest monomial first.
 
 class _Elem:
-    __slots__ = ("lt", "deg", "sev", "terms", "boundary_done")
+    __slots__ = ("lt", "terms", "boundary_done")
 
     def __init__(self, terms: list):
         self.terms = terms  # monic (m, c) pairs, sorted descending
         self.lt = terms[0][0]
-        self.deg = sum(self.lt)
-        self.sev = _sev(self.lt)
         self.boundary_done = False
 
 
-def _find_reducer(m: Monomial, deg: int, elems: list[_Elem]):
+def _find_reducer(m: int, elems: list[_Elem], guard: int):
     """The first element whose leading monomial divides m, or None."""
-    not_m = ~_sev(m)
+    mg = m | guard
     for e in elems:
-        if e.sev & not_m or e.deg > deg:
-            continue
-        for a, b in zip(e.lt, m):
-            if a > b:
-                break
-        else:
+        if (mg - e.lt) & guard == guard:
             return e
     return None
 
 
-def _reduce_pairs(pairs: list, elems: list[_Elem], hk, keyf, ops, trunc, full: bool) -> list:
+def _reduce_pairs(pairs: list, elems: list[_Elem], pk: _Packing, ops, trunc, full: bool) -> list:
     """Reduce unsorted (m, c) pairs against the basis; returns descending
     pairs: the full normal form, or (top mode) the irreducible-head
     remainder."""
     _add, sub, mul, neg, _inv, _one = ops
+    heap_key, unheap, guard, limit = pk.heap, pk.unheap, pk.guard, pk.limit
+    cap = limit if trunc is None else trunc << pk.shift
     coeffs: dict = {}
     for m, c in pairs:
+        if m >= limit:
+            raise _out_of_range(m >> pk.shift)
         prev = coeffs.get(m)
         if prev is None:
             coeffs[m] = c
@@ -197,34 +243,34 @@ def _reduce_pairs(pairs: list, elems: list[_Elem], hk, keyf, ops, trunc, full: b
                 coeffs[m] = s
             else:
                 del coeffs[m]
-    heap = [(hk(m), m) for m in coeffs]
+    heap = list(map(heap_key, coeffs))
     heapq.heapify(heap)
     rem: list = []
     while heap:
-        _, m = heapq.heappop(heap)
+        m = unheap(heapq.heappop(heap))
         c = coeffs.pop(m, None)
         if c is None:
             continue
-        deg = sum(m)
-        e = _find_reducer(m, deg, elems)
+        e = _find_reducer(m, elems, guard)
         if e is None:
             if not full:
-                out = [(m, c)] + list(coeffs.items())
-                return _sort_pairs(out, keyf)
+                rest = sorted(coeffs, key=pk.key, reverse=True)
+                return [(m, c)] + [(r, coeffs[r]) for r in rest]
             rem.append((m, c))
             continue
-        elt = e.lt
-        u = tuple(a - b for a, b in zip(m, elt))
+        u = m - e.lt
         terms = e.terms
         for i in range(1, len(terms)):
             mt, ct = terms[i]
-            m2 = tuple(a + b for a, b in zip(mt, u))
-            if trunc is not None and sum(m2) >= trunc:
+            m2 = mt + u
+            if m2 >= cap:
+                if trunc is None:
+                    raise _out_of_range(m2 >> pk.shift)
                 continue
             prev = coeffs.get(m2)
             if prev is None:
                 coeffs[m2] = neg(mul(c, ct))
-                heapq.heappush(heap, (hk(m2), m2))
+                heapq.heappush(heap, heap_key(m2))
             else:
                 s = sub(prev, mul(c, ct))
                 if s:
@@ -237,59 +283,53 @@ def _reduce_pairs(pairs: list, elems: list[_Elem], hk, keyf, ops, trunc, full: b
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair pruning
 
-def _gm_update(elems: list[_Elem], pairs: dict, new_idx: int, order: MonomialOrder) -> list:
-    """Gebauer-Moeller update of the pair set (pair key -> (lcm, its sev))
-    after appending elems[new_idx]; returns the freshly added pair keys."""
-    f_lt, f_sev = elems[new_idx].lt, elems[new_idx].sev
-    for (i, j), (L, L_sev) in list(pairs.items()):
+def _gm_update(elems: list[_Elem], pairs: dict, new_idx: int, pk: _Packing) -> list:
+    """Gebauer-Moeller update of the pair set (pair key -> lcm) after
+    appending elems[new_idx]; returns the freshly added pair keys."""
+    f_lt, guard, lcm = elems[new_idx].lt, pk.guard, pk.lcm
+    for (i, j), L in list(pairs.items()):
         if (
-            not f_sev & ~L_sev
-            and mono_divides(f_lt, L)
-            and mono_lcm(elems[i].lt, f_lt) != L
-            and mono_lcm(elems[j].lt, f_lt) != L
+            ((L | guard) - f_lt) & guard == guard
+            and lcm(elems[i].lt, f_lt) != L
+            and lcm(elems[j].lt, f_lt) != L
         ):
             del pairs[(i, j)]
     groups: dict = {}
     for i in range(new_idx):
-        groups.setdefault(mono_lcm(elems[i].lt, f_lt), []).append(i)
+        groups.setdefault(lcm(elems[i].lt, f_lt), []).append(i)
     added = []
-    minimal: list[tuple[Monomial, int]] = []
-    for L in sorted(groups, key=order.key):
-        L_sev = _sev(L)
-        if any(not s & ~L_sev and mono_divides(Lm, L) for Lm, s in minimal):
+    minimal: list[int] = []
+    for L in sorted(groups, key=pk.key):
+        Lg = L | guard
+        if any((Lg - Lm) & guard == guard for Lm in minimal):
             continue
-        minimal.append((L, L_sev))
-        if any(mono_mul(elems[i].lt, f_lt) == L for i in groups[L]):
+        minimal.append(L)
+        if any(elems[i].lt + f_lt == L for i in groups[L]):
             continue  # coprime leading terms: S-polynomial reduces to zero
         pair = (min(groups[L]), new_idx)
-        pairs[pair] = (L, L_sev)
+        pairs[pair] = L
         added.append(pair)
     return added
 
 
 def _engine(
-    ring: RingSpec,
-    order: MonomialOrder,
+    pk: _Packing,
+    field: FieldConfig,
     polys: Sequence[Polynomial],
     trunc: int | None = None,
     pair_budget: int | None = None,
     reduce_tails: bool = True,
 ) -> list[_Elem]:
-    """Run Buchberger; returns the minimal interreduced elements."""
-    if trunc is not None and not order.degree_compatible:
-        raise ValueError("truncated bases need a degree-compatible order")
+    """Run Buchberger on packed monomials; returns the minimal interreduced
+    elements."""
+    if trunc is not None and trunc > _DEG_LIMIT:
+        raise ResourceLimit(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
-    keyf = order.key
-    hk = _heapkey_fn(order)
-    ops = _field_ops(ring.field)
+    keyf, shift, guard = pk.key, pk.shift, pk.guard
+    ops = _field_ops(field)
     _add, _sub, mul, neg, inv, one = ops
-    nvars = ring.nvars
 
-    raw_gens = []
-    for f in polys:
-        pr = _sort_pairs(_pairs_from_terms(f.terms, trunc), keyf)
-        if pr:
-            raw_gens.append(pr)
+    raw_gens = [pr for pr in (pk.sorted_terms(f.terms, trunc) for f in polys) if pr]
     raw_gens.sort(key=lambda pr: [keyf(t[0]) for t in pr])
 
     elems: list[_Elem] = []
@@ -304,13 +344,13 @@ def _engine(
             c = inv(lc)
             pr = [(m, mul(c, v)) for (m, v) in pr]
         elems.append(_Elem(pr))
-        for (i, j) in _gm_update(elems, pairs, len(elems) - 1, order):
-            L = pairs[(i, j)][0]
+        for (i, j) in _gm_update(elems, pairs, len(elems) - 1, pk):
+            L = pairs[(i, j)]
             counter += 1
-            heapq.heappush(heap, (sum(L), keyf(L), i, j, counter))
+            heapq.heappush(heap, (L >> shift, keyf(L), i, j, counter))
 
     for pr in raw_gens:
-        pr = _reduce_pairs(pr, elems, hk, keyf, ops, trunc, full=False) if elems else pr
+        pr = _reduce_pairs(pr, elems, pk, ops, trunc, full=False) if elems else pr
         if pr:
             insert(pr)
 
@@ -327,14 +367,14 @@ def _engine(
             _, _, i, j, _ = heapq.heappop(heap)
             if (i, j) not in pairs:
                 continue
-            L, _ = pairs.pop((i, j))
+            L = pairs.pop((i, j))
             spend()
             ei, ej = elems[i], elems[j]
-            ui = mono_div(L, ei.lt)
-            uj = mono_div(L, ej.lt)
-            s = [(mono_mul(m, ui), c) for (m, c) in ei.terms]
-            s += [(mono_mul(m, uj), neg(c)) for (m, c) in ej.terms]
-            r = _reduce_pairs(s, elems, hk, keyf, ops, trunc, full=False)
+            ui = L - ei.lt
+            uj = L - ej.lt
+            s = [(m + ui, c) for (m, c) in ei.terms]
+            s += [(m + uj, neg(c)) for (m, c) in ej.terms]
+            r = _reduce_pairs(s, elems, pk, ops, trunc, full=False)
             if r:
                 insert(r)
         if trunc is None:
@@ -344,16 +384,19 @@ def _engine(
             break
         for e in todo:
             e.boundary_done = True
-            not_e = ~e.sev
-            if any(o is not e and not o.sev & not_e and mono_divides(o.lt, e.lt) for o in elems):
+            eg = e.lt | guard
+            if any(o is not e and (eg - o.lt) & guard == guard for o in elems):
                 continue  # covered by the dominating element's boundary
-            lowtail = [t for t in e.terms[1:] if sum(t[0]) < e.deg]
+            deg = e.lt >> shift
+            below = deg << shift
+            lowtail = [t for t in e.terms[1:] if t[0] < below]
             if not lowtail:
                 continue
-            for u in monomials_of_degree(nvars, trunc - e.deg):
+            for u in monomials_of_degree(pk.nvars, trunc - deg):
                 spend()
-                cand = [(mono_mul(m, u), c) for (m, c) in lowtail]
-                r = _reduce_pairs(cand, elems, hk, keyf, ops, trunc, full=False)
+                u = pk.pack(u)
+                cand = [(m + u, c) for (m, c) in lowtail]
+                r = _reduce_pairs(cand, elems, pk, ops, trunc, full=False)
                 if r:
                     insert(r)
         if not heap and all(e.boundary_done for e in elems):
@@ -363,20 +406,18 @@ def _engine(
     for e in elems:  # keep the first element per leading monomial
         by_lt.setdefault(e.lt, e)
     cands = list(by_lt.values())
-    minimal = [
-        e
-        for e in cands
-        if not any(
-            not o.sev & ~e.sev and o.lt != e.lt and mono_divides(o.lt, e.lt) for o in cands
-        )
-    ]
+    minimal = []
+    for e in cands:
+        eg = e.lt | guard
+        if not any(o.lt != e.lt and (eg - o.lt) & guard == guard for o in cands):
+            minimal.append(e)
     minimal.sort(key=lambda e: keyf(e.lt))
     if reduce_tails:
         for idx, e in enumerate(minimal):
             others = minimal[:idx] + minimal[idx + 1 :]
             if not others:
                 continue
-            tail = _reduce_pairs(e.terms[1:], others, hk, keyf, ops, trunc, full=True)
+            tail = _reduce_pairs(e.terms[1:], others, pk, ops, trunc, full=True)
             minimal[idx] = _Elem([e.terms[0]] + tail)
             minimal[idx].boundary_done = e.boundary_done
     return minimal
@@ -396,18 +437,20 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._raw = None
+        self._lts = None
 
     @property
     def leading_monomials(self) -> list[Monomial]:
-        key = self.order.key
-        return [max(f.terms, key=key) for f in self.elements]
+        if self._lts is None:
+            key = self.order.key
+            self._lts = [max(f.terms, key=key) for f in self.elements]
+        return list(self._lts)
 
-    def _raw_elems(self):
+    def _raw_elems(self, pk: _Packing) -> list[_Elem]:
+        """The elements as packed reducers (built once; pk packs this
+        basis's ring under its order)."""
         if self._raw is None:
-            keyf = self.order.key
-            self._raw = [
-                _Elem(_sort_pairs(list(f.terms.items()), keyf)) for f in self.elements
-            ]
+            self._raw = [_Elem(pk.sorted_terms(f.terms)) for f in self.elements]
         return self._raw
 
     def contains_one(self) -> bool:
@@ -504,6 +547,8 @@ def _memo_key(ring, order, gens, trunc):
 
 
 def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> GroebnerBasis:
+    if trunc is not None and not order.degree_compatible:
+        raise ValueError("truncated bases need a degree-compatible order")
     memo_key = _memo_key(ring, order, gens, trunc)
     hit = _GB_MEMO.get(memo_key)
     if hit is not None:
@@ -512,11 +557,10 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
     if cached is not None:
         _GB_MEMO[memo_key] = cached
         return cached
-    minimal = _engine(ring, order, gens, trunc, pair_budget, reduce_tails)
-    elements = [
-        Polynomial(ring, dict(e.terms), _canonical=True) for e in minimal
-    ]
-    gb = GroebnerBasis(ring, order, elements, trunc)
+    pk = _packing(ring.nvars, order)
+    minimal = _engine(pk, ring.field, gens, trunc, pair_budget, reduce_tails)
+    gb = GroebnerBasis(ring, order, [pk.polynomial(ring, e.terms) for e in minimal], trunc)
+    gb._lts = [next(iter(f.terms)) for f in gb.elements]  # the terms run descending
     _GB_MEMO[memo_key] = gb
     _disk_cache_store(memo_key, gb)
     return gb
@@ -591,12 +635,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Complete multivariate division remainder; idempotent and k-linear."""
     if f.ring != gb.ring:
         raise MixedRings("polynomial from a different ring")
-    keyf = gb.order.key
-    ops = _field_ops(f.ring.field)
-    hk = _heapkey_fn(gb.order)
-    pr = _pairs_from_terms(f.terms, gb.trunc_degree)
-    rem = _reduce_pairs(pr, gb._raw_elems(), hk, keyf, ops, gb.trunc_degree, full=True)
-    return Polynomial(f.ring, dict(rem), _canonical=True)
+    pk = _packing(f.ring.nvars, gb.order)
+    trunc = gb.trunc_degree
+    pr = pk.sorted_terms(f.terms, trunc)
+    rem = _reduce_pairs(pr, gb._raw_elems(pk), pk, _field_ops(f.ring.field), trunc, full=True)
+    return pk.polynomial(f.ring, rem)
 
 
 def member(f: Polynomial, I: IdealHandle) -> bool:
@@ -672,22 +715,22 @@ def autoreduce(ring: RingSpec, gens: list[Polynomial], order: MonomialOrder = DE
     """Drop generators lying in the ideal of the others (division-based):
     each generator is replaced by its division remainder against the kept
     list; zero remainders are dropped.  Deterministic."""
-    keyf = order.key
+    pk = _packing(ring.nvars, order)
+    keyf = pk.key
     ops = _field_ops(ring.field)
-    hk = _heapkey_fn(order)
     _add, _sub, mul, _neg, inv, one = ops
-    raws = [_sort_pairs(list(g.terms.items()), keyf) for g in gens if g]
+    raws = [pk.sorted_terms(g.terms) for g in gens if g]
     raws.sort(key=lambda pr: [keyf(t[0]) for t in pr])
     kept: list[_Elem] = []
     for pr in raws:
-        rem = _reduce_pairs(pr, kept, hk, keyf, ops, None, full=True) if kept else pr
+        rem = _reduce_pairs(pr, kept, pk, ops, None, full=True) if kept else pr
         if rem:
             lc = rem[0][1]
             if lc != one:  # reducers must be monic
                 c = inv(lc)
                 rem = [(m, mul(c, v)) for (m, v) in rem]
             kept.append(_Elem(rem))
-    return [Polynomial(ring, dict(e.terms), _canonical=True) for e in kept]
+    return [pk.polynomial(ring, e.terms) for e in kept]
 
 
 def _aux_ring(ring: RingSpec) -> tuple[RingSpec, MonomialOrder]:
@@ -724,33 +767,38 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for f in (g); raises if the division leaves a remainder."""
     ring = f.ring
-    keyf = DEGREVLEX.key
-    ops = _field_ops(ring.field)
-    add, _sub, mul, neg, inv, _one = ops
-    work = _sort_pairs(list(f.terms.items()), keyf)
-    graw = _sort_pairs(list(g.terms.items()), keyf)
+    pk = _packing(ring.nvars, DEGREVLEX)
+    _add, sub, mul, neg, inv, _one = _field_ops(ring.field)
+    graw = pk.sorted_terms(g.terms)
     glt, glc = graw[0]
     glc_inv = inv(glc)
-    quot: dict = {}
-    hk = _heapkey_fn(DEGREVLEX)
-    while work:
-        m, c = work[0]
-        if not mono_divides(glt, m):
+    work = dict(pk.sorted_terms(f.terms))
+    heap = list(map(pk.heap, work))
+    heapq.heapify(heap)
+    quot: list = []
+    while heap:  # under degrevlex deg(m2) <= deg(m): no range check needed
+        m = pk.unheap(heapq.heappop(heap))
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        if not pk.divides(glt, m):
             raise ValueError("not an exact multiple")
-        u = mono_div(m, glt)
+        u = m - glt
         q = mul(c, glc_inv)
-        quot[u] = q
-        shifted = [(mono_mul(mt, u), neg(mul(q, ct))) for (mt, ct) in graw]
-        merged: dict = dict(work)
-        for m2, c2 in shifted:
-            prev = merged.get(m2)
-            s = add(prev, c2) if prev is not None else c2
-            if s:
-                merged[m2] = s
+        quot.append((u, q))
+        for mt, ct in graw[1:]:
+            m2 = mt + u
+            prev = work.get(m2)
+            if prev is None:
+                work[m2] = neg(mul(q, ct))
+                heapq.heappush(heap, pk.heap(m2))
             else:
-                merged.pop(m2, None)
-        work = _sort_pairs(list(merged.items()), keyf)
-    return Polynomial(ring, quot, _canonical=True)
+                s = sub(prev, mul(q, ct))
+                if s:
+                    work[m2] = s
+                else:
+                    del work[m2]
+    return pk.polynomial(ring, quot)
 
 
 def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -815,13 +863,17 @@ def _ladder(n0: int, nmax: int):
         n = max(n + 2, (3 * n) // 2)
 
 
-def _global_zero_dim_colength(J: IdealHandle) -> int | None:
+def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -> int | None:
     """Colength at the origin through the untruncated basis: applies when
     the staircase is finite and every variable is nilpotent mod J (support
     is the origin alone, so the global and local colengths agree).  Returns
     None when the path does not apply.  An infinite staircase decides
     finiteness exactly: R/J has finite length at the origin iff
-    (J : m^inf) is not inside m; NotLocallyFinite is raised otherwise."""
+    (J : m^inf) is not inside m; NotLocallyFinite is raised otherwise.
+
+    support_at_origin: the caller has certified that J has the radical of
+    an ideal whose support is the origin alone, so the nilpotency walk is
+    skipped."""
     try:
         gb = J.groebner()
     except ResourceLimit:
@@ -843,6 +895,8 @@ def _global_zero_dim_colength(J: IdealHandle) -> int | None:
             return None  # the infinite part misses the origin: truncate
         power_bound += min(pure)
     count = len(_standard_monomials(lts, nv, power_bound + 1))
+    if support_at_origin:
+        return count
     for i in range(nv):
         xi = J.ring.variable(i)
         vec = normal_form(xi, gb)
@@ -855,8 +909,12 @@ def _global_zero_dim_colength(J: IdealHandle) -> int | None:
     return count
 
 
-def local_colength_info(J: IdealHandle, cutoffs: tuple[int, int] = (4, 64)) -> ColengthInfo:
-    fast = _global_zero_dim_colength(J)
+def local_colength_info(
+    J: IdealHandle, cutoffs: tuple[int, int] = (4, 64), support_at_origin: bool = False
+) -> ColengthInfo:
+    """The stabilized colength with its certificate; support_at_origin is
+    passed on to the global zero-dimensional path."""
+    fast = _global_zero_dim_colength(J, support_at_origin)
     if fast is not None:
         if VERIFY_EXTRA_STEPS:
             ladder_value = _ladder_colength_info(J, cutoffs).value

@@ -167,14 +167,21 @@ def power_bases(A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None =
 
 def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int, int]:
     """l_A(A/I^{n+1}) for n = 0..n_max, passing the previous stabilization
-    cutoff forward as a hint."""
+    cutoff forward as a hint.
+
+    rad(a + I^{n+1}) = rad(a + I): once the global zero-dimensional path
+    certified that a + I is supported at the origin alone (n = 0, no
+    window), the later powers skip its per-variable nilpotency walk."""
     H: dict[int, int] = {}
     hint = A.cutoffs[0]
+    certified = False
     for n, J in zip(range(n_max + 1), power_bases(A, I, start=I)):
-        info = local_colength_info(J, (hint, A.cutoffs[1]))
+        info = local_colength_info(J, (hint, A.cutoffs[1]), support_at_origin=certified)
         H[n] = info.value
         if info.window is not None:
             hint = max(info.window[0], A.cutoffs[0])
+        elif n == 0:
+            certified = True
     return H
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import ring4, staged, two_planes
 from hilbsam import groebner
+from hilbsam.cli import main
 from hilbsam.errors import NotLocallyFinite, ResourceLimit, ZeroDivisor
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
@@ -29,7 +31,19 @@ from hilbsam.groebner import (
     saturate,
     truncation_colength_oracle,
 )
-from hilbsam.polyring import DEGREVLEX, LEX, RingSpec, mono_divides, mono_mul, parse_poly
+from hilbsam.polyring import (
+    DEGREVLEX,
+    LEX,
+    Polynomial,
+    RingSpec,
+    elimination_order,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    monomials_below_degree,
+    parse_poly,
+)
 
 R2 = RingSpec(("x", "y"), GF32003)
 
@@ -346,10 +360,87 @@ def test_rationals_agree_with_prime_field():
 
 
 # ---------------------------------------------------------------------------
-# the short-exponent-vector divisor test and the scans built on it
+# the packed-monomial kernel and the scans built on it
+
+LIMIT = groebner._DEG_LIMIT
+
 
 def _exponents(nvars, high=12):
     return st.tuples(*[st.integers(0, high)] * nvars)
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """(nvars, a, b) inside the packed range, b often a multiple of a, and
+    exponents up to the range's edge."""
+    nvars = draw(st.integers(1, 16))
+    high = draw(st.sampled_from([3, (LIMIT - 1) // nvars]))
+    a = draw(_exponents(nvars, high))
+    b = draw(_exponents(nvars, high))
+    if draw(st.booleans()):
+        b = mono_mul(a, draw(_exponents(nvars, min(high, 3))))
+        if sum(b) >= LIMIT:
+            b = a
+    return nvars, a, b
+
+
+@given(_monomial_pairs())
+@settings(max_examples=200, deadline=1000)
+def test_packed_arithmetic_matches_the_tuple_helpers(case):
+    nvars, a, b = case
+    pk = groebner._packing(nvars, DEGREVLEX)
+    A, B = pk.pack(a), pk.pack(b)
+    assert pk.unpack(A) == a and A >> pk.shift == sum(a)
+    assert pk.divides(A, B) == mono_divides(a, b)
+    assert pk.unpack(pk.lcm(A, B)) == mono_lcm(a, b)
+    assert pk.lcm(A, B) == pk.pack(mono_lcm(a, b))
+    if sum(a) + sum(b) < LIMIT:
+        assert A + B == pk.pack(mono_mul(a, b))
+        assert (A + B) - B == A and pk.unpack((A + B) - B) == mono_div(mono_mul(a, b), b)
+
+
+@given(st.tuples(
+    st.integers(1, 16), st.sampled_from([LIMIT - 1, LIMIT]) | st.integers(0, 2 * LIMIT)
+))
+@settings(max_examples=100, deadline=1000)
+def test_packing_refuses_degrees_outside_its_range(case):
+    nvars, d = case
+    pk = groebner._packing(nvars, DEGREVLEX)
+    exps = (d,) + (0,) * (nvars - 1)
+    if d < LIMIT:
+        assert pk.unpack(pk.pack(exps)) == exps
+    else:
+        with pytest.raises(ResourceLimit):
+            pk.pack(exps)
+
+
+@st.composite
+def _order_cases(draw):
+    """(nvars, elimination block, monomials): small exponents, or single
+    exponents up to the range's edge, so that lcms can leave the range."""
+    nvars = draw(st.integers(1, 5))
+    spike = st.tuples(st.integers(0, nvars - 1), st.integers(0, LIMIT - 1)).map(
+        lambda t: tuple(t[1] if i == t[0] else 0 for i in range(nvars))
+    )
+    monos = draw(st.lists(_exponents(nvars, 40) | spike, min_size=2, max_size=8))
+    return nvars, draw(st.integers(0, nvars)), monos
+
+
+@given(_order_cases())
+@settings(max_examples=150, deadline=1000)
+def test_packed_keys_follow_the_monomial_order(case):
+    # the engine also sorts and heaps the lcms of pairs, whose degree can
+    # reach twice the range
+    nvars, block, monos = case
+    orders = [DEGREVLEX, LEX] + ([elimination_order(block)] if 0 < block < nvars else [])
+    for order in orders:
+        pk = groebner._packing(nvars, order)
+        packed = [pk.pack(m) for m in monos]
+        packed += [pk.lcm(a, b) for a, b in zip(packed, packed[1:])]
+        expected = monos + [mono_lcm(a, b) for a, b in zip(monos, monos[1:])]
+        assert [pk.unpack(m) for m in sorted(packed, key=pk.key)] == sorted(expected, key=order.key)
+        assert [pk.unheap(pk.heap(m)) for m in packed] == packed
+        assert sorted(packed, key=pk.heap) == sorted(packed, key=pk.key, reverse=True)
 
 
 @st.composite
@@ -363,28 +454,89 @@ def _divisor_cases(draw):
     return nvars, lts, m
 
 
-def _mask_passes(a, b):
-    return not groebner._sev(a) & ~groebner._sev(b)
-
-
-@given(_divisor_cases())
-@settings(max_examples=300, deadline=1000)
-def test_sev_mask_never_rejects_a_divisor(case):
-    _nvars, lts, m = case
-    for a in lts:
-        if mono_divides(a, m):
-            assert _mask_passes(a, m)
-        if max(a) <= groebner._SEV_BITS:  # exact below the field width
-            assert _mask_passes(a, m) == mono_divides(a, m)
-
-
 @given(_divisor_cases())
 @settings(max_examples=300, deadline=1000)
 def test_find_reducer_matches_a_linear_scan(case):
-    _nvars, lts, m = case
-    elems = [groebner._Elem([(lt, 1)]) for lt in lts]
-    first = next((e for e in elems if mono_divides(e.lt, m)), None)
-    assert groebner._find_reducer(m, sum(m), elems) is first
+    nvars, lts, m = case
+    pk = groebner._packing(nvars, DEGREVLEX)
+    elems = [groebner._Elem([(pk.pack(lt), 1)]) for lt in lts]
+    first = next((e for lt, e in zip(lts, elems) if mono_divides(lt, m)), None)
+    assert groebner._find_reducer(pk.pack(m), elems, pk.guard) is first
+
+
+def test_degrees_outside_the_packed_range_raise_resource_limit(tmp_path, capsys):
+    big = ideal(R2, ["x^40000", "y"])
+    with pytest.raises(ResourceLimit):
+        big.groebner()
+    with pytest.raises(ResourceLimit):
+        local_colength(big)
+    # lex reduction grows degrees past the range: x^2 -> x*y^20000 -> y^40000
+    with pytest.raises(ResourceLimit):
+        ideal(R2, ["x - y^20000", "x^2"]).groebner(LEX)
+    # and so does a lex S-polynomial: y^13000 (x^2 - y^20000) - x (x*y^13000)
+    with pytest.raises(ResourceLimit):
+        ideal(R2, ["x^2 - y^20000", "x*y^13000"]).groebner(LEX)
+    with pytest.raises(ResourceLimit):
+        normal_form(P("x^2"), ideal(R2, ["x - y^20000"]).groebner(LEX))
+    with pytest.raises(ResourceLimit):
+        ideal_power(ideal(R2, ["x^20000 + y"]), 2)
+    # a problem file ends in exit 3: the basis refuses the degree, and the
+    # truncation ladder cannot certify a colength of 40000 below its cap
+    for command in ("gb", "colength"):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({
+            "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+            "ideals": {"big": ["x^40000", "y"]},
+            "tasks": [{"command": command, "ideal": "big"}],
+        }))
+        assert main(["run", str(path)]) == 3
+    assert "packed range" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# differential properties: independent colength paths agree
+
+@st.composite
+def _small_ideals(draw):
+    """Ideals of F_32003[x, y, z] (up to three variables) whose generators
+    have degree <= 3 and small coefficients; constants are allowed, so the
+    support can leave the origin.  Half of them also get a pure power of
+    each variable plus nonconstant lower terms, which makes finite
+    colengths at the origin common."""
+    nvars = draw(st.integers(1, 3))
+    ring = RingSpec(("x", "y", "z")[:nvars], GF32003)
+    monos = list(monomials_below_degree(nvars, 4))
+    coeffs = st.integers(-5, 5).map(ring.field.of_int)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3))
+        gens.append(Polynomial(ring, terms))
+    if draw(st.booleans()):
+        for i in range(nvars):
+            k = draw(st.integers(1, 3))
+            lower = [m for m in monos if 0 < sum(m) < k]
+            terms = draw(st.dictionaries(st.sampled_from(lower), coeffs, max_size=2)) if lower else {}
+            terms[tuple(k if j == i else 0 for j in range(nvars))] = ring.field.one
+            gens.append(Polynomial(ring, terms))
+    return IdealHandle(ring, gens)
+
+
+@given(_small_ideals())
+@settings(max_examples=60, deadline=5000)
+def test_truncated_colengths_match_the_rank_oracle(J):
+    for cutoff in range(1, 6):
+        assert colength_at_cutoff(J, cutoff) == truncation_colength_oracle(J, cutoff)
+
+
+@given(_small_ideals())
+@settings(max_examples=60, deadline=5000)
+def test_global_path_matches_the_truncation_ladder(J):
+    try:
+        fast = groebner._global_zero_dim_colength(J)
+    except NotLocallyFinite:
+        return
+    if fast is not None:
+        assert groebner._ladder_colength_info(J, (4, 64)).value == fast
 
 
 def _breadth_first(nvars, bound):

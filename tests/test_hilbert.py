@@ -10,7 +10,15 @@ from helpers import big_i, fat_point, regular2, two_planes
 from hilbsam import groebner, hilbert
 from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
-from hilbsam.groebner import IdealHandle, ideal, ideal_power, ideal_sum, local_colength, maximal_ideal
+from hilbsam.groebner import (
+    IdealHandle,
+    ideal,
+    ideal_power,
+    ideal_sum,
+    local_colength,
+    local_colength_info,
+    maximal_ideal,
+)
 from hilbsam.hilbert import (
     QuotientRingSpec,
     SplitMix64,
@@ -24,6 +32,7 @@ from hilbsam.hilbert import (
     lambda_map,
     parameter_ideal,
     power_bases,
+    power_colengths,
     sample_reductions,
     _normalized,
 )
@@ -112,6 +121,44 @@ def test_power_bases_start_and_budget_fallback(monkeypatch):
     monkeypatch.undo()
     raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
     assert [local_colength(J) for J in handles] == raw
+
+
+def _chain_against_raw(A, I, n_max):
+    """power_colengths against an independent local_colength_info of each
+    a + I^{n+1}; returns the infos of the raw powers."""
+    infos = [local_colength_info(A.plus(ideal_power(I, n + 1))) for n in range(n_max + 1)]
+    assert power_colengths(A, I, n_max) == {n: info.value for n, info in enumerate(infos)}
+    return infos
+
+
+def test_power_colengths_reuse_the_support_certificate(monkeypatch):
+    # a + Q is supported at the origin alone: n = 0 takes the global path,
+    # and only its nilpotency walk calls normal_form; every power is still
+    # checked against the truncation ladder
+    monkeypatch.setattr(groebner, "VERIFY_EXTRA_STEPS", 1)
+    A = two_planes(2)
+    Q = ideal(A.ring, ["X-Z", "Y-W"])
+    infos = _chain_against_raw(A, Q, 3)
+    assert all(info.window is None for info in infos)
+    calls = []
+    real = groebner.normal_form
+    monkeypatch.setattr(groebner, "normal_form", lambda f, gb: calls.append(1) or real(f, gb))
+    local_colength_info(A.plus(Q))
+    walk = len(calls)
+    assert walk > 0
+    calls.clear()
+    power_colengths(A, Q, 3)
+    assert len(calls) == walk
+
+
+def test_power_colengths_off_the_origin_keep_the_ladder():
+    # a second point at x = 1: n = 0 goes through the ladder, and so do
+    # the later powers
+    A = regular2()
+    I = ideal(A.ring, ["x^2 - x", "y"])
+    infos = _chain_against_raw(A, I, 3)
+    assert [info.value for info in infos] == [1, 3, 6, 10]
+    assert all(info.window is not None for info in infos)
 
 
 def test_extract_coeffs_examples():
