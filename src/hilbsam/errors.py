@@ -51,6 +51,11 @@ class ResourceLimit(HilbsamError):
     saturation iteration cap, ...)."""
 
 
+class PackedRangeExceeded(ResourceLimit):
+    """A monomial degree left the Groebner engine's packed range (every
+    exponent and degree below 2**15)."""
+
+
 class NotLocallyFinite(ResourceLimit):
     """Truncated colengths did not stabilize: the ideal is not primary to
     the irrelevant maximal ideal locally at the origin, or the cutoff cap

@@ -1,15 +1,17 @@
-"""Exact coefficient fields and exact dense linear algebra.
+"""Exact coefficient fields, sparse echelon rank and dense nullspace/solve.
 
 Two fields are supported: the rationals (stdlib Fraction) and prime fields
 F_p with 2 < p < 2**31 (plain ints reduced mod p).  Raw coefficient values
 are Fractions or ints; FieldElement is a thin wrapper used at the public
-surface.  Everything is immutable and pure.
+surface, and field_ops gives the hot loops plain functions.  Matrices are
+immutable; an echelon basis grows in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import DivisionByZero, MixedFields
@@ -109,6 +111,35 @@ def prime_field(p: int) -> FieldConfig:
 
 
 GF32003 = prime_field(32003)
+
+
+@lru_cache(maxsize=None)
+def field_ops(F: FieldConfig) -> tuple:
+    """(add, sub, mul, neg, inv, one) of F as plain functions on raw values,
+    built once per field for the hot loops (inv does not check for zero)."""
+    if F.kind == "prime":
+        p = F.characteristic
+
+        def inv(a, _p=p):
+            return pow(a, _p - 2, _p)
+
+        return (
+            lambda a, b: (a + b) % p,
+            lambda a, b: (a - b) % p,
+            lambda a, b: (a * b) % p,
+            lambda a: (-a) % p,
+            inv,
+            1,
+        )
+    one = Fraction(1)
+    return (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a: -a,
+        lambda a: one / a,
+        one,
+    )
 
 
 @dataclass(frozen=True)
@@ -246,6 +277,43 @@ class ExactMatrix:
         return all(not x for row in self.data for x in row)
 
 
+def echelon_insert(
+    rows: dict[int, dict[int, Coeff]], vec: dict[int, Coeff], F: FieldConfig
+) -> bool:
+    """Add a sparse vector to an echelon basis; True when it was independent.
+
+    Vectors are {index: value} dicts without zero values.  rows maps each
+    pivot to its row, which is monic at its largest index, the pivot.  vec
+    is reduced only at its leading (largest) index: while that index is a
+    pivot, the pivot's row is subtracted, which clears it and touches only
+    smaller indices.  A remainder is made monic and stored under its
+    leading index; vec itself is consumed."""
+    _add, sub, mul, neg, inv, one = field_ops(F)
+    while vec:
+        p = max(vec)
+        row = rows.get(p)
+        if row is None:
+            f = vec[p]
+            if f != one:
+                f = inv(f)
+                for j, x in vec.items():
+                    vec[j] = mul(f, x)
+            rows[p] = vec
+            return True
+        f = vec[p]
+        for j, y in row.items():  # j = p cancels, since row[p] is one
+            x = vec.get(j)
+            if x is None:
+                vec[j] = neg(mul(f, y))
+            else:
+                x = sub(x, mul(f, y))
+                if x:
+                    vec[j] = x
+                else:
+                    del vec[j]
+    return False
+
+
 def _rref(m: ExactMatrix) -> tuple[list[list[Coeff]], list[int]]:
     """Reduced row echelon form (monic pivots, first nonzero entry in column
     order); returns (rows, pivot column indices).  Deterministic."""
@@ -278,8 +346,10 @@ def _rref(m: ExactMatrix) -> tuple[list[list[Coeff]], list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank; rank + nullity = cols."""
-    return len(_rref(m)[1])
+    """Exact rank; rank + nullity = cols.  An echelon basis of the rows,
+    independent of the reduced form that nullspace uses."""
+    rows: dict = {}
+    return sum(echelon_insert(rows, {j: x for j, x in enumerate(r) if x}, m.field) for r in m.data)
 
 
 def nullspace(m: ExactMatrix) -> list[ExactMatrix]:

@@ -32,10 +32,11 @@ from .errors import (
     MixedRings,
     NotFinite,
     NotLocallyFinite,
+    PackedRangeExceeded,
     ResourceLimit,
     ZeroDivisor,
 )
-from .exactalg import ExactMatrix, FieldConfig, rank
+from .exactalg import ExactMatrix, FieldConfig, field_ops, rank
 from .polyring import (
     DEGREVLEX,
     Monomial,
@@ -61,33 +62,6 @@ VERIFY_ORACLE_LIMIT = 0
 _GB_MEMO: dict = {}
 
 
-def _field_ops(F: FieldConfig):
-    """(add, sub, mul, neg, inv, one) closures for the hot loops."""
-    if F.kind == "prime":
-        p = F.characteristic
-
-        def inv(a, _p=p):
-            return pow(a, _p - 2, _p)
-
-        return (
-            lambda a, b: (a + b) % p,
-            lambda a, b: (a - b) % p,
-            lambda a, b: (a * b) % p,
-            lambda a: (-a) % p,
-            inv,
-            1,
-        )
-    one = Fraction(1)
-    return (
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a * b,
-        lambda a: -a,
-        lambda a: one / a,
-        one,
-    )
-
-
 # ---------------------------------------------------------------------------
 # packed monomials
 #
@@ -109,8 +83,8 @@ _FIELD_BITS = 16
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
 
 
-def _out_of_range(degree: int) -> ResourceLimit:
-    return ResourceLimit(f"monomial degree {degree} leaves the packed range (< {_DEG_LIMIT})")
+def _out_of_range(degree: int) -> PackedRangeExceeded:
+    return PackedRangeExceeded(f"monomial degree {degree} leaves the packed range (< {_DEG_LIMIT})")
 
 
 class _Packing:
@@ -183,9 +157,21 @@ class _Packing:
         packed = {pack(m): c for m, c in terms.items()}
         return [(m, packed[m]) for m in sorted(packed, key=self.key, reverse=True)]
 
-    def polynomial(self, ring: RingSpec, pairs: list) -> Polynomial:
+    def polynomials(
+        self, ring: RingSpec, term_lists: list, known: Iterable[Monomial] = ()
+    ) -> list[Polynomial]:
+        """Packed term lists as polynomials.  A monomial in several of them,
+        or equal to a tuple in known (the caller's input terms), is held by
+        one exponent tuple; the sharing dict lives for this call only."""
         unpack = self.unpack
-        return Polynomial(ring, {unpack(m): c for m, c in pairs}, _canonical=True)
+        share = {m: m for m in known}
+        tuples = {}
+        for m in {m for pairs in term_lists for m, _ in pairs}:
+            t = unpack(m)
+            tuples[m] = share.setdefault(t, t)
+        return [
+            Polynomial(ring, {tuples[m]: c for m, c in pairs}, _canonical=True) for pairs in term_lists
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -323,10 +309,10 @@ def _engine(
     """Run Buchberger on packed monomials; returns the minimal interreduced
     elements."""
     if trunc is not None and trunc > _DEG_LIMIT:
-        raise ResourceLimit(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
+        raise PackedRangeExceeded(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
     keyf, shift, guard = pk.key, pk.shift, pk.guard
-    ops = _field_ops(field)
+    ops = field_ops(field)
     _add, _sub, mul, neg, inv, one = ops
 
     raw_gens = [pr for pr in (pk.sorted_terms(f.terms, trunc) for f in polys) if pr]
@@ -559,7 +545,8 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
         return cached
     pk = _packing(ring.nvars, order)
     minimal = _engine(pk, ring.field, gens, trunc, pair_budget, reduce_tails)
-    gb = GroebnerBasis(ring, order, [pk.polynomial(ring, e.terms) for e in minimal], trunc)
+    known = (m for f in gens for m in f.terms)
+    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
     gb._lts = [next(iter(f.terms)) for f in gb.elements]  # the terms run descending
     _GB_MEMO[memo_key] = gb
     _disk_cache_store(memo_key, gb)
@@ -638,8 +625,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     pk = _packing(f.ring.nvars, gb.order)
     trunc = gb.trunc_degree
     pr = pk.sorted_terms(f.terms, trunc)
-    rem = _reduce_pairs(pr, gb._raw_elems(pk), pk, _field_ops(f.ring.field), trunc, full=True)
-    return pk.polynomial(f.ring, rem)
+    rem = _reduce_pairs(pr, gb._raw_elems(pk), pk, field_ops(f.ring.field), trunc, full=True)
+    return pk.polynomials(f.ring, [rem])[0]
 
 
 def member(f: Polynomial, I: IdealHandle) -> bool:
@@ -717,7 +704,7 @@ def autoreduce(ring: RingSpec, gens: list[Polynomial], order: MonomialOrder = DE
     list; zero remainders are dropped.  Deterministic."""
     pk = _packing(ring.nvars, order)
     keyf = pk.key
-    ops = _field_ops(ring.field)
+    ops = field_ops(ring.field)
     _add, _sub, mul, _neg, inv, one = ops
     raws = [pk.sorted_terms(g.terms) for g in gens if g]
     raws.sort(key=lambda pr: [keyf(t[0]) for t in pr])
@@ -730,7 +717,7 @@ def autoreduce(ring: RingSpec, gens: list[Polynomial], order: MonomialOrder = DE
                 c = inv(lc)
                 rem = [(m, mul(c, v)) for (m, v) in rem]
             kept.append(_Elem(rem))
-    return [pk.polynomial(ring, e.terms) for e in kept]
+    return pk.polynomials(ring, [e.terms for e in kept], (m for g in gens for m in g.terms))
 
 
 def _aux_ring(ring: RingSpec) -> tuple[RingSpec, MonomialOrder]:
@@ -768,7 +755,7 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for f in (g); raises if the division leaves a remainder."""
     ring = f.ring
     pk = _packing(ring.nvars, DEGREVLEX)
-    _add, sub, mul, neg, inv, _one = _field_ops(ring.field)
+    _add, sub, mul, neg, inv, _one = field_ops(ring.field)
     graw = pk.sorted_terms(g.terms)
     glt, glc = graw[0]
     glc_inv = inv(glc)
@@ -798,7 +785,7 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
                     work[m2] = s
                 else:
                     del work[m2]
-    return pk.polynomial(ring, quot)
+    return pk.polynomials(ring, [quot])[0]
 
 
 def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -873,9 +860,14 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
 
     support_at_origin: the caller has certified that J has the radical of
     an ideal whose support is the origin alone, so the nilpotency walk is
-    skipped."""
+    skipped.
+
+    PackedRangeExceeded propagates: the truncation ladder works below the
+    range and may still certify the value, so callers try it next."""
     try:
         gb = J.groebner()
+    except PackedRangeExceeded:
+        raise
     except ResourceLimit:
         return None
     if gb.contains_one():
@@ -888,6 +880,8 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
         if not pure:
             try:
                 sat = saturate(J, maximal_ideal(J.ring))
+            except PackedRangeExceeded:
+                raise
             except ResourceLimit:
                 return None  # left to the truncation ladder
             if not any(g.constant_term() for g in sat.generators):
@@ -914,7 +908,10 @@ def local_colength_info(
 ) -> ColengthInfo:
     """The stabilized colength with its certificate; support_at_origin is
     passed on to the global zero-dimensional path."""
-    fast = _global_zero_dim_colength(J, support_at_origin)
+    try:
+        fast = _global_zero_dim_colength(J, support_at_origin)
+    except PackedRangeExceeded as refusal:
+        return _ladder_colength_info(J, cutoffs, refusal)
     if fast is not None:
         if VERIFY_EXTRA_STEPS:
             ladder_value = _ladder_colength_info(J, cutoffs).value
@@ -926,7 +923,12 @@ def local_colength_info(
     return _ladder_colength_info(J, cutoffs)
 
 
-def _ladder_colength_info(J: IdealHandle, cutoffs: tuple[int, int]) -> ColengthInfo:
+def _ladder_colength_info(
+    J: IdealHandle, cutoffs: tuple[int, int], refusal: PackedRangeExceeded | None = None
+) -> ColengthInfo:
+    """The colength certified by two equal truncated colengths on the
+    ladder.  refusal: the global path's packed-range refusal of J, raised in
+    place of NotLocallyFinite when the ladder does not stabilize either."""
     n0, nmax = cutoffs
     samples: dict[int, int] = {}
     prev = None
@@ -943,6 +945,8 @@ def _ladder_colength_info(J: IdealHandle, cutoffs: tuple[int, int]) -> ColengthI
                         raise AssertionError("stabilized colength moved; engine bug")
                 return ColengthInfo(d, (pn, n), samples)
         prev = (n, d)
+    if refusal is not None:
+        raise refusal
     raise NotLocallyFinite(
         f"no stabilization up to cutoff {nmax}: ideal not m-primary locally, or cap too small"
     )

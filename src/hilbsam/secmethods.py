@@ -16,11 +16,11 @@ so fitting the binomial basis to e_0 * binom(n+2,2) + l(T_n) recovers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise, permutations
+from itertools import count, islice, pairwise, permutations
 from math import comb
 
-from .errors import BoundViolation
-from .exactalg import ExactMatrix, rank
+from .errors import BoundViolation, PackedRangeExceeded
+from .exactalg import ExactMatrix, echelon_insert, rank
 from .groebner import (
     GroebnerBasis,
     IdealHandle,
@@ -93,14 +93,18 @@ class ArtinAlgebra:
 
 def artin_algebra(ring: RingSpec, c: IdealHandle) -> ArtinAlgebra:
     """Build C = R/c (locally at the origin) with exact multiplication data."""
-    value = _global_zero_dim_colength(c)
+    refusal = None
+    try:
+        value = _global_zero_dim_colength(c)
+    except PackedRangeExceeded as exc:
+        value, refusal = None, exc
     if value is not None:
         gb = c.groebner()
         lts = gb.leading_monomials
         bound = sum(min(lt[i] for lt in lts if sum(lt) == lt[i]) for i in range(ring.nvars))
         basis = _standard_monomials(lts, ring.nvars, bound + 1)
     else:
-        info = _ladder_colength_info(c, (4, 64))  # raises NotLocallyFinite
+        info = _ladder_colength_info(c, (4, 64), refusal)  # raises if no stabilization
         gb = c.truncated_groebner(info.window[1])
         basis = gb.standard_monomials()
     basis.sort(key=DEGREVLEX.key)
@@ -122,33 +126,39 @@ def action_pair(C: ArtinAlgebra, a: Polynomial, b: Polynomial) -> ActionPair:
 # ---------------------------------------------------------------------------
 # the kernel method
 
+def _tn_lengths(act: ActionPair):
+    """l(T_n) for n = 0, 1, 2, ...: the nullity of the (n+2)c x (n+1)c block
+    matrix M_n with op_a on the diagonal blocks and op_b on the subdiagonal
+    blocks.  Column block j of M_n holds op_a at row block j and op_b at row
+    block j+1 whatever n is, so M_{n+1} is M_n with c more columns: one
+    echelon basis of the column span grows by one block per n, and
+    l(T_n) = (n+1)c - rank.  The block matrix is never built."""
+    a, b = act.op_a, act.op_b
+    c = a.cols
+    # column k of a block as (row offset within the two row blocks, value)
+    cols = [
+        [(r, a.data[r][k]) for r in range(c) if a.data[r][k]]
+        + [(c + r, b.data[r][k]) for r in range(c) if b.data[r][k]]
+        for k in range(c)
+    ]
+    rows: dict = {}
+    rank_n = 0
+    for n in count():
+        base = n * c
+        for col in cols:
+            rank_n += echelon_insert(rows, {base + i: x for i, x in col}, a.field)
+        yield (n + 1) * c - rank_n
+
+
 def tn_length(C: ArtinAlgebra, act: ActionPair, n: int) -> int:
     """Nullity of the (n+2)c x (n+1)c block matrix with op_a on the diagonal
-    blocks and op_b on the subdiagonal blocks."""
-    c = C.dim
-    F = C.ring.field
-    zero_row = [F.zero] * ((n + 1) * c)
-    data = []
-    for i in range(n + 2):
-        for r in range(c):
-            row = list(zero_row)
-            if i <= n:  # diagonal block: op_a at block column i
-                arow = act.op_a.data[r]
-                row[i * c : (i + 1) * c] = arow
-            if i >= 1:  # subdiagonal block: op_b at block column i-1
-                brow = act.op_b.data[r]
-                base = (i - 1) * c
-                for k in range(c):
-                    row[base + k] = F.add(row[base + k], brow[k])
-            data.append(row)
-    m = ExactMatrix(F, data, (n + 1) * c)
-    return m.cols - rank(m)
+    blocks and op_b on the subdiagonal blocks (0 for n < 0: no columns)."""
+    return next(islice(_tn_lengths(act), n, None)) if n >= 0 else 0
 
 
 def simultaneous_annihilator_length(C: ArtinAlgebra, act: ActionPair) -> int:
-    """l((0) :_C Q): nullity of the stacked [op_a; op_b] matrix."""
-    m = ExactMatrix(C.ring.field, act.op_a.data + act.op_b.data, C.dim)
-    return m.cols - rank(m)
+    """l((0) :_C Q): nullity of the stacked [op_a; op_b] matrix, l(T_0)."""
+    return next(_tn_lengths(act))
 
 
 @dataclass
@@ -164,12 +174,14 @@ def e1_e2_via_kernel(
     C: ArtinAlgebra, act: ActionPair, e0: int, window: range = range(0, 7)
 ) -> KernelReport:
     """Fit e_0*binom(n+2,2) + l(T_n) on the window and return (e_1, e_2);
-    checks the proven bracket -l(C) <= e_1 <= -l((0):_C Q)."""
-    samples = {n: e0 * comb(n + 2, 2) + tn_length(C, act, n) for n in window}
+    checks the proven bracket -l(C) <= e_1 <= -l((0):_C Q).  One pass of
+    _tn_lengths gives every l(T_n) up to the window's end, and l(T_0)."""
+    lengths = list(islice(_tn_lengths(act), max(window, default=0) + 1))
+    samples = {n: e0 * comb(n + 2, 2) + (lengths[n] if n >= 0 else 0) for n in window}
     rep = extract_coeffs(samples, 2)
     if rep.coeffs[0] != e0:
         raise ValueError(f"fit changed the multiplicity: {rep.coeffs[0]} != {e0}")
-    ann = simultaneous_annihilator_length(C, act)
+    ann = lengths[0]
     if not (-C.dim <= rep.coeffs[1] <= -ann):
         raise BoundViolation(
             f"e1 = {rep.coeffs[1]} outside [-l(C), -l((0):Q)] = [{-C.dim}, {-ann}]"

@@ -11,6 +11,8 @@ from hilbsam.exactalg import (
     FieldElement,
     GF32003,
     QQ,
+    _rref,
+    echelon_insert,
     field_arith,
     is_prime,
     nullity,
@@ -77,6 +79,8 @@ def test_rank_examples():
     assert rank(ExactMatrix.identity(QQ, 3)) == 3
     assert rank(ExactMatrix.zeros(QQ, 3, 4)) == 0
     assert rank(_mat(QQ, [[1, 2], [2, 4]])) == 1  # proportional rows
+    # reducing the second row creates an entry the first row's support adds
+    assert rank(_mat(QQ, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])) == 3
 
 
 def test_nullspace_examples():
@@ -90,13 +94,44 @@ def test_nullspace_examples():
         assert all(x == 0 for x in m.mul_vector(col)), "M v must vanish exactly"
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
-@settings(max_examples=60)
-def test_rank_transpose_and_rank_nullity(rows):
-    m = _mat(GF32003, rows)
+@st.composite
+def _matrices(draw):
+    """Matrices over F_32003 or QQ with up to 5 columns, dense or sparse;
+    some rows zero, and up to two rows that combine two earlier ones, so the
+    rank is often below the shape's."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    cols = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([st.integers(-9, 9), st.sampled_from([0, 0, 0, 1, -1, 2, 9])]))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(st.one_of(st.just([0] * cols), row), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        t = draw(st.integers(-2, 2))
+        rows.append([x + t * y for x, y in zip(rows[i], rows[j])])
+    return _mat(field, rows)
+
+
+@given(_matrices())
+@settings(max_examples=120, deadline=1000)
+def test_rank_transpose_and_rank_nullity(m):
+    # rank runs a sparse echelon basis, nullspace the reduced row echelon
+    # form: two independent eliminations
     assert rank(m) == rank(m.transpose())
     assert rank(m) + len(nullspace(m)) == m.cols
     assert nullity(m) == len(nullspace(m))
+
+
+@given(_matrices())
+@settings(max_examples=120, deadline=1000)
+def test_echelon_rows_span_the_row_space(m):
+    rows: dict = {}
+    for r in m.data:
+        echelon_insert(rows, {j: x for j, x in enumerate(r) if x}, m.field)
+    assert all(max(row) == p and row[p] == m.field.one for p, row in rows.items())
+    stored = [[row.get(j, m.field.zero) for j in range(m.cols)] for row in rows.values()]
+    # checked by the reduced row echelon form, which shares no code with rank
+    both = ExactMatrix(m.field, m.data + stored, m.cols)
+    assert len(_rref(both)[1]) == len(_rref(m)[1]) == len(rows)
 
 
 def test_solve_linear():

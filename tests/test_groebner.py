@@ -44,6 +44,7 @@ from hilbsam.polyring import (
     monomials_below_degree,
     parse_poly,
 )
+from hilbsam.secmethods import artin_algebra
 
 R2 = RingSpec(("x", "y"), GF32003)
 
@@ -491,6 +492,37 @@ def test_degrees_outside_the_packed_range_raise_resource_limit(tmp_path, capsys)
         }))
         assert main(["run", str(path)]) == 3
     assert "packed range" in capsys.readouterr().err
+
+
+def test_packed_range_refusal_is_raised_when_the_ladder_fails(tmp_path, capsys):
+    # the ladder truncates below the range, so it still certifies this value
+    assert local_colength(ideal(R2, ["x^40000 + x^3", "y"])) == 3
+    assert artin_algebra(R2, ideal(R2, ["x^40000 + x^3", "y"])).dim == 3
+    # here it cannot, and the caller sees the refusal, not a finiteness verdict
+    with pytest.raises(ResourceLimit, match="packed range") as refused:
+        local_colength(ideal(R2, ["x^40000", "y"]))
+    assert not isinstance(refused.value, NotLocallyFinite)
+    path = tmp_path / "colength.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+        "ideals": {"big": ["x^40000", "y"]},
+        "tasks": [{"command": "colength", "ideal": "big"}],
+    }))
+    assert main(["run", str(path)]) == 3
+    assert "packed range" in capsys.readouterr().err
+
+
+def test_basis_and_autoreduce_share_exponent_tuples(monkeypatch):
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    R3 = RingSpec(("x", "y", "z"), GF32003)
+    gens = [P(g, R3) for g in ("x^2 - y*z", "x*y - z^2", "y^2 - x*z", "x^2*y - z^3")]
+    inputs = {m: m for g in gens for m in g.terms}
+    for out in (IdealHandle(R3, gens).groebner().elements, groebner.autoreduce(R3, gens)):
+        seen = {}
+        for f in out:
+            for m in f.terms:
+                assert seen.setdefault(m, m) is m  # one tuple per monomial
+                assert inputs.get(m, m) is m  # the input's own tuple
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import big_i, fat_point, regular2, ring4, staged, two_planes
-from hilbsam import hilbert
-from hilbsam.exactalg import rank
+from hilbsam import exactalg, hilbert, secmethods
+from hilbsam.exactalg import GF32003, QQ, ExactMatrix, nullspace, rank
 from hilbsam.groebner import (
     IdealHandle,
     ideal,
@@ -83,6 +85,61 @@ def test_tn_length_formula():
         act = action_pair(C, parse_poly(R, "X-Z"), parse_poly(R, "Y-W"))
         for n in range(start, start + 3):
             assert tn_length(C, act, n) == (n + 1) * l - l * (l - 1) // 2
+
+
+def _block_matrix(act: ActionPair, n: int) -> ExactMatrix:
+    """The (n+2)c x (n+1)c block matrix built explicitly: op_a on the
+    diagonal blocks, op_b on the subdiagonal blocks."""
+    a, b = act.op_a, act.op_b
+    c, F = a.cols, a.field
+    data = [[F.zero] * ((n + 1) * c) for _ in range((n + 2) * c)]
+    for j in range(n + 1):
+        for r in range(c):
+            for k in range(c):
+                data[j * c + r][j * c + k] = a.data[r][k]
+                data[(j + 1) * c + r][j * c + k] = b.data[r][k]
+    return ExactMatrix(F, data, (n + 1) * c)
+
+
+@st.composite
+def _action_pairs(draw):
+    """Random c x c action pairs, c <= 5, sparse small entries, over F_32003
+    or QQ; the two actions need not commute."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    c = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 7])
+
+    def op():
+        rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=c, max_size=c))
+        return ExactMatrix(field, [[field.of_int(x) for x in row] for row in rows], c)
+
+    return ActionPair(op(), op())
+
+
+@given(_action_pairs())
+@settings(max_examples=40, deadline=2000)
+def test_incremental_tn_lengths_match_the_dense_block_matrix(act):
+    lengths = secmethods._tn_lengths(act)
+    for n in range(6):
+        assert next(lengths) == len(nullspace(_block_matrix(act, n))), n
+
+
+def test_kernel_method_runs_no_dense_elimination(monkeypatch):
+    # one sparse echelon basis serves the whole window; the only dense
+    # elimination left is the binomial fit's 3 x 4 augmented system over QQ
+    C = artin_algebra(ring4(), ideal(ring4(), ["X^3", "Y^3", "Z", "W"]))
+    act = action_pair(C, parse_poly(C.ring, "X-Z"), parse_poly(C.ring, "Y-W"))
+    dense = exactalg._rref
+
+    def fit_only(m):
+        if (m.field, m.rows, m.cols) != (QQ, 3, 4):
+            raise AssertionError(f"dense elimination of a {m.rows} x {m.cols} matrix")
+        return dense(m)
+
+    monkeypatch.setattr(exactalg, "_rref", fit_only)
+    rep = e1_e2_via_kernel(C, act, 10, range(0, 12))
+    assert (rep.e1, rep.e2) == (-3, -3)
+    assert rep.annihilator_bound == tn_length(C, act, 0) == 1
 
 
 def test_kernel_e1_e2_examples():
