@@ -148,9 +148,14 @@ def _single_task(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.subcommand in ("suite", "run") and args.nmax is not None:
+            raise InputError("--nmax applies to single-operation commands; set 'nmax' per task instead")
         if args.subcommand == "suite":
             report = run_paper_suite(
-                field=args.field or "fp:32003", seed=args.seed or 0, threads=args.threads
+                field=args.field or "fp:32003",
+                seed=args.seed or 0,
+                threads=args.threads,
+                cutoff=args.cutoff,
             )
             return _emit(report, args)
         if args.subcommand == "run":

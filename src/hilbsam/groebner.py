@@ -44,6 +44,7 @@ from .polyring import (
     Polynomial,
     RingSpec,
     elimination_order,
+    lazard_order,
     mono_mul,
     monomials_below_degree,
     monomials_of_degree,
@@ -77,7 +78,11 @@ _GB_MEMO: dict = {}
 #   - the lcm takes the same guard borrow as a field-by-field max;
 #   - the degree is m >> shift, so deg(m) < T iff m < T << shift;
 #   - the degrevlex key is m ^ LOW: the degree first, then the exponents
-#     negated, the last variable most significant.
+#     negated, the last variable most significant;
+#   - the lazard key (h the last variable, 0/1 weights on the others) puts
+#     0xFFFF - w between the degree and the fields, with w the field sum of
+#     m & WMASK, and flips every field but h's: the degree, then the smaller
+#     weighted degree, then the larger h exponent, then revlex.
 
 _FIELD_BITS = 16
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
@@ -93,7 +98,8 @@ class _Packing:
     key(m) is an int that grows with the order; heap(m) = ~key(m), so heapq
     pops the order-largest monomial first, and unheap inverts heap.  Lex and
     elimination keys come from MonomialOrder.key on the unpacked tuple,
-    cached for the life of the object."""
+    cached for the life of the object; degrevlex and lazard keys are
+    computed from the packed int."""
 
     __slots__ = ("nvars", "shift", "guard", "low", "limit", "key", "heap", "unheap", "_struct")
 
@@ -107,6 +113,9 @@ class _Packing:
         if order.kind == "degrevlex":
             self.key = self.low.__xor__
             self.heap = self.unheap = (~self.low).__xor__
+            return
+        if order.kind == "lazard":
+            self._lazard_keys(order.weights)
             return
         cache: dict = {}
         back: dict = {}
@@ -128,6 +137,27 @@ class _Packing:
             return ~(key(m) if k is None else k)
 
         self.key, self.heap, self.unheap = key, heap, back.__getitem__
+
+    def _lazard_keys(self, weights: tuple[int, ...]) -> None:
+        shift, top = self.shift, self.shift + _FIELD_BITS
+        fields = (1 << shift) - 1
+        exps = 0x7FFF  # the exponent bits of one field
+        flip = self.low & ~(exps << shift - _FIELD_BITS)  # every field but h's
+        wmask = sum(exps << _FIELD_BITS * i for i, w in enumerate(weights) if w)
+
+        def key(m):
+            # x % 0xFFFF sums the 16-bit fields of x; w <= deg(m) < 0xFFFF,
+            # lcms of pairs included
+            return (m >> shift << _FIELD_BITS | 0xFFFF - (m & wmask) % 0xFFFF) << shift | (m & fields) ^ flip
+
+        def heap(m):
+            return ~key(m)
+
+        def unheap(k):
+            k = ~k
+            return k >> top << shift | (k & fields) ^ flip
+
+        self.key, self.heap, self.unheap = key, heap, unheap
 
     def pack(self, exps: Monomial) -> int:
         d = sum(exps)
@@ -174,15 +204,16 @@ class _Packing:
         ]
 
 
-@lru_cache(maxsize=None)
-def _degrevlex_packing(nvars: int) -> _Packing:
-    return _Packing(nvars, DEGREVLEX)
+@lru_cache(maxsize=64)
+def _shared_packing(nvars: int, order: MonomialOrder) -> _Packing:
+    return _Packing(nvars, order)
 
 
 def _packing(nvars: int, order: MonomialOrder) -> _Packing:
-    """Degrevlex packings are shared; the others carry a per-call key cache."""
-    if order.kind == "degrevlex":
-        return _degrevlex_packing(nvars)
+    """Packings with a packed key (degrevlex, lazard) are shared; the others
+    carry a per-call key cache."""
+    if order.kind in ("degrevlex", "lazard"):
+        return _shared_packing(nvars, order)
     return _Packing(nvars, order)
 
 
@@ -453,16 +484,33 @@ class GroebnerBasis:
         return out
 
 
-def _standard_monomials(lts: list[Monomial], nvars: int, bound: int) -> list[Monomial]:
-    """Monomials of degree < bound divisible by no lt, breadth first from 1.
+def _standard_monomials(
+    lts: list[Monomial], nvars: int, bound: int, weights: tuple[int, ...] | None = None
+) -> list[Monomial]:
+    """Monomials of degree < bound divisible by no lt, breadth first from 1;
+    with 0/1 weights, of weighted degree < bound.
 
     The walk tests m + e_i only for standard m.  No lt divides m, so an lt
     dividing m + e_i exceeds m in variable i alone: its i-th exponent is
     m_i + 1.  The lts are bucketed by (i, lt_i) and only that bucket is
-    tested."""
+    tested.  A weighted walk is finite iff every variable of weight 0 has a
+    pure power among the lts; NotLocallyFinite is raised before walking
+    otherwise."""
     origin = (0,) * nvars
     if any(sum(lt) == 0 for lt in lts):
         return []
+    every = range(nvars)
+    if weights is None:
+        wdeg, free = sum, ()
+    else:
+        weighted = [i for i in every if weights[i]]
+        free = [i for i in every if not weights[i]]
+        if not all(any(lt[i] == sum(lt) for lt in lts) for i in free):
+            raise NotLocallyFinite("a variable of weight 0 has no pure power among the leading monomials")
+
+        def wdeg(m):
+            return sum(m[j] for j in weighted)
+
     buckets: dict = {}
     for lt in lts:
         for i, e in enumerate(lt):
@@ -471,9 +519,7 @@ def _standard_monomials(lts: list[Monomial], nvars: int, bound: int) -> list[Mon
     seen = {origin}
     queue = [origin]
     for m in queue:
-        if sum(m) + 1 >= bound:
-            continue
-        for i in range(nvars):
+        for i in every if wdeg(m) + 1 < bound else free:  # weight-0 steps keep w
             m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
             if m2 in seen:
                 continue
@@ -509,7 +555,7 @@ class IdealHandle:
         return f"IdealHandle({', '.join(str(g) for g in self.generators) or '0'})"
 
     def groebner(self, order: MonomialOrder = DEGREVLEX, pair_budget: int | None = None) -> GroebnerBasis:
-        key = (order.kind, order.block, None)
+        key = (order, None)
         gb = self._cache.get(key)
         if gb is None:
             gb = _compute_basis(self.ring, order, self.generators, None, pair_budget, True)
@@ -517,7 +563,7 @@ class IdealHandle:
         return gb
 
     def truncated_groebner(self, trunc: int, pair_budget: int | None = None) -> GroebnerBasis:
-        key = ("degrevlex", 0, trunc)
+        key = (DEGREVLEX, trunc)
         gb = self._cache.get(key)
         if gb is None:
             gb = _compute_basis(self.ring, DEGREVLEX, self.generators, trunc, pair_budget, False)
@@ -529,7 +575,7 @@ def _memo_key(ring, order, gens, trunc):
     gen_sig = tuple(
         tuple(sorted((m, str(c)) for m, c in g.terms.items())) for g in gens
     )
-    return (str(ring.field), ring.variables, order.kind, order.block, trunc, gen_sig)
+    return (str(ring.field), ring.variables, order.kind, order.block, order.weights, trunc, gen_sig)
 
 
 def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> GroebnerBasis:
@@ -551,6 +597,37 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
     _GB_MEMO[memo_key] = gb
     _disk_cache_store(memo_key, gb)
     return gb
+
+
+# ---------------------------------------------------------------------------
+# local standard bases by Lazard's homogenization
+
+def local_standard_basis(J: IdealHandle, weights) -> tuple[list[Polynomial], list[Monomial]]:
+    """A standard basis of J in the local ring at the origin, with its
+    leading monomials, for the local order "smaller weighted degree first
+    (0/1 weights), then smaller degree, then revlex".
+
+    Lazard's homogenization (Greuel & Pfister, A Singular Introduction to
+    Commutative Algebra, 1.7): the reduced basis of the ideal of R[h]
+    generated by the homogenized generators of J, under lazard_order, has
+    homogeneous elements, and setting h = 1 in them gives the standard
+    basis.  Raises ResourceLimit when the basis exceeds the pair budget or
+    the packed range, and ValueError when R[h] would exceed the ring size."""
+    ring = J.ring
+    name = "h"
+    while name in ring.variables:
+        name += "_"
+    ring_h = RingSpec(ring.variables + (name,), ring.field)
+    gens = []
+    for f in J.generators:
+        d = f.degree()
+        gens.append(Polynomial(ring_h, {m + (d - sum(m),): c for m, c in f.terms.items()}, _canonical=True))
+    gb = IdealHandle(ring_h, gens).groebner(lazard_order(weights))
+    # every element is homogeneous, so h = 1 merges no two of its terms
+    elements = [
+        Polynomial(ring, {m[:-1]: c for m, c in f.terms.items()}, _canonical=True) for f in gb.elements
+    ]
+    return elements, [lt[:-1] for lt in gb.leading_monomials]
 
 
 # optional on-disk basis cache, enabled by HILBSAM_GB_CACHE (documented; off
@@ -638,11 +715,6 @@ def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
     if I.ring != J.ring:
         raise MixedRings("ideals from different rings")
     return I.groebner().elements == J.groebner().elements
-
-
-def ideal_contains(I: IdealHandle, J: IdealHandle) -> bool:
-    gb = I.groebner()
-    return all(normal_form(g, gb).is_zero() for g in J.generators)
 
 
 # ---------------------------------------------------------------------------

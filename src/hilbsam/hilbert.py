@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate
 from math import comb
 
 from .errors import (
@@ -24,16 +24,18 @@ from .errors import (
     ResourceLimit,
     SamplingExhausted,
 )
+from . import groebner
 from .exactalg import ExactMatrix, QQ, solve_linear
 from .groebner import (
     IdealHandle,
     autoreduce,
     autoreduced_product,
-    ideal_equal,
     ideal_product,
     ideal_sum,
     local_colength_info,
+    local_standard_basis,
     normal_form,
+    _standard_monomials,
 )
 from .polyring import Polynomial, RingSpec
 from .transform import parameter_chart
@@ -188,14 +190,48 @@ def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel sampling and coefficient extraction
 
+def _chart_colengths(A: QuotientRingSpec, lifts, n_max: int) -> dict[int, int] | None:
+    """l_A(A/Q^{n+1}) for n = 0..n_max from one local standard basis of the
+    defining ideal a, when the lifts are distinct variables (a chart); None
+    when they are not, when R[h] would exceed the ring size, or when the
+    basis exceeds a resource limit.
+
+    With weight 1 on the lifts and 0 elsewhere, the leading ideal of
+    a + Q^{n+1} for the weighted local order is L(a) + Q^{n+1}, so
+    l(A/Q^{n+1}) counts the standard monomials of a of weighted degree
+    <= n: one basis and one walk give every sample."""
+    ring = A.ring
+    variables = {ring.variable(i): i for i in range(ring.nvars)}
+    pivots = {variables.get(f) for f in lifts}
+    if None in pivots or len(pivots) != len(lifts) or ring.nvars >= 16:
+        return None
+    weights = tuple(int(i in pivots) for i in range(ring.nvars))
+    try:
+        _, lts = local_standard_basis(A.defining, weights)
+    except ResourceLimit:
+        return None
+    counts = [0] * (n_max + 1)
+    for m in _standard_monomials(lts, ring.nvars, n_max + 1, weights):
+        counts[sum(m[i] for i in pivots)] += 1
+    return dict(enumerate(accumulate(counts)))
+
+
 def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> dict[int, int]:
-    """Sampled Hilbert-Samuel function n -> l_A(A/Q^{n+1}), n = 0..n_max."""
+    """Sampled Hilbert-Samuel function n -> l_A(A/Q^{n+1}), n = 0..n_max:
+    from one local standard basis in the parameter chart, or else from the
+    colengths of the powers.  With groebner.VERIFY_EXTRA_STEPS set, both
+    run and must agree."""
     if n_max is None:
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
     A2, lifts, _ = _normalized(A, Q.lifts)
-    H = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
+    H = _chart_colengths(A2, lifts, n_max)
+    if H is None or groebner.VERIFY_EXTRA_STEPS:
+        by_powers = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
+        if H is not None and H != by_powers:
+            raise AssertionError(f"local standard basis gives {H}, the powers give {by_powers}")
+        H = by_powers
     if any(H[n] >= H[n + 1] for n in range(n_max)):
         raise AssertionError("Hilbert-Samuel function is not strictly increasing; engine bug")
     return H
@@ -287,21 +323,42 @@ def ideal_hilbert_report(A: QuotientRingSpec, I: IdealHandle, n_max: int | None 
 # ---------------------------------------------------------------------------
 # reductions
 
+class _PowerChain:
+    """The reduced degrevlex bases G_n of a + I^n, n = 0, 1, ..., in the
+    given coordinates, built on demand.  One chain serves the reduction
+    certificates of every candidate against the same (a, I) within a call;
+    ideal equality does not depend on coordinates."""
+
+    def __init__(self, A: QuotientRingSpec, I: IdealHandle):
+        self._powers = power_bases(A, I)
+        self._bases: list = []
+
+    def basis(self, n: int):
+        while len(self._bases) <= n:
+            self._bases.append(next(self._powers).groebner())
+        return self._bases[n]
+
+
 def is_reduction(
     A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = 8
 ) -> int | None:
     """Least n <= n_cap with I^{n+1} = Q I^n in A (reduction certificate),
     or None.  Requires Q contained in I + defining."""
-    A2, lifts, gens = _normalized(A, Q.lifts, I.generators)
-    Qh, I2 = IdealHandle(A.ring, lifts), IdealHandle(A.ring, gens)
-    gb = A2.plus(I2).groebner()
-    if any(not normal_form(f, gb).is_zero() for f in lifts):
+    return _certificate(A, Q, _PowerChain(A, I), n_cap)
+
+
+def _certificate(
+    A: QuotientRingSpec, Q: ParameterIdealSpec, chain: _PowerChain, n_cap: int = 8
+) -> int | None:
+    """is_reduction against a shared chain of a + I^n.  Q is in a + I, so
+    a + Q G_n lies in a + I^{n+1}: equality holds iff G_{n+1} reduces to
+    zero modulo a basis of a + Q G_n."""
+    if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
-    # power = a + I^n, whose basis power_bases built to step to nxt;
-    # a + Q * basis = a + Q I^n
-    for n, (power, nxt) in zip(range(n_cap + 1), pairwise(power_bases(A2, I2))):
-        basis = IdealHandle(A.ring, power.groebner().elements)
-        if ideal_equal(nxt, A2.plus(ideal_product(Qh, basis))):
+    Qh = IdealHandle(A.ring, Q.lifts)
+    for n in range(n_cap + 1):
+        smaller = A.plus(ideal_product(Qh, IdealHandle(A.ring, chain.basis(n).elements))).groebner()
+        if all(normal_form(g, smaller).is_zero() for g in chain.basis(n + 1).elements):
             return n
     return None
 
@@ -321,9 +378,13 @@ def sample_reductions(
 
 
 def _certified_samples(
-    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8
+    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8,
+    chain: _PowerChain | None = None,
 ) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
-    """sample_reductions with each reduction's certificate."""
+    """sample_reductions with each reduction's certificate, all taken
+    against one chain of a + I^n (the given one, or a new one)."""
+    if chain is None:
+        chain = _PowerChain(A, I)
     warnings: list[str] = []
     F = A.ring.field
     if F.kind == "prime" and F.characteristic < SMALL_FIELD_BOUND:
@@ -351,7 +412,7 @@ def _certified_samples(
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):
             continue
-        cert = is_reduction(A, Q, I, n_cap)
+        cert = _certificate(A, Q, chain, n_cap)
         if cert is not None:
             found.append((Q, cert))
     if len(found) < count:
@@ -395,14 +456,15 @@ def lambda_map(
     """e_1 over sampled (and named) minimal reductions of I."""
     warnings: list[str] = []
     candidates: list[tuple[str, ParameterIdealSpec, int]] = []
+    chain = _PowerChain(A, I)
     for name, q in named or []:
-        cert = is_reduction(A, q, I)
+        cert = _certificate(A, q, chain)
         if cert is None:
             warnings.append(f"named ideal {name} is not a reduction of I; skipped")
             continue
         candidates.append((name, q, cert))
     if count:
-        sampled, w = _certified_samples(A, I, count, seed)
+        sampled, w = _certified_samples(A, I, count, seed, chain=chain)
         warnings.extend(w)
         candidates.extend((f"sample{i}", q, cert) for i, (q, cert) in enumerate(sampled))
     reports = _map_candidates(A, [q for _, q, _ in candidates], n_max, threads)

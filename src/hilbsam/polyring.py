@@ -55,17 +55,26 @@ class MonomialOrder:
     """Total monomial order refining divisibility.
 
     kinds: "lex", "degrevlex", "elim" (block order comparing the first
-    `block` exponents by degrevlex, then the rest by degrevlex).
+    `block` exponents by degrevlex, then the rest by degrevlex), "lazard"
+    (on R[h] with h the last variable: total degree, then the smaller
+    weighted degree of the other variables under the 0/1 `weights`, then
+    the larger h exponent, then revlex on the other variables).
     """
 
     kind: str
     block: int = 0
+    weights: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("lex", "degrevlex", "elim"):
+        if self.kind not in ("lex", "degrevlex", "elim", "lazard"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "elim" and self.block < 1:
             raise ValueError("elimination block size must be >= 1")
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if self.kind != "lazard" and self.weights:
+            raise ValueError("only the lazard order takes weights")
+        if any(w not in (0, 1) for w in self.weights):
+            raise ValueError("weights must be 0 or 1")
 
     def key(self, exps: Monomial):
         """Sort key: bigger key = bigger monomial."""
@@ -73,6 +82,9 @@ class MonomialOrder:
             return (sum(exps), tuple(-e for e in reversed(exps)))
         if self.kind == "lex":
             return exps
+        if self.kind == "lazard":
+            w = sum(e for e, wi in zip(exps, self.weights) if wi)
+            return (sum(exps), -w, exps[-1], tuple(-e for e in reversed(exps[:-1])))
         head, tail = exps[: self.block], exps[self.block :]
         return (
             sum(head),
@@ -94,6 +106,12 @@ LEX = MonomialOrder("lex")
 
 def elimination_order(block: int) -> MonomialOrder:
     return MonomialOrder("elim", block)
+
+
+def lazard_order(weights) -> MonomialOrder:
+    """The homogenized weighted order on R[h] for 0/1 weights on R's
+    variables (h is the last variable of R[h])."""
+    return MonomialOrder("lazard", weights=tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +211,6 @@ class Polynomial:
         """Terms strictly descending under the given order."""
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
-    def support_variables(self) -> set[int]:
-        return {i for m in self.terms for i, e in enumerate(m) if e}
-
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: Polynomial) -> None:
         if self.ring != other.ring:
@@ -262,14 +277,6 @@ class Polynomial:
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()}, _canonical=True)
-
-    def mul_monomial(self, exps: Monomial, coeff: Coeff) -> Polynomial:
-        F = self.ring.field
-        if not coeff:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, {mono_mul(m, exps): F.mul(coeff, c) for m, c in self.terms.items()}, _canonical=True
-        )
 
     def substitute(self, images: dict[int, Polynomial]) -> Polynomial:
         """Evaluate with variable i replaced by images[i] (others fixed)."""

@@ -44,8 +44,10 @@ from .hilbert import (
     ideal_hilbert_report,
     is_reduction,
     power_bases,
+    _certificate,
     _k_plus_j_hilbert,
     _normalized,
+    _PowerChain,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
 
@@ -351,8 +353,9 @@ def k_plus_j_analysis(
     fit_max = B.dim + 6 if n_max is None else n_max
     rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, B.dim) if named else None
     entries = []
+    chain = _PowerChain(B, J)
     for name, q in named:
-        if is_reduction(B, q, J) is None:
+        if _certificate(B, q, chain) is None:
             raise ValueError(f"{name} is not a reduction of J")
         r = _sally_rank(B, rep_j, q, n_max)
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))

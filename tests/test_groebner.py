@@ -37,6 +37,7 @@ from hilbsam.polyring import (
     Polynomial,
     RingSpec,
     elimination_order,
+    lazard_order,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -424,16 +425,18 @@ def _order_cases(draw):
         lambda t: tuple(t[1] if i == t[0] else 0 for i in range(nvars))
     )
     monos = draw(st.lists(_exponents(nvars, 40) | spike, min_size=2, max_size=8))
-    return nvars, draw(st.integers(0, nvars)), monos
+    weights = draw(st.tuples(*[st.integers(0, 1)] * (nvars - 1)))
+    return nvars, draw(st.integers(0, nvars)), weights, monos
 
 
 @given(_order_cases())
 @settings(max_examples=150, deadline=1000)
 def test_packed_keys_follow_the_monomial_order(case):
     # the engine also sorts and heaps the lcms of pairs, whose degree can
-    # reach twice the range
-    nvars, block, monos = case
+    # reach twice the range; the lazard order reads the last variable as h
+    nvars, block, weights, monos = case
     orders = [DEGREVLEX, LEX] + ([elimination_order(block)] if 0 < block < nvars else [])
+    orders += [lazard_order(weights)] if nvars > 1 else []
     for order in orders:
         pk = groebner._packing(nvars, order)
         packed = [pk.pack(m) for m in monos]
@@ -596,3 +599,55 @@ def test_standard_monomials_match_a_brute_force_filter(case):
         m for m in _breadth_first(nvars, bound) if not any(mono_divides(lt, m) for lt in lts)
     ]
     assert groebner._standard_monomials(lts, nvars, bound) == expected
+
+
+def _weighted_brute_force(nvars, lts, bound, weights):
+    """Every monomial of weighted degree < bound whose weight-0 exponents
+    stay below the largest pure power, filtered by full divisibility."""
+    caps = [bound if w else 1 + max(lt[i] for lt in lts if lt[i] == sum(lt)) for i, w in enumerate(weights)]
+    boxes = [()]
+    for cap in caps:
+        boxes = [m + (e,) for m in boxes for e in range(cap)]
+    return sorted(
+        m for m in boxes
+        if sum(e for e, w in zip(m, weights) if w) < bound and not any(mono_divides(lt, m) for lt in lts)
+    )
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_exponents(n, 5), max_size=6), st.integers(1, 6), st.tuples(*[st.integers(0, 1)] * n)
+)))
+@settings(max_examples=200, deadline=2000)
+def test_weighted_standard_monomials_match_a_brute_force_filter(case):
+    nvars, lts, bound, weights = case
+    finite = all(w or any(lt[i] == sum(lt) > 0 for lt in lts) for i, w in enumerate(weights))
+    if any(sum(lt) == 0 for lt in lts):
+        assert groebner._standard_monomials(lts, nvars, bound, weights) == []
+    elif not finite:
+        with pytest.raises(NotLocallyFinite):
+            groebner._standard_monomials(lts, nvars, bound, weights)
+    else:
+        got = groebner._standard_monomials(lts, nvars, bound, weights)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == _weighted_brute_force(nvars, lts, bound, weights)
+
+
+@given(_small_ideals(), st.data())
+@settings(max_examples=60, deadline=5000)
+def test_local_standard_basis_lies_in_the_ideal_and_leads_its_elements(J, data):
+    weights = data.draw(st.tuples(*[st.integers(0, 1)] * J.ring.nvars))
+    elements, lts = groebner.local_standard_basis(J, weights)
+    gb = J.groebner()
+    order = lazard_order(weights)
+    for f, lt in zip(elements, lts, strict=True):
+        assert normal_form(f, gb).is_zero()
+        # lt leads f under the local order: least weight, then least degree, then revlex
+        assert lt == max(f.terms, key=lambda m: order.key(m + (-sum(m),)))
+    # the leading monomials generate L(J): with all weights 0 and a finite
+    # staircase, their standard monomials count the local colength
+    if not any(weights):
+        try:
+            count = len(groebner._standard_monomials(lts, J.ring.nvars, 1, weights))
+        except NotLocallyFinite:
+            return
+        assert count == local_colength(J)

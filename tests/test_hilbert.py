@@ -3,7 +3,7 @@ from itertools import islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import big_i, fat_point, regular2, two_planes
@@ -36,7 +36,7 @@ from hilbsam.hilbert import (
     sample_reductions,
     _normalized,
 )
-from hilbsam.polyring import RingSpec, parse_poly
+from hilbsam.polyring import Polynomial, RingSpec, monomials_of_degree, parse_poly
 from hilbsam.transform import parameter_chart
 
 
@@ -430,3 +430,129 @@ def test_hs_function_threads_match():
     )
     assert seq.values == par.values
     assert [e.coeffs for e in seq.entries] == [e.coeffs for e in par.entries]
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-Samuel samples from one local standard basis
+
+
+@st.composite
+def _chart_systems(draw):
+    """(A, lifts, n_max) in x, y, z over F_32003 or QQ: one or two random
+    generators of degree 2..3 for the defining ideal, and one lift per
+    dimension of the quotient (y - h(x) and z - h'(x) for one generator,
+    z - h(x, y) for two), so the parameter chart always applies."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    R = RingSpec(("x", "y", "z"), field)
+    coeffs = st.integers(-3, 3).filter(bool).map(field.of_int)
+
+    def poly(degrees, variables):
+        monos = [m for d in degrees for m in monomials_of_degree(3, d)
+                 if all(m[i] == 0 or i in variables for i in range(3))]
+        return Polynomial(R, draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3)))
+
+    gens = [poly((2, 3), (0, 1, 2)) for _ in range(draw(st.integers(1, 2)))]
+    if len(gens) == 1:
+        lifts = [R.variable(1) - poly((1, 2), (0,)), R.variable(2) - poly((1, 2), (0,))]
+    else:
+        lifts = [R.variable(2) - poly((1, 2), (0, 1))]
+    return QuotientRingSpec(R, IdealHandle(R, gens), len(lifts)), lifts, draw(st.integers(1, 2))
+
+
+@given(_chart_systems())
+@settings(max_examples=20, deadline=30000, derandomize=True)
+def test_local_basis_samples_match_the_power_colengths(case):
+    A, lifts, n_max = case
+    A2, lifts2, _ = _normalized(A, lifts)
+    try:
+        H = hilbert._chart_colengths(A2, lifts2, n_max)
+    except NotLocallyFinite:
+        assume(False)  # a + Q is not finite at the origin: no samples to compare
+    assert H is not None
+    assert H == power_colengths(A2, IdealHandle(A.ring, lifts2), n_max)
+
+
+def test_local_basis_samples_are_cross_checked_in_verify_mode(verify_mode, monkeypatch):
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
+    assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 3 * (l + 1) for l in range(5)}
+    monkeypatch.setattr(hilbert, "power_colengths", lambda A, I, n_max: {n: 0 for n in range(n_max + 1)})
+    with pytest.raises(AssertionError, match="local standard basis"):
+        hs_function(A, Q, 4)
+
+
+def test_hs_function_on_a_chart_never_samples_the_powers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("power_colengths called")
+
+    monkeypatch.setattr(hilbert, "power_colengths", refuse)
+    for n in (2, 3):
+        A = two_planes(n)
+        Q = parameter_ideal(A, [f"X^{n}-Z", f"Y^{n}-W"])
+        assert hs_function(A, Q, 5) == {l: 2 * n * n * comb(l + 2, 2) + n * n * (l + 1) for l in range(6)}
+    A = fat_point(2, QQ)
+    Q = parameter_ideal(A, ["X^2-Z", "Y-W"])
+    assert extract_coeffs(hs_function(A, Q, 5), 2).coeffs == (5, -2, 0)
+
+
+def _spy_power_colengths(monkeypatch):
+    calls = []
+    real = hilbert.power_colengths
+    monkeypatch.setattr(hilbert, "power_colengths", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_hs_function_falls_back_without_a_chart(monkeypatch):
+    A = regular2()
+    lifts = [parse_poly(A.ring, "x^2"), parse_poly(A.ring, "y^2")]
+    assert hilbert._chart_colengths(A, lifts, 3) is None
+    calls = _spy_power_colengths(monkeypatch)
+    assert hs_function(A, parameter_ideal(A, lifts), 3) == {n: 4 * comb(n + 2, 2) for n in range(4)}
+    assert calls == [1]
+
+
+def test_hs_function_falls_back_at_sixteen_variables(monkeypatch):
+    # h would be a seventeenth variable
+    R = RingSpec(tuple(f"v{i}" for i in range(16)), GF32003)
+    A = QuotientRingSpec(R, IdealHandle(R, [R.variable(i) for i in range(2, 16)]), 2)
+    Q = parameter_ideal(A, ["v0", "v1"])
+    assert hilbert._chart_colengths(A, Q.lifts, 3) is None
+    calls = _spy_power_colengths(monkeypatch)
+    assert hs_function(A, Q, 3) == {n: comb(n + 2, 2) for n in range(4)}
+    assert calls == [1]
+
+
+def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    real = hilbert.local_standard_basis
+
+    def tiny_budget(J, weights):
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "PAIR_BUDGET", 1)
+            m.setattr(groebner, "_GB_MEMO", {})
+            return real(J, weights)
+
+    monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
+    A2, lifts, _ = _normalized(A, Q.lifts)
+    with pytest.raises(ResourceLimit):
+        tiny_budget(A2.defining, (0, 0, 1, 1))
+    calls = _spy_power_colengths(monkeypatch)
+    assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
+    assert calls == [1]
+
+
+def test_lambda_map_builds_the_power_chain_once(monkeypatch):
+    # every certificate, named and sampled, is taken against one chain of
+    # a + I^n, not one chain per candidate
+    starts = []
+    real = hilbert.power_bases
+    monkeypatch.setattr(
+        hilbert, "power_bases", lambda A, I, start=None: starts.append(start) or real(A, I, start)
+    )
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    Qp = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
+    rep = lambda_map(A, big_i(A, 2), count=3, seed=3, n_max=5, named=[("Q", Q), ("Qp", Qp)])
+    assert len(rep.entries) == 5
+    assert starts == [None]

@@ -170,3 +170,33 @@ def test_cli_suite_smoke(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["ok"] is True
     assert payload["summary"]["checked"] == payload["summary"]["total"]
+
+
+def test_suite_passes_the_cutoff_to_every_quotient(monkeypatch, capsys):
+    from hilbsam import suite
+
+    caps = []
+
+    def record(problem):
+        caps.append({A.cutoffs for A in problem.quotients.values()})
+        return run_problem(load_problem(_doc()))
+
+    monkeypatch.setattr(suite, "run_problem", record)
+    assert main(["suite", "paper", "--cutoff", "7", "--json"]) == 0
+    assert main(["suite", "paper", "--json"]) == 0
+    assert caps == [{(4, 7)}, {(4, 64)}]
+
+
+def test_nmax_is_refused_outside_single_operations(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc(
+        {"name": "fit", "command": "hilb", "quotient": "A", "params": "Qdiag", "nmax": 5},
+    )))
+    for argv in (["suite", "paper", "--nmax", "8"], ["run", str(path), "--nmax", "8"]):
+        assert main(argv) == 2
+        assert "--nmax applies to single-operation commands" in capsys.readouterr().err
+    # a single operation still takes it
+    assert main(["hilb", "--file", str(path), "--quotient", "A", "--params", "Qdiag",
+                 "--nmax", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["tasks"][0]["result"]["samples"]) == 4
