@@ -47,8 +47,10 @@ class ZeroDivisor(HilbsamError):
 
 
 class ResourceLimit(HilbsamError):
-    """A configured computational budget was exhausted (pair budget,
-    saturation iteration cap, ...)."""
+    """A computational budget was exhausted: the Groebner pair budget
+    (which also bounds every elimination of intersect, colon and saturate),
+    the packed monomial range (PackedRangeExceeded), or a stabilization
+    that never came (NotLocallyFinite, NotFinite)."""
 
 
 class PackedRangeExceeded(ResourceLimit):

@@ -25,7 +25,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,7 +52,6 @@ from .polyring import (
 )
 
 PAIR_BUDGET = 200_000
-SATURATION_CAP = 64
 
 # test-mode knobs: extra stabilization steps to confirm, and the maximal
 # truncated-monomial count for which every colength is cross-checked
@@ -83,6 +82,10 @@ _GB_MEMO: dict = {}
 #     0xFFFF - w between the degree and the fields, with w the field sum of
 #     m & WMASK, and flips every field but h's: the degree, then the smaller
 #     weighted degree, then the larger h exponent, then revlex.
+#   - the elimination key of elim(b) is the head degree (the field sum of
+#     the first b fields), the head fields flipped, the tail degree, then the
+#     tail fields flipped: degrevlex on the head block, then on the rest.  A
+#     block >= nvars has an empty tail and is degrevlex.
 
 _FIELD_BITS = 16
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
@@ -96,10 +99,10 @@ class _Packing:
     """Packed monomials of an nvars-variable ring under one monomial order.
 
     key(m) is an int that grows with the order; heap(m) = ~key(m), so heapq
-    pops the order-largest monomial first, and unheap inverts heap.  Lex and
-    elimination keys come from MonomialOrder.key on the unpacked tuple,
-    cached for the life of the object; degrevlex and lazard keys are
-    computed from the packed int."""
+    pops the order-largest monomial first, and unheap inverts heap.  Lex
+    keys come from MonomialOrder.key on the unpacked tuple, cached for the
+    life of the object; degrevlex, elimination and lazard keys are computed
+    from the packed int."""
 
     __slots__ = ("nvars", "shift", "guard", "low", "limit", "key", "heap", "unheap", "_struct")
 
@@ -110,9 +113,12 @@ class _Packing:
         self.low = self.guard - (self.guard >> (_FIELD_BITS - 1))
         self.limit = _DEG_LIMIT << self.shift  # every packed monomial lies below
         self._struct = struct.Struct(f"<{nvars}H")
-        if order.kind == "degrevlex":
+        if order.kind == "degrevlex" or order.kind == "elim" and order.block >= nvars:
             self.key = self.low.__xor__
             self.heap = self.unheap = (~self.low).__xor__
+            return
+        if order.kind == "elim":
+            self._elim_keys(order.block)
             return
         if order.kind == "lazard":
             self._lazard_keys(order.weights)
@@ -137,6 +143,34 @@ class _Packing:
             return ~(key(m) if k is None else k)
 
         self.key, self.heap, self.unheap = key, heap, back.__getitem__
+
+    def _elim_keys(self, block: int) -> None:
+        shift, head_bits = self.shift, _FIELD_BITS * block
+        tail_bits = shift - head_bits
+        head_mask, tail_mask = (1 << head_bits) - 1, (1 << tail_bits) - 1
+        head_flip, tail_flip = self.low & head_mask, self.low >> head_bits
+        head_at = tail_bits + _FIELD_BITS  # above the tail fields and the tail degree's 16 bits
+
+        def key(m):
+            head = m & head_mask
+            # x % 0xFFFF sums the 16-bit fields of x; the head degree is at
+            # most deg(m) < 0xFFFF, lcms of pairs included
+            head_deg = head % 0xFFFF
+            return (
+                (head_deg << head_bits | head ^ head_flip) << _FIELD_BITS | (m >> shift) - head_deg
+            ) << tail_bits | (m >> head_bits & tail_mask) ^ tail_flip
+
+        def heap(m):
+            return ~key(m)
+
+        def unheap(k):
+            k = ~k
+            head_deg = k >> head_at + head_bits
+            deg = head_deg + (k >> tail_bits & 0xFFFF)
+            head = (k >> head_at & head_mask) ^ head_flip
+            return deg << shift | ((k & tail_mask) ^ tail_flip) << head_bits | head
+
+        self.key, self.heap, self.unheap = key, heap, unheap
 
     def _lazard_keys(self, weights: tuple[int, ...]) -> None:
         shift, top = self.shift, self.shift + _FIELD_BITS
@@ -210,11 +244,11 @@ def _shared_packing(nvars: int, order: MonomialOrder) -> _Packing:
 
 
 def _packing(nvars: int, order: MonomialOrder) -> _Packing:
-    """Packings with a packed key (degrevlex, lazard) are shared; the others
-    carry a per-call key cache."""
-    if order.kind in ("degrevlex", "lazard"):
-        return _shared_packing(nvars, order)
-    return _Packing(nvars, order)
+    """Packings with a packed key (every order but lex) are shared; a lex
+    packing carries a per-call key cache."""
+    if order.kind == "lex":
+        return _Packing(nvars, order)
+    return _shared_packing(nvars, order)
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +826,28 @@ def autoreduce(ring: RingSpec, gens: list[Polynomial], order: MonomialOrder = DE
     return pk.polynomials(ring, [e.terms for e in kept], (m for g in gens for m in g.terms))
 
 
-def _aux_ring(ring: RingSpec) -> tuple[RingSpec, MonomialOrder]:
+def _aux_ring(ring: RingSpec) -> RingSpec:
+    """R[t], with the auxiliary variable t first."""
     name = "t_aux"
     while name in ring.variables:
         name += "_"
-    return RingSpec((name,) + ring.variables, ring.field), elimination_order(1)
+    return RingSpec((name,) + ring.variables, ring.field)
 
 
-def _lift(f: Polynomial, ring2: RingSpec, tdeg: int = 0) -> Polynomial:
-    return Polynomial(ring2, {(tdeg,) + m: c for m, c in f.terms.items()}, _canonical=True)
+def _lift(f: Polynomial, ring2: RingSpec) -> Polynomial:
+    return Polynomial(ring2, {(0,) + m: c for m, c in f.terms.items()}, _canonical=True)
+
+
+def _eliminate(ring: RingSpec, ring2: RingSpec, gens2: list[Polynomial]) -> IdealHandle:
+    """(gens2) ∩ R for gens2 in ring2 = R[t]: the t-free elements of the
+    elimination_order(1) basis, which are the reduced degrevlex basis of the
+    intersection."""
+    gb = IdealHandle(ring2, gens2).groebner(elimination_order(1))
+    out = []
+    for f in gb.elements:
+        if all(m[0] == 0 for m in f.terms):
+            out.append(Polynomial(ring, {m[1:]: c for m, c in f.terms.items()}, _canonical=True))
+    return IdealHandle(ring, out)
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -810,17 +857,12 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     ring = I.ring
     if not I.generators or not J.generators:
         return IdealHandle(ring, [])
-    ring2, order = _aux_ring(ring)
+    ring2 = _aux_ring(ring)
     t = ring2.variable(0)
     one_minus_t = ring2.one() - t
     gens2 = [t * _lift(g, ring2) for g in I.generators]
     gens2 += [one_minus_t * _lift(g, ring2) for g in J.generators]
-    gb = IdealHandle(ring2, gens2).groebner(order)
-    out = []
-    for f in gb.elements:
-        if all(m[0] == 0 for m in f.terms):
-            out.append(Polynomial(ring, {m[1:]: c for m, c in f.terms.items()}, _canonical=True))
-    return IdealHandle(ring, out)
+    return _eliminate(ring, ring2, gens2)
 
 
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -879,15 +921,24 @@ def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return result
 
 
-def saturate(I: IdealHandle, J: IdealHandle, cap: int = SATURATION_CAP) -> IdealHandle:
-    """(I : J^inf): iterate colons until the reduced basis is stable."""
-    current = I
-    for _ in range(cap):
-        nxt = colon_ideal(current, J)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
-    raise ResourceLimit(f"saturation did not stabilize within {cap} iterations")
+def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
+    """(I : J^inf) = ∩_g ((I + (1 - t*g)) ∩ R) over the autoreduced
+    generators g of J (Rabinowitsch; Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 4 §4): one elimination basis in R[t] per
+    generator, then the parts are intersected.  Returns the saturation
+    generated by its reduced degrevlex basis.  The pair budget bounds each
+    elimination (ResourceLimit); raises ZeroDivisor when J is zero."""
+    if I.ring != J.ring:
+        raise MixedRings("ideals from different rings")
+    ring = I.ring
+    gens = autoreduce(ring, list(J.generators))
+    if not gens:
+        raise ZeroDivisor("saturation by the zero ideal")
+    ring2 = _aux_ring(ring)
+    lifted = [_lift(f, ring2) for f in I.generators]
+    t = ring2.variable(0)
+    parts = (_eliminate(ring, ring2, lifted + [ring2.one() - t * _lift(g, ring2)]) for g in gens)
+    return reduce(intersect, parts)
 
 
 # ---------------------------------------------------------------------------

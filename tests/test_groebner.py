@@ -34,6 +34,7 @@ from hilbsam.groebner import (
 from hilbsam.polyring import (
     DEGREVLEX,
     LEX,
+    MonomialOrder,
     Polynomial,
     RingSpec,
     elimination_order,
@@ -153,6 +154,26 @@ def test_saturate_examples():
     assert ideal_equal(saturate(ideal(R2, ["x^2*y"]), ideal(R2, ["x"])), ideal(R2, ["y"]))
     I = ideal(R2, ["x^2", "x*y^3"])
     assert ideal_equal(saturate(I, ideal(R2, ["1"])), I)  # colon by the unit ideal
+    with pytest.raises(ZeroDivisor):
+        saturate(I, ideal(R2, ["0"]))
+
+
+def test_saturation_needs_no_round_cap():
+    # (x^65*y) : x^inf needs 65 colon rounds; one elimination finds (y)
+    S = saturate(ideal(R2, ["x^65*y"]), ideal(R2, ["x"]))
+    assert [str(g) for g in S.generators] == ["y"]
+
+
+def test_saturate_op_needs_no_round_cap(tmp_path, capsys):
+    path = tmp_path / "saturate.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+        "ideals": {"a": ["x^65*y"], "b": ["x"], "s": {"saturate": ["a", "b"]}},
+        "tasks": [{"name": "sat", "command": "gb", "ideal": "s"}],
+    }))
+    assert main(["run", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tasks"][0]["result"]["elements"] == ["y"]
 
 
 def test_member_and_equal():
@@ -293,13 +314,18 @@ def test_poly_exact_div():
         poly_exact_div(P("x^2 + y"), g)
 
 
-def test_sat_quotient_length_examples():
+def test_sat_quotient_length_examples(verify_mode):
+    # verify mode checks each truncated colength of J and of its saturation
+    # against truncation_colength_oracle
     # already saturated
     assert sat_quotient_length(ideal(R2, ["y"])) == 0
     # sat((x^2 y, y)) = (y): quotient vanishes
     assert sat_quotient_length(ideal(R2, ["x^2*y", "y"])) == 0
     # torsion of length 2 at the origin: (x^2, xy) = (x) cap (x^2, y)
     assert sat_quotient_length(ideal(R2, ["x^3", "x*y"])) == 2
+    # the two planes A_2 modulo X^2 - Z, in four variables
+    A = two_planes(2)
+    assert sat_quotient_length(ideal_sum(A.defining, ideal(A.ring, ["X^2-Z"]))) == 4
 
 
 def test_resource_limit():
@@ -426,7 +452,7 @@ def _order_cases(draw):
     )
     monos = draw(st.lists(_exponents(nvars, 40) | spike, min_size=2, max_size=8))
     weights = draw(st.tuples(*[st.integers(0, 1)] * (nvars - 1)))
-    return nvars, draw(st.integers(0, nvars)), weights, monos
+    return nvars, draw(st.integers(1, nvars + 1)), weights, monos
 
 
 @given(_order_cases())
@@ -435,7 +461,7 @@ def test_packed_keys_follow_the_monomial_order(case):
     # the engine also sorts and heaps the lcms of pairs, whose degree can
     # reach twice the range; the lazard order reads the last variable as h
     nvars, block, weights, monos = case
-    orders = [DEGREVLEX, LEX] + ([elimination_order(block)] if 0 < block < nvars else [])
+    orders = [DEGREVLEX, LEX, elimination_order(block)]  # a block >= nvars is degrevlex
     orders += [lazard_order(weights)] if nvars > 1 else []
     for order in orders:
         pk = groebner._packing(nvars, order)
@@ -445,6 +471,24 @@ def test_packed_keys_follow_the_monomial_order(case):
         assert [pk.unpack(m) for m in sorted(packed, key=pk.key)] == sorted(expected, key=order.key)
         assert [pk.unheap(pk.heap(m)) for m in packed] == packed
         assert sorted(packed, key=pk.heap) == sorted(packed, key=pk.key, reverse=True)
+
+
+def test_elimination_runs_on_packed_keys(monkeypatch):
+    tuple_key = MonomialOrder.key
+
+    def refuse_elim(order, exps):
+        if order.kind == "elim":
+            raise AssertionError("elimination key taken from the exponent tuple")
+        return tuple_key(order, exps)
+
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    monkeypatch.setattr(MonomialOrder, "key", refuse_elim)
+    I, J = ideal(R2, ["x^2", "x*y"]), ideal(R2, ["y^2"])
+    assert ideal_equal(intersect(I, J), ideal(R2, ["x*y^2"]))
+    assert ideal_equal(colon(ideal(R2, ["x^2*y - y"]), P("y")), ideal(R2, ["x^2 - 1"]))
+    I = ideal(R2, ["x^3*y", "x^2*y^2"])
+    assert ideal_equal(saturate(I, ideal(R2, ["x", "y"])), ideal(R2, ["x^2*y"]))
+    assert ideal_equal(saturate(I, ideal(R2, ["x"])), ideal(R2, ["y"]))
 
 
 @st.composite
@@ -572,6 +616,49 @@ def test_global_path_matches_the_truncation_ladder(J):
         return
     if fast is not None:
         assert groebner._ladder_colength_info(J, (4, 64)).value == fast
+
+
+def _saturate_by_colons(I, J):
+    """The reference I : J^inf: colon_ideal repeated until the reduced basis
+    is stable."""
+    current = I
+    while True:
+        nxt = colon_ideal(current, J)
+        if ideal_equal(nxt, current):
+            return current
+        current = nxt
+
+
+@st.composite
+def _saturation_cases(draw):
+    """(I, J) in 2-3 variables over F_32003, or 2 over QQ: one to three
+    generators for I and one or two for J, of degree <= 3 with up to three
+    terms.  Three variables over QQ are left out: there the reference's
+    colons can take minutes on a draw (coefficient growth)."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    nvars = draw(st.integers(2, 3 if field is GF32003 else 2))
+    ring = RingSpec(("x", "y", "z")[:nvars], field)
+    monos = [m for m in monomials_below_degree(nvars, 4) if sum(m)]
+    coeffs = st.integers(-3, 3).filter(bool).map(ring.field.of_int)
+
+    def gens(most):
+        return [
+            Polynomial(ring, draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, most)))
+        ]
+
+    return IdealHandle(ring, gens(3)), IdealHandle(ring, gens(2))
+
+
+@given(_saturation_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_saturate_matches_iterated_colons(case):
+    I, J = case
+    S = saturate(I, J)
+    assert ideal_equal(S, _saturate_by_colons(I, J))
+    assert all(member(f, S) for f in I.generators)  # I ⊆ I : J^inf
+    assert ideal_equal(colon_ideal(S, J), S)  # and it is saturated
+    assert S.generators == tuple(S.groebner().elements)  # given by its reduced basis
 
 
 def _breadth_first(nvars, bound):
