@@ -1,9 +1,11 @@
 """Buchberger engine and the ideal-arithmetic toolkit.
 
 Provides reduced Groebner bases (with an optional degree-truncation mode
-used for local colengths), normal forms, ideal sum/product/power,
-intersection, colon, saturation, membership/equality, the truncated local
-colength with its stabilization loop, and the saturation-quotient length.
+used for local colengths), bases of a + (F)(H) from packed products and
+their equality with a known larger ideal (a run stopped once that is
+decided), normal forms, ideal sum/product/power, intersection, colon,
+saturation, membership/equality, the truncated local colength with its
+stabilization loop, and the saturation-quotient length.
 
 Truncation mode: for a degree-compatible order and cutoff T, the engine
 computes a basis of J + m^T where m is the irrelevant maximal ideal.  All
@@ -366,13 +368,18 @@ def _gm_update(elems: list[_Elem], pairs: dict, new_idx: int, pk: _Packing) -> l
 def _engine(
     pk: _Packing,
     field: FieldConfig,
-    polys: Sequence[Polynomial],
+    raw_gens: list,
     trunc: int | None = None,
     pair_budget: int | None = None,
     reduce_tails: bool = True,
+    cover: list[int] | None = None,
 ) -> list[_Elem]:
-    """Run Buchberger on packed monomials; returns the minimal interreduced
-    elements."""
+    """Run Buchberger on packed term lists (each strictly descending);
+    returns the minimal interreduced elements.
+
+    cover: packed monomials.  The run stops as soon as each of them is
+    divisible by a leading monomial of the partial basis, and returns the
+    minimal elements of that partial basis."""
     if trunc is not None and trunc > _DEG_LIMIT:
         raise PackedRangeExceeded(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
@@ -380,21 +387,25 @@ def _engine(
     ops = field_ops(field)
     _add, _sub, mul, neg, inv, one = ops
 
-    raw_gens = [pr for pr in (pk.sorted_terms(f.terms, trunc) for f in polys) if pr]
+    raw_gens = [pr for pr in raw_gens if pr]
     raw_gens.sort(key=lambda pr: [keyf(t[0]) for t in pr])
 
     elems: list[_Elem] = []
     pairs: dict = {}
     heap: list = []
     counter = 0
+    uncovered = cover  # cover's monomials no leading monomial divides yet (None: no cover)
 
     def insert(pr: list) -> None:
-        nonlocal counter
+        nonlocal counter, uncovered
         lc = pr[0][1]
         if lc != one:
             c = inv(lc)
             pr = [(m, mul(c, v)) for (m, v) in pr]
         elems.append(_Elem(pr))
+        if uncovered:
+            lt = pr[0][0]
+            uncovered = [t for t in uncovered if ((t | guard) - lt) & guard != guard]
         for (i, j) in _gm_update(elems, pairs, len(elems) - 1, pk):
             L = pairs[(i, j)]
             counter += 1
@@ -413,8 +424,8 @@ def _engine(
         if processed > budget:
             raise ResourceLimit(f"pair budget {budget} exhausted")
 
-    while True:
-        while heap:
+    while uncovered != []:
+        while heap and uncovered != []:
             _, _, i, j, _ = heapq.heappop(heap)
             if (i, j) not in pairs:
                 continue
@@ -588,6 +599,13 @@ class IdealHandle:
     def __repr__(self):
         return f"IdealHandle({', '.join(str(g) for g in self.generators) or '0'})"
 
+    @classmethod
+    def of_basis(cls, gb: GroebnerBasis) -> IdealHandle:
+        """The ideal generated by a reduced basis, which it keeps cached."""
+        J = cls(gb.ring, gb.elements)
+        J._cache[(gb.order, gb.trunc_degree)] = gb
+        return J
+
     def groebner(self, order: MonomialOrder = DEGREVLEX, pair_budget: int | None = None) -> GroebnerBasis:
         key = (order, None)
         gb = self._cache.get(key)
@@ -605,32 +623,128 @@ class IdealHandle:
         return gb
 
 
+def _gens_sig(gens) -> tuple:
+    return tuple(tuple(sorted((m, str(c)) for m, c in g.terms.items())) for g in gens)
+
+
 def _memo_key(ring, order, gens, trunc):
-    gen_sig = tuple(
-        tuple(sorted((m, str(c)) for m, c in g.terms.items())) for g in gens
-    )
-    return (str(ring.field), ring.variables, order.kind, order.block, order.weights, trunc, gen_sig)
+    return (str(ring.field), ring.variables, order.kind, order.block, order.weights, trunc, _gens_sig(gens))
+
+
+def _memoized(memo_key, ring, order, trunc, build) -> GroebnerBasis:
+    """The basis under memo_key: from the process memo, the disk cache, or
+    build()."""
+    gb = _GB_MEMO.get(memo_key)
+    if gb is None:
+        gb = _disk_cache_load(memo_key, ring, order, trunc)
+        if gb is None:
+            gb = build()
+            _disk_cache_store(memo_key, gb)
+        _GB_MEMO[memo_key] = gb
+    return gb
+
+
+def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> GroebnerBasis:
+    """The engine's minimal elements as a basis; known as in
+    _Packing.polynomials."""
+    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
+    gb._lts = [next(iter(f.terms)) for f in gb.elements]  # the terms run descending
+    return gb
 
 
 def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> GroebnerBasis:
     if trunc is not None and not order.degree_compatible:
         raise ValueError("truncated bases need a degree-compatible order")
-    memo_key = _memo_key(ring, order, gens, trunc)
-    hit = _GB_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-    cached = _disk_cache_load(memo_key, ring, order, trunc)
-    if cached is not None:
-        _GB_MEMO[memo_key] = cached
-        return cached
-    pk = _packing(ring.nvars, order)
-    minimal = _engine(pk, ring.field, gens, trunc, pair_budget, reduce_tails)
-    known = (m for f in gens for m in f.terms)
-    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
-    gb._lts = [next(iter(f.terms)) for f in gb.elements]  # the terms run descending
-    _GB_MEMO[memo_key] = gb
-    _disk_cache_store(memo_key, gb)
+
+    def build():
+        pk = _packing(ring.nvars, order)
+        raw = [pk.sorted_terms(f.terms, trunc) for f in gens]
+        minimal = _engine(pk, ring.field, raw, trunc, pair_budget, reduce_tails)
+        return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
+
+    return _memoized(_memo_key(ring, order, gens, trunc), ring, order, trunc, build)
+
+
+# ---------------------------------------------------------------------------
+# bases of a + (F)·(H) from packed products
+
+def _product_gens(pk: _Packing, a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> list:
+    """Packed term lists, each strictly descending, of a's generators and
+    of the products f·h, with f the packed elements F holds.  Under
+    degrevlex lt(f·h) = lt(f)·lt(h) has the largest degree, so that degree
+    alone is checked against the packed range."""
+    add, _sub, mul, *_ = field_ops(a.ring.field)
+    limit, key = pk.limit, pk.key
+    out = [pk.sorted_terms(g.terms) for g in a.generators]
+    Hs = [pk.sorted_terms(h.terms) for h in H if h]
+    for f in (e.terms for e in F._raw_elems(pk)):
+        for h in Hs:
+            lead = f[0][0] + h[0][0]
+            if lead >= limit:
+                raise _out_of_range(lead >> pk.shift)
+            acc: dict = {}
+            for m1, c1 in f:
+                for m2, c2 in h:
+                    m, c = m1 + m2, mul(c1, c2)
+                    prev = acc.get(m)
+                    acc[m] = c if prev is None else add(prev, c)
+            out.append([(m, acc[m]) for m in sorted(acc, key=key, reverse=True) if acc[m]])
+    return out
+
+
+def _autoreduced_product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> GroebnerBasis:
+    """The basis of a + (F)·(H) from autoreduced Polynomial products: the
+    reference the product entries are checked against in verify mode."""
+    return ideal_sum(a, IdealHandle(a.ring, autoreduced_product(F.elements, IdealHandle(a.ring, H)))).groebner()
+
+
+def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> GroebnerBasis:
+    """The reduced degrevlex basis of a + (F)·(H), memoized by the factors.
+
+    F is a reduced degrevlex basis, whose packed elements are multiplied as
+    it holds them.  The products are formed on packed monomials and go to
+    the engine as they are: no Polynomial is made and nothing is
+    autoreduced before the run.  The basis keeps the engine's packed
+    elements, so it can be the next call's F.
+
+    With VERIFY_EXTRA_STEPS set, the basis is checked against
+    _autoreduced_product_basis (AssertionError on a difference)."""
+    ring = a.ring
+    pk = _packing(ring.nvars, DEGREVLEX)
+
+    def build():
+        minimal = _engine(pk, ring.field, _product_gens(pk, a, F, H))
+        gb = _basis(ring, DEGREVLEX, pk, minimal, None, (m for g in a.generators for m in g.terms))
+        gb._raw = minimal
+        return gb
+
+    memo_key = ("product", _memo_key(ring, DEGREVLEX, a.generators, None), _gens_sig(F.elements), _gens_sig(H))
+    gb = _memoized(memo_key, ring, DEGREVLEX, None, build)
+    if VERIFY_EXTRA_STEPS and gb.elements != _autoreduced_product_basis(a, F, H).elements:
+        raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
+
+
+def product_equals(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial], K: GroebnerBasis) -> bool:
+    """Whether a + (F)·(H) = K, for F and K reduced degrevlex bases and K
+    known to contain a + (F)·(H).
+
+    Buchberger on the packed products (as in product_basis) stops as soon
+    as the partial leading monomials cover L(K): J ⊆ K and L(J) ⊇ L(K) give
+    J = K.  A run that ends without covering L(K) has found L(J), so J ≠ K.
+
+    With VERIFY_EXTRA_STEPS set, the verdict is checked against reducing
+    K's elements modulo _autoreduced_product_basis (AssertionError on a
+    difference)."""
+    pk = _packing(a.ring.nvars, DEGREVLEX)
+    lts = [e.lt for e in K._raw_elems(pk)]
+    minimal = _engine(pk, a.ring.field, _product_gens(pk, a, F, H), reduce_tails=False, cover=lts)
+    equal = all(any(pk.divides(e.lt, t) for e in minimal) for t in lts)
+    if VERIFY_EXTRA_STEPS:
+        full = _autoreduced_product_basis(a, F, H)
+        if equal != all(normal_form(g, full).is_zero() for g in K.elements):
+            raise AssertionError("the product equality disagrees with the basis of the autoreduced products")
+    return equal
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from .groebner import (
     IdealHandle,
     autoreduce,
     autoreduced_product,
-    ideal_product,
     ideal_sum,
     local_colength_info,
     local_standard_basis,
     normal_form,
+    product_basis,
+    product_equals,
     _standard_monomials,
 )
 from .polyring import Polynomial, RingSpec
@@ -152,19 +153,23 @@ def power_bases(A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None =
     """Yield the ideals a + S * I^n of R for n = 0, 1, ..., where a is the
     defining ideal and S = start (default: the unit ideal).
 
-    Steps by a + S * I^{n+1} = a + I * (a + S * I^n): the reduced degrevlex
-    basis of the previous ideal (usually cached already by its colength)
-    times the generators of I.  When that basis exceeds the pair budget,
-    the previous generators are multiplied instead."""
+    Steps by a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
+    multiplies the reduced degrevlex basis of the previous ideal (usually
+    cached already by its colength) by the generators of I on packed
+    monomials, and the yielded ideal keeps the basis it returns.  When
+    either basis exceeds the pair budget (or the packed range), the step
+    multiplies the generators instead, as autoreduced Polynomial products."""
     gens = start.generators if start is not None else (A.ring.one(),)
+    current = A.plus(IdealHandle(A.ring, gens))
     while True:
-        current = A.plus(IdealHandle(A.ring, gens))
         yield current
         try:
-            gens = current.groebner().elements
+            previous = current.groebner()
+            gens = previous.elements
+            current = IdealHandle.of_basis(product_basis(A.defining, previous, I.generators))
         except ResourceLimit:
-            pass
-        gens = autoreduced_product(gens, I)
+            gens = autoreduced_product(gens, I)
+            current = A.plus(IdealHandle(A.ring, gens))
 
 
 def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int, int]:
@@ -351,14 +356,12 @@ def _certificate(
     A: QuotientRingSpec, Q: ParameterIdealSpec, chain: _PowerChain, n_cap: int = 8
 ) -> int | None:
     """is_reduction against a shared chain of a + I^n.  Q is in a + I, so
-    a + Q G_n lies in a + I^{n+1}: equality holds iff G_{n+1} reduces to
-    zero modulo a basis of a + Q G_n."""
+    a + Q G_n lies in a + I^{n+1}, so product_equals decides their
+    equality against the known basis G_{n+1}."""
     if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
-    Qh = IdealHandle(A.ring, Q.lifts)
     for n in range(n_cap + 1):
-        smaller = A.plus(ideal_product(Qh, IdealHandle(A.ring, chain.basis(n).elements))).groebner()
-        if all(normal_form(g, smaller).is_zero() for g in chain.basis(n + 1).elements):
+        if product_equals(A.defining, chain.basis(n), Q.lifts, chain.basis(n + 1)):
             return n
     return None
 

@@ -194,6 +194,13 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
             _require(iname in ideals, f"task {i}: unknown ideal {iname!r}")
         for name in task.get("named", []):
             _require(name in parameters, f"task {i}: unknown parameter ideal {name!r}")
+        for key in ("ncap", "count"):
+            if key in task:
+                try:
+                    value = int(task[key])
+                except (TypeError, ValueError):
+                    value = -1
+                _require(value >= 0, f"task {i}: {key!r} must be a non-negative integer, got {task[key]!r}")
     return Problem(
         ring,
         ideals,

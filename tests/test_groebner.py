@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import ring4, staged, two_planes
 from hilbsam import groebner
 from hilbsam.cli import main
-from hilbsam.errors import NotLocallyFinite, ResourceLimit, ZeroDivisor
+from hilbsam.errors import NotLocallyFinite, PackedRangeExceeded, ResourceLimit, ZeroDivisor
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
     IdealHandle,
@@ -27,6 +27,8 @@ from hilbsam.groebner import (
     member,
     normal_form,
     poly_exact_div,
+    product_basis,
+    product_equals,
     sat_quotient_length,
     saturate,
     truncation_colength_oracle,
@@ -44,6 +46,7 @@ from hilbsam.polyring import (
     mono_lcm,
     mono_mul,
     monomials_below_degree,
+    monomials_of_degree,
     parse_poly,
 )
 from hilbsam.secmethods import artin_algebra
@@ -738,3 +741,124 @@ def test_local_standard_basis_lies_in_the_ideal_and_leads_its_elements(J, data):
         except NotLocallyFinite:
             return
         assert count == local_colength(J)
+
+
+# ---------------------------------------------------------------------------
+# bases of a + (F)·(H) from packed products
+
+@st.composite
+def _product_cases(draw):
+    """(a, F, H, E) in 2-3 variables over F_32003 or QQ: a with up to two
+    generators, F and H with one to three, E with one or two, all of degree
+    <= 2 with up to three terms.  In half of the cases a, F and H are
+    homogeneous.  E feeds the nested ideal K = a + (F)(H) + (E): its
+    elements are random, or multiples of products, which keeps K = J."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    nvars = draw(st.integers(2, 3))
+    ring = RingSpec(("x", "y", "z")[:nvars], field)
+    homogeneous = draw(st.booleans())
+    coeffs = st.integers(-3, 3).filter(bool).map(ring.field.of_int)
+    mixed = [m for m in monomials_below_degree(nvars, 3) if sum(m)]
+
+    def poly(monos=None):
+        if monos is None:
+            monos = list(monomials_of_degree(nvars, draw(st.integers(1, 2)))) if homogeneous else mixed
+        return Polynomial(ring, draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3)))
+
+    def polys(least, most):
+        return [poly() for _ in range(draw(st.integers(least, most)))]
+
+    a, F, H = IdealHandle(ring, polys(0, 2)), polys(1, 3), polys(1, 3)
+    if draw(st.booleans()):
+        E = [poly(mixed) for _ in range(draw(st.integers(1, 2)))]
+    else:
+        E = [draw(st.sampled_from(F)) * draw(st.sampled_from(H)) * poly(mixed)]
+    return a, F, H, E
+
+
+def _generator_list_basis(a, F, H):
+    ring = a.ring
+    return ideal_sum(a, ideal_product(IdealHandle(ring, F), IdealHandle(ring, H))).groebner()
+
+
+def _basis(ring, gens):
+    return IdealHandle(ring, gens).groebner()
+
+
+@given(_product_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_product_basis_matches_the_generator_list_basis(case):
+    a, F, H, _ = case
+    expected = _generator_list_basis(a, F, H).elements
+    gb = product_basis(a, _basis(a.ring, F), H)
+    assert gb.elements == expected
+    # the basis keeps its packed elements as the next product's factors
+    assert product_basis(a, gb, H).elements == _generator_list_basis(a, expected, H).elements
+
+
+@given(_product_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_product_equals_agrees_with_ideal_equal(case):
+    a, F, H, E = case
+    J = IdealHandle(a.ring, _generator_list_basis(a, F, H).elements)
+    K = ideal_sum(J, IdealHandle(a.ring, E))  # J ⊆ K
+    Fb = _basis(a.ring, F)
+    assert product_equals(a, Fb, H, K.groebner()) == ideal_equal(J, K)
+    assert product_equals(a, Fb, H, J.groebner())
+
+
+def test_product_entries_are_checked_in_verify_mode(verify_mode, monkeypatch):
+    a, F, H = ideal(R2, ["x^3"]), _basis(R2, [P("x"), P("y")]), [P("x + y"), P("y^2")]
+    K = ideal(R2, ["x", "y^2"]).groebner()
+    assert product_basis(a, F, H).elements == _generator_list_basis(a, F.elements, H).elements
+    assert product_equals(a, F, H, K) is False
+    # a wrong answer from the packed run is caught
+    monkeypatch.setattr(groebner, "_product_gens", lambda pk, a, F, H: [pk.sorted_terms(g.terms) for g in a.generators])
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    with pytest.raises(AssertionError, match="product basis"):
+        product_basis(a, F, H)
+    with pytest.raises(AssertionError, match="product equality"):
+        product_equals(a, F, H, _generator_list_basis(a, F.elements, H))
+
+
+def test_product_equals_stops_once_the_target_is_covered(monkeypatch):
+    # J = (x^2 - y) + (1)·(xy): the S-pair of the two gives y^2, after which
+    # L(J) = (x^2, xy, y^2) is covered and no further pair is reduced
+    a, one, H = ideal(R2, ["x^2 - y"]), _basis(R2, [R2.one()]), [P("x*y")]
+    K = _generator_list_basis(a, [R2.one()], H)
+    assert K.leading_monomials == [(0, 2), (1, 1), (2, 0)]
+    calls = []
+    real = groebner._reduce_pairs
+
+    def top_reductions(*args, full):
+        calls.append(full)  # full=True reduces a tail
+        return real(*args, full=full)
+
+    monkeypatch.setattr(groebner, "_reduce_pairs", top_reductions)
+    assert product_equals(a, one, H, K)
+    assert calls == [False, False]  # xy against x^2 - y, then one S-pair
+    calls.clear()
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    assert product_basis(a, one, H).elements == K.elements
+    assert calls.count(False) > 2
+
+
+def test_product_degrees_outside_the_packed_range_raise(tmp_path, capsys):
+    a = IdealHandle(R2, [])
+    F = _basis(R2, [P("x^20000")])
+    assert product_basis(a, F, [P("x^12767 + y")]).elements == [P("x^32767 + x^20000*y")]
+    with pytest.raises(PackedRangeExceeded):
+        product_basis(a, F, [P("x^12768 + y")])
+    with pytest.raises(PackedRangeExceeded):
+        product_equals(a, _basis(R2, [P("y + x^20000")]), [P("x^12768")], maximal_ideal(R2).groebner())
+    # a reduction certificate whose power chain reaches x^32768 ends in exit 3
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+        "ideals": {"a": ["y^2"], "I": ["x^16384", "y"]},
+        "quotients": {"A": {"defining": "a", "dim": 1}},
+        "parameters": {"Q": {"quotient": "A", "lifts": ["x^16384"]}},
+        "tasks": [{"command": "reduction", "quotient": "A", "params": "Q", "ideal": "I"}],
+    }))
+    assert main(["run", str(path)]) == 3
+    assert "packed range" in capsys.readouterr().err

@@ -258,7 +258,9 @@ def test_sample_reductions_deterministic():
     assert all(is_reduction(A, q, m, 8) is not None for q in first)
 
 
-def test_sample_reductions_of_composite_ideal():
+def test_sample_reductions_of_composite_ideal(verify_mode):
+    # verify mode checks every power step and certificate of the product
+    # entry against the basis of the autoreduced products
     A = two_planes(2)
     I = big_i(A, 2)
     reductions, _ = sample_reductions(A, I, 5, seed=2)
@@ -556,3 +558,49 @@ def test_lambda_map_builds_the_power_chain_once(monkeypatch):
     rep = lambda_map(A, big_i(A, 2), count=3, seed=3, n_max=5, named=[("Q", Q), ("Qp", Qp)])
     assert len(rep.entries) == 5
     assert starts == [None]
+
+
+def test_power_step_from_a_basis_multiplies_packed_terms(monkeypatch):
+    # with the previous basis at hand, a step neither multiplies polynomials
+    # nor autoreduces a product list
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    A = two_planes(2)
+    I = big_i(A, 2)
+    steps = power_bases(A, I, start=I)
+    handles = [next(steps)]
+    handles[0].groebner()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power step left the packed products")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(groebner, "autoreduce", refuse)
+    handles += [next(steps), next(steps)]
+    monkeypatch.undo()
+    raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
+    assert [local_colength(J) for J in handles] == raw
+
+
+def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
+    # a + Q·G_n is decided by the product entry against G_{n+1}, so with the
+    # chain built no basis is computed at all
+    A = two_planes(2)
+    I = big_i(A, 2)
+    Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
+    chain = hilbert._PowerChain(A, I)
+    cert = hilbert._certificate(A, Q, chain)
+    assert cert is not None
+    chain.basis(cert + 1)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a basis was built for {self}")
+
+    monkeypatch.setattr(IdealHandle, "groebner", refuse)
+    assert hilbert._certificate(A, Q, chain) == cert
+    monkeypatch.undo()
+    not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    chain = hilbert._PowerChain(A, maximal_ideal(A.ring))
+    for n in range(4):
+        chain.basis(n)
+    monkeypatch.setattr(IdealHandle, "groebner", refuse)
+    assert hilbert._certificate(A, not_a_reduction, chain, n_cap=2) is None

@@ -200,3 +200,29 @@ def test_nmax_is_refused_outside_single_operations(tmp_path, capsys):
                  "--nmax", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["tasks"][0]["result"]["samples"]) == 4
+
+
+def test_negative_ncap_is_an_input_error(tmp_path, capsys):
+    # Q = (X - Z, Y - W) is a reduction of m with certificate 2
+    doc = _doc({"name": "r", "command": "reduction", "quotient": "A", "params": "Qdiag",
+                "ideal": "m", "ncap": 2})
+    doc["ideals"]["m"] = ["X", "Y", "Z", "W"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"] == {
+        "certificate": 2, "is_reduction": True}
+    doc["tasks"][0]["ncap"] = -1
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "'ncap' must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_count_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc({"name": "s", "command": "sample-reductions", "quotient": "A",
+                                     "ideal": "bigI", "count": -2})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'count' must be a non-negative integer" in err
+    assert "sampled" not in err
