@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimit, SamplingExhausted) as exc:  # NotLocallyFinite, NotFinite, budgets
+    except (ResourceLimit, SamplingExhausted) as exc:  # NotLocallyFinite, budgets
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except HilbsamError as exc:

@@ -48,9 +48,9 @@ class ZeroDivisor(HilbsamError):
 
 class ResourceLimit(HilbsamError):
     """A computational budget was exhausted: the Groebner pair budget
-    (which also bounds every elimination of intersect, colon and saturate),
+    (which also bounds every basis that intersect, colon and saturate build),
     the packed monomial range (PackedRangeExceeded), or a stabilization
-    that never came (NotLocallyFinite, NotFinite)."""
+    that never came (NotLocallyFinite)."""
 
 
 class PackedRangeExceeded(ResourceLimit):
@@ -62,10 +62,6 @@ class NotLocallyFinite(ResourceLimit):
     """Truncated colengths did not stabilize: the ideal is not primary to
     the irrelevant maximal ideal locally at the origin, or the cutoff cap
     is too small."""
-
-
-class NotFinite(ResourceLimit):
-    """A saturation-quotient length did not stabilize."""
 
 
 class NoPolynomialTail(HilbsamError):

@@ -3,9 +3,10 @@
 Provides reduced Groebner bases (with an optional degree-truncation mode
 used for local colengths), bases of a + (F)(H) from packed products and
 their equality with a known larger ideal (a run stopped once that is
-decided), normal forms, ideal sum/product/power, intersection, colon,
-saturation, membership/equality, the truncated local colength with its
-stabilization loop, and the saturation-quotient length.
+decided), normal forms, ideal sum/product/power, intersection, colon and
+saturation (by monomials from degrevlex bases of the homogenization,
+otherwise by elimination), membership/equality, the truncated local
+colength with its stabilization loop, and the saturation-quotient length.
 
 Truncation mode: for a degree-compatible order and cutoff T, the engine
 computes a basis of J + m^T where m is the irrelevant maximal ideal.  All
@@ -22,6 +23,7 @@ import contextlib
 import hashlib
 import heapq
 import json
+import math
 import os
 import struct
 import tempfile
@@ -32,7 +34,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     MixedRings,
-    NotFinite,
     NotLocallyFinite,
     PackedRangeExceeded,
     ResourceLimit,
@@ -47,6 +48,7 @@ from .polyring import (
     RingSpec,
     elimination_order,
     lazard_order,
+    mono_divides,
     mono_mul,
     monomials_below_degree,
     monomials_of_degree,
@@ -530,10 +532,11 @@ class GroebnerBasis:
 
 
 def _standard_monomials(
-    lts: list[Monomial], nvars: int, bound: int, weights: tuple[int, ...] | None = None
+    lts: list[Monomial], nvars: int, bound: float, weights: tuple[int, ...] | None = None, starts=None
 ) -> list[Monomial]:
-    """Monomials of degree < bound divisible by no lt, breadth first from 1;
-    with 0/1 weights, of weighted degree < bound.
+    """Monomials of degree < bound divisible by no lt, breadth first from 1
+    (or from starts, monomials no lt divides); with 0/1 weights, of weighted
+    degree < bound.
 
     The walk tests m + e_i only for standard m.  No lt divides m, so an lt
     dividing m + e_i exceeds m in variable i alone: its i-th exponent is
@@ -561,8 +564,8 @@ def _standard_monomials(
         for i, e in enumerate(lt):
             if e:
                 buckets.setdefault((i, e), []).append(lt)
-    seen = {origin}
-    queue = [origin]
+    queue = [origin] if starts is None else list(starts)
+    seen = set(queue)
     for m in queue:
         for i in every if wdeg(m) + 1 < bound else free:  # weight-0 steps keep w
             m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
@@ -762,20 +765,29 @@ def local_standard_basis(J: IdealHandle, weights) -> tuple[list[Polynomial], lis
     basis.  Raises ResourceLimit when the basis exceeds the pair budget or
     the packed range, and ValueError when R[h] would exceed the ring size."""
     ring = J.ring
+    ring_h, gens = _homogenized(ring, J.generators)
+    gb = IdealHandle(ring_h, gens).groebner(lazard_order(weights))
+    elements = [_dehomogenized(ring, f) for f in gb.elements]
+    return elements, [lt[:-1] for lt in gb.leading_monomials]
+
+
+def _homogenized(ring: RingSpec, polys: Iterable[Polynomial]) -> tuple[RingSpec, list[Polynomial]]:
+    """R[h], with h a new last variable, and the polys homogenized in it;
+    ValueError when R[h] would exceed the ring size."""
     name = "h"
     while name in ring.variables:
         name += "_"
     ring_h = RingSpec(ring.variables + (name,), ring.field)
-    gens = []
-    for f in J.generators:
+    out = []
+    for f in polys:
         d = f.degree()
-        gens.append(Polynomial(ring_h, {m + (d - sum(m),): c for m, c in f.terms.items()}, _canonical=True))
-    gb = IdealHandle(ring_h, gens).groebner(lazard_order(weights))
-    # every element is homogeneous, so h = 1 merges no two of its terms
-    elements = [
-        Polynomial(ring, {m[:-1]: c for m, c in f.terms.items()}, _canonical=True) for f in gb.elements
-    ]
-    return elements, [lt[:-1] for lt in gb.leading_monomials]
+        out.append(Polynomial(ring_h, {m + (d - sum(m),): c for m, c in f.terms.items()}, _canonical=True))
+    return ring_h, out
+
+
+def _dehomogenized(ring: RingSpec, f: Polynomial) -> Polynomial:
+    """f at h = 1, for f homogeneous in R[h]: no two of its terms merge."""
+    return Polynomial(ring, {m[:-1]: c for m, c in f.terms.items()}, _canonical=True)
 
 
 # optional on-disk basis cache, enabled by HILBSAM_GB_CACHE (documented; off
@@ -1017,11 +1029,65 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
-    """(I : f) via generators of I ∩ (f) divided exactly by f."""
+    """(I : f).  For f = c·u with u a monomial (a constant included), the
+    ideal generated by the reduced degrevlex basis of I : u, from
+    _by_monomial with no elimination; otherwise the generators of I ∩ (f)
+    divided exactly by f.
+
+    With VERIFY_EXTRA_STEPS set, a monomial colon is checked against the
+    intersection (AssertionError on a difference)."""
     if f.is_zero():
         raise ZeroDivisor("colon by zero")
+    if len(f.terms) > 1:
+        return _colon_by_intersection(I, f)
+    gb = _by_monomial(I, next(iter(f.terms)), saturate=False)
+    if VERIFY_EXTRA_STEPS and gb.elements != _colon_by_intersection(I, f).groebner().elements:
+        raise AssertionError("the colon by a monomial disagrees with the colon by intersection")
+    return IdealHandle.of_basis(gb)
+
+
+def _colon_by_intersection(I: IdealHandle, f: Polynomial) -> IdealHandle:
     K = intersect(I, IdealHandle(I.ring, [f]))
     return IdealHandle(I.ring, [poly_exact_div(g, f) for g in K.generators])
+
+
+def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
+    """The reduced degrevlex basis of I : x^u, or with saturate of
+    I : (x^u)^inf, from degrevlex bases alone (Bayer & Stillman, A criterion
+    for detecting m-regularity, Invent. Math. 87, 1987; Eisenbud,
+    Commutative Algebra, 15.12).
+
+    The homogenized reduced degrevlex basis of I generates I^h, and
+    (I : x_i)^h = I^h : x_i.  Under degrevlex with x_i the last variable, a
+    homogeneous polynomial is divisible by x_i exactly as often as its
+    leading monomial, so a basis of I^h with each element divided by x_i
+    (by its largest power of x_i, to saturate) is a basis of I^h : x_i
+    (of I^h : x_i^inf).  The variables of u are taken in turn, x_i^e
+    dividing at most e times, and h = 1 ends it.  The variables are
+    permuted on the exponent tuples; the order stays degrevlex."""
+    ring = I.ring
+    ring_h, gens = _homogenized(ring, I.groebner().elements)
+    h = ring.nvars
+    for i, e in enumerate(u):
+        if not e:
+            continue
+        swap = list(range(h + 1))
+        swap[i], swap[h] = h, i  # x_i last, h in its place
+        ring_p = RingSpec(tuple(ring_h.variables[j] for j in swap), ring.field)
+        gb = IdealHandle(ring_p, [_permuted(ring_p, f, swap) for f in gens]).groebner()
+        gens = []
+        for f in gb.elements:
+            k = min(m[-1] for m in f.terms)
+            if not saturate:
+                k = min(k, e)
+            quotient = Polynomial(ring_p, {m[:-1] + (m[-1] - k,): c for m, c in f.terms.items()}, _canonical=True)
+            gens.append(_permuted(ring_h, quotient, swap))
+    return IdealHandle(ring, [_dehomogenized(ring, f) for f in gens]).groebner()
+
+
+def _permuted(ring: RingSpec, f: Polynomial, perm: list[int]) -> Polynomial:
+    """f in ring, whose variable j is variable perm[j] of f's ring."""
+    return Polynomial(ring, {tuple(m[j] for j in perm): c for m, c in f.terms.items()}, _canonical=True)
 
 
 def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -1036,23 +1102,41 @@ def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 
 
 def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """(I : J^inf) = ∩_g ((I + (1 - t*g)) ∩ R) over the autoreduced
-    generators g of J (Rabinowitsch; Cox, Little & O'Shea, Ideals,
-    Varieties, and Algorithms, Ch. 4 §4): one elimination basis in R[t] per
-    generator, then the parts are intersected.  Returns the saturation
-    generated by its reduced degrevlex basis.  The pair budget bounds each
-    elimination (ResourceLimit); raises ZeroDivisor when J is zero."""
+    """(I : J^inf) = ∩_g (I : g^inf) over the autoreduced generators g of J,
+    each part by _saturation_part, then the parts are intersected.  Returns
+    the saturation generated by its reduced degrevlex basis.  The pair
+    budget bounds each basis (ResourceLimit); raises ZeroDivisor when J is
+    zero."""
     if I.ring != J.ring:
         raise MixedRings("ideals from different rings")
-    ring = I.ring
-    gens = autoreduce(ring, list(J.generators))
+    gens = autoreduce(I.ring, list(J.generators))
     if not gens:
         raise ZeroDivisor("saturation by the zero ideal")
+    return reduce(intersect, (_saturation_part(I, g) for g in gens))
+
+
+def _saturation_part(I: IdealHandle, g: Polynomial) -> IdealHandle:
+    """I : g^inf, generated by its reduced degrevlex basis: by _by_monomial
+    for a monomial g, otherwise by one elimination.
+
+    With VERIFY_EXTRA_STEPS set, a monomial part is checked against the
+    elimination (AssertionError on a difference)."""
+    if len(g.terms) > 1:
+        return _saturation_by_elimination(I, g)
+    part = IdealHandle.of_basis(_by_monomial(I, next(iter(g.terms)), saturate=True))
+    if VERIFY_EXTRA_STEPS and part.generators != _saturation_by_elimination(I, g).generators:
+        raise AssertionError("the saturation by a monomial disagrees with the elimination")
+    return part
+
+
+def _saturation_by_elimination(I: IdealHandle, g: Polynomial) -> IdealHandle:
+    """(I + (1 - t*g)) ∩ R (Rabinowitsch; Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 4 §4): one elimination basis in R[t]."""
+    ring = I.ring
     ring2 = _aux_ring(ring)
-    lifted = [_lift(f, ring2) for f in I.generators]
     t = ring2.variable(0)
-    parts = (_eliminate(ring, ring2, lifted + [ring2.one() - t * _lift(g, ring2)]) for g in gens)
-    return reduce(intersect, parts)
+    lifted = [_lift(f, ring2) for f in I.generators]
+    return _eliminate(ring, ring2, lifted + [ring2.one() - t * _lift(g, ring2)])
 
 
 # ---------------------------------------------------------------------------
@@ -1239,17 +1323,36 @@ def _oracle_check(J: IdealHandle, cutoff: int, value: int) -> None:
         )
 
 
-def sat_quotient_length(J: IdealHandle, cutoffs: tuple[int, int] = (4, 64)) -> int:
+def sat_quotient_length(J: IdealHandle) -> int:
     """Length of (J : m^inf)/J (the zeroth local cohomology of R/J at the
-    origin), by the stabilized difference of truncated colengths."""
+    origin).  J ⊆ sat = J : m^inf and sat/J is killed by a power of m, so
+    its length is its dimension, the number of monomials in L(sat) but not
+    in L(J) under degrevlex.  They are counted by one walk up from the
+    generators of L(sat) outside L(J), through monomials outside L(J).
+
+    With VERIFY_EXTRA_STEPS set, the count is checked against the first
+    repeated difference of truncated colengths on the ladder (AssertionError
+    on a difference)."""
     sat = saturate(J, maximal_ideal(J.ring))
     if ideal_equal(sat, J):
         return 0
-    n0, nmax = cutoffs
+    inner = J.groebner().leading_monomials
+    starts = [g for g in sat.groebner().leading_monomials if not any(mono_divides(lt, g) for lt in inner)]
+    count = len(_standard_monomials(inner, J.ring.nvars, math.inf, starts=starts))
+    if VERIFY_EXTRA_STEPS:
+        ladder = _ladder_sat_quotient_length(J, sat)
+        if ladder != count:
+            raise AssertionError(f"saturation quotient length {count} disagrees with truncation ladder {ladder}")
+    return count
+
+
+def _ladder_sat_quotient_length(J: IdealHandle, sat: IdealHandle) -> int | None:
+    """The first repeated difference of truncated colengths of J and sat on
+    the ladder up to cutoff 64, or None."""
     prev = None
-    for n in _ladder(max(2, n0), nmax):
+    for n in _ladder(4, 64):
         d = colength_at_cutoff(J, n) - colength_at_cutoff(sat, n)
-        if prev is not None and prev == d:
+        if d == prev:
             return d
         prev = d
-    raise NotFinite(f"saturation quotient length did not stabilize up to cutoff {nmax}")
+    return None

@@ -206,7 +206,7 @@ def e1_via_slice(A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial) -> i
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
     A2, _, (a,) = _normalized(A, Q.lifts, (a,))
-    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, [a])), A.cutoffs)
+    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, [a])))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ring4, staged, two_planes
+from helpers import colon_by_elimination, ring4, saturation_by_elimination, staged, two_planes
 from hilbsam import groebner
 from hilbsam.cli import main
 from hilbsam.errors import NotLocallyFinite, PackedRangeExceeded, ResourceLimit, ZeroDivisor
@@ -329,6 +329,8 @@ def test_sat_quotient_length_examples(verify_mode):
     # the two planes A_2 modulo X^2 - Z, in four variables
     A = two_planes(2)
     assert sat_quotient_length(ideal_sum(A.defining, ideal(A.ring, ["X^2-Z"]))) == 4
+    # a second component at y = 1: (x^2, xy, y^2) at the origin, (x, y - 1) away
+    assert sat_quotient_length(ideal(R2, ["x^2", "x*y", "y^2*(y-1)"])) == 3
 
 
 def test_resource_limit():
@@ -662,6 +664,143 @@ def test_saturate_matches_iterated_colons(case):
     assert all(member(f, S) for f in I.generators)  # I ⊆ I : J^inf
     assert ideal_equal(colon_ideal(S, J), S)  # and it is saturated
     assert S.generators == tuple(S.groebner().elements)  # given by its reduced basis
+
+
+def test_monomial_colons_and_saturations_take_no_elimination(monkeypatch):
+    I = ideal(R2, ["x^3 - y^2", "x^2*y^2 + x*y", "y^4"])
+    expected_colon = colon_by_elimination(I, P("3*x*y")).groebner().elements
+    expected_sat = saturation_by_elimination(I, P("x")).generators
+
+    def refuse(*args):
+        raise AssertionError("an elimination basis was built")
+
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    monkeypatch.setattr(groebner, "_eliminate", refuse)
+    assert colon(I, P("3*x*y")).generators == tuple(expected_colon)
+    assert saturate(I, ideal(R2, ["x"])).generators == expected_sat
+
+
+def test_sat_quotient_length_builds_no_truncated_basis(monkeypatch):
+    A = two_planes(2)
+    J = ideal_sum(A.defining, ideal(A.ring, ["X^2-Z"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truncated basis was built")
+
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    monkeypatch.setattr(IdealHandle, "truncated_groebner", refuse)
+    assert sat_quotient_length(J) == 4
+
+
+def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
+    I = ideal(R2, ["x^2*y - y", "x*y^2"])
+    assert colon(I, P("-2*y")).generators == tuple(colon_by_elimination(I, P("-2*y")).groebner().elements)
+    assert sat_quotient_length(ideal(R2, ["x^3", "x*y"])) == 2
+    # a wrong answer from the homogenized path is caught
+    monkeypatch.setattr(groebner, "_by_monomial", lambda I, u, saturate: I.groebner())
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    with pytest.raises(AssertionError, match="colon by a monomial"):
+        colon(I, P("y"))
+    with pytest.raises(AssertionError, match="saturation by a monomial"):
+        saturate(I, ideal(R2, ["y"]))
+    # and so is a count the truncation ladder does not reproduce
+    monkeypatch.undo()
+    real = groebner._standard_monomials
+
+    def one_too_many(lts, nvars, bound, weights=None, starts=None):
+        return real(lts, nvars, bound, weights, starts) + ([()] if starts else [])
+
+    monkeypatch.setattr(groebner, "_standard_monomials", one_too_many)
+    with pytest.raises(AssertionError, match="truncation ladder"):
+        sat_quotient_length(ideal(R2, ["x^3", "x*y"]))
+
+
+@st.composite
+def _monomial_colon_cases(draw):
+    """(I, c·u): I in 2-3 variables over F_32003 or QQ, with one to three
+    generators, homogeneous (of degree 1-3 each) or not (degree <= 3, up to
+    three terms); u a monomial with exponents <= 2 (1 included) and c a
+    nonzero coefficient."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    nvars = draw(st.integers(2, 3))
+    ring = RingSpec(("x", "y", "z")[:nvars], field)
+    coeffs = st.integers(-3, 3).filter(bool).map(ring.field.of_int)
+    homogeneous = draw(st.booleans())
+    mixed = [m for m in monomials_below_degree(nvars, 4) if sum(m)]
+
+    def poly():
+        monos = list(monomials_of_degree(nvars, draw(st.integers(1, 3)))) if homogeneous else mixed
+        return Polynomial(ring, draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3)))
+
+    I = IdealHandle(ring, [poly() for _ in range(draw(st.integers(1, 3)))])
+    u = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+    return I, Polynomial(ring, {u: draw(coeffs)})
+
+
+@given(_monomial_colon_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_monomial_colon_matches_the_elimination(case):
+    I, f = case
+    # generated by its reduced basis, that of the reference
+    assert colon(I, f).generators == tuple(colon_by_elimination(I, f).groebner().elements)
+
+
+@given(_monomial_colon_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_monomial_saturation_matches_the_elimination(case):
+    I, f = case
+    assert saturate(I, IdealHandle(I.ring, [f])).generators == saturation_by_elimination(I, f).generators
+
+
+def _length_by_degrees(sat, J):
+    """#(L(sat) minus L(J)), degree by degree: a degree past sat's generators
+    with no such monomial has none above it either."""
+    nvars = J.ring.nvars
+    outer, inner = sat.groebner().leading_monomials, J.groebner().leading_monomials
+    top = max(sum(m) for m in outer)
+    count, d = 0, 0
+    while True:
+        found = sum(
+            1 for m in monomials_of_degree(nvars, d)
+            if any(mono_divides(g, m) for g in outer) and not any(mono_divides(g, m) for g in inner)
+        )
+        count += found
+        if not found and d >= top:
+            return count
+        d += 1
+
+
+@st.composite
+def _embedded_cases(draw):
+    """J in 2-3 variables over F_32003 or QQ, often with an embedded
+    component at the origin and, when inhomogeneous, components off it:
+    generators with up to three terms, homogeneous (of degree 1-3 each) or
+    not (degree <= 3), half of them times a monomial of degree 1-2."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    nvars = draw(st.integers(2, 3))
+    ring = RingSpec(("x", "y", "z")[:nvars], field)
+    coeffs = st.integers(-3, 3).filter(bool).map(ring.field.of_int)
+    homogeneous = draw(st.booleans())
+    mixed = list(monomials_below_degree(nvars, 4))
+    shifts = [m for m in monomials_below_degree(nvars, 3) if sum(m)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = list(monomials_of_degree(nvars, draw(st.integers(1, 3)))) if homogeneous else mixed
+        f = Polynomial(ring, draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            f = f * ring.monomial(draw(st.sampled_from(shifts)))
+        gens.append(f)
+    return IdealHandle(ring, gens)
+
+
+@given(_embedded_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+def test_sat_quotient_length_matches_the_elimination(J):
+    parts = [saturation_by_elimination(J, J.ring.variable(i)) for i in range(J.ring.nvars)]
+    sat = parts[0]
+    for part in parts[1:]:
+        sat = intersect(sat, part)
+    assert sat_quotient_length(J) == _length_by_degrees(sat, J)
 
 
 def _breadth_first(nvars, bound):

@@ -1,9 +1,11 @@
+from itertools import pairwise, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import big_i, fat_point, regular2, ring4, staged, two_planes
-from hilbsam import exactalg, hilbert, secmethods
+from helpers import big_i, colon_by_elimination, fat_point, regular2, ring4, staged, two_planes
+from hilbsam import exactalg, groebner, hilbert, secmethods
 from hilbsam.exactalg import GF32003, QQ, ExactMatrix, nullspace, rank
 from hilbsam.groebner import (
     IdealHandle,
@@ -21,6 +23,7 @@ from hilbsam.hilbert import (
     hilbert_report,
     is_reduction,
     parameter_ideal,
+    power_bases,
     sample_reductions,
 )
 from hilbsam.polyring import parse_poly
@@ -204,7 +207,7 @@ def test_slice_agrees_with_fit_on_samples():
         assert e1_via_slice(A, q, q.lifts[0]) == rep.coeffs[1]
 
 
-def test_is_d_sequence_examples():
+def test_is_d_sequence_examples(verify_mode):
     A = regular2()
     xy = [A.ring.variable("x"), A.ring.variable("y")]
     assert is_d_sequence(A, xy)
@@ -252,7 +255,7 @@ def test_unmixed_component_examples():
     assert witnessed, "U(a) must have (a) as a reduction"
 
 
-def test_is_superficial_examples():
+def test_is_superficial_examples(verify_mode):
     A = regular2()
     Q = parameter_ideal(A, ["x", "y"])
     assert is_superficial(A, Q, A.ring.variable("x"))
@@ -261,6 +264,58 @@ def test_is_superficial_examples():
     assert not is_superficial(At, Qp, parse_poly(At.ring, "X^2+Y^2-W"))
     Q2 = parameter_ideal(At, ["X^2-Z", "Y^2-W"])
     assert is_superficial(At, Q2, parse_poly(At.ring, "X^2-Z"))
+
+
+def test_chart_checkers_take_no_elimination(monkeypatch):
+    # in a chart every colon is by a variable or a product of two
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    diag = list(Q.lifts)
+
+    def refuse(*args):
+        raise AssertionError("an elimination basis was built")
+
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    monkeypatch.setattr(groebner, "_eliminate", refuse)
+    assert not is_d_sequence(A, diag, all_orders=True)
+    assert is_superficial(A, Q, diag[0])
+
+
+def _d_sequence_by_elimination(A, elems):
+    """The colon criterion of is_d_sequence, over every order, on the given
+    elements with the elimination colon."""
+    for seq in permutations(elems):
+        for i in range(1, len(seq) + 1):
+            prefix = ideal_sum(A.defining, IdealHandle(A.ring, seq[: i - 1]))
+            for j in range(i, len(seq) + 1):
+                lhs = colon_by_elimination(prefix, seq[i - 1] * seq[j - 1])
+                if not ideal_equal(lhs, colon_by_elimination(prefix, seq[j - 1])):
+                    return False
+    return True
+
+
+def _superficial_by_elimination(A, Q, a, window):
+    """The windowed criterion of is_superficial on the raw lifts with the
+    elimination colon."""
+    zero_colon = colon_by_elimination(A.defining, a)
+    bases = pairwise(power_bases(A, IdealHandle(A.ring, Q.lifts)))
+    for n, (power, nxt) in zip(range(max(window) + 1), bases):
+        if n in window and not ideal_equal(colon_by_elimination(nxt, a), ideal_sum(power, zero_colon)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("A", [two_planes(2), two_planes(3), staged(2), staged(3)], ids=["A2", "A3", "staged2", "staged3"])
+@pytest.mark.parametrize("lifts", [["X-Z", "Y-W"], ["X^2-Z", "Y-W"]], ids=["diagonal", "square"])
+def test_chart_checkers_match_the_colon_criterion_on_the_raw_lifts(A, lifts):
+    from hilbsam.transform import parameter_chart
+
+    Q = parameter_ideal(A, lifts)
+    assert parameter_chart(A.ring, Q.lifts) is not None
+    window = range(2, 7)  # is_superficial's default
+    assert is_d_sequence(A, list(Q.lifts), all_orders=True) == _d_sequence_by_elimination(A, Q.lifts)
+    for a in Q.lifts:
+        assert is_superficial(A, Q, a, window) == _superficial_by_elimination(A, Q, a, window)
 
 
 def test_chartless_checkers_on_form_parameters():
