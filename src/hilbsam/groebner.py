@@ -381,7 +381,9 @@ def _engine(
 
     cover: packed monomials.  The run stops as soon as each of them is
     divisible by a leading monomial of the partial basis, and returns the
-    minimal elements of that partial basis."""
+    minimal elements of that partial basis.  The generators are reduced and
+    appended first; only a run they leave undecided builds its pair set,
+    by the same Gebauer-Moeller updates in insertion order."""
     if trunc is not None and trunc > _DEG_LIMIT:
         raise PackedRangeExceeded(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
     budget = PAIR_BUDGET if pair_budget is None else pair_budget
@@ -398,8 +400,8 @@ def _engine(
     counter = 0
     uncovered = cover  # cover's monomials no leading monomial divides yet (None: no cover)
 
-    def insert(pr: list) -> None:
-        nonlocal counter, uncovered
+    def append(pr: list) -> None:
+        nonlocal uncovered
         lc = pr[0][1]
         if lc != one:
             c = inv(lc)
@@ -408,15 +410,27 @@ def _engine(
         if uncovered:
             lt = pr[0][0]
             uncovered = [t for t in uncovered if ((t | guard) - lt) & guard != guard]
-        for (i, j) in _gm_update(elems, pairs, len(elems) - 1, pk):
+
+    def update(new_idx: int) -> None:
+        nonlocal counter
+        for (i, j) in _gm_update(elems, pairs, new_idx, pk):
             L = pairs[(i, j)]
             counter += 1
             heapq.heappush(heap, (L >> shift, keyf(L), i, j, counter))
 
+    def insert(pr: list) -> None:
+        append(pr)
+        update(len(elems) - 1)
+
     for pr in raw_gens:
+        if uncovered == []:
+            break
         pr = _reduce_pairs(pr, elems, pk, ops, trunc, full=False) if elems else pr
         if pr:
-            insert(pr)
+            append(pr)
+    if uncovered != []:
+        for idx in range(len(elems)):
+            update(idx)
 
     processed = 0
 

@@ -332,11 +332,13 @@ class _PowerChain:
     """The reduced degrevlex bases G_n of a + I^n, n = 0, 1, ..., in the
     given coordinates, built on demand.  One chain serves the reduction
     certificates of every candidate against the same (a, I) within a call;
-    ideal equality does not depend on coordinates."""
+    ideal equality does not depend on coordinates.  known is an n at which
+    a candidate's certificate held, where the next search starts."""
 
     def __init__(self, A: QuotientRingSpec, I: IdealHandle):
         self._powers = power_bases(A, I)
         self._bases: list = []
+        self.known: int | None = None
 
     def basis(self, n: int):
         while len(self._bases) <= n:
@@ -353,17 +355,41 @@ def is_reduction(
 
 
 def _certificate(
-    A: QuotientRingSpec, Q: ParameterIdealSpec, chain: _PowerChain, n_cap: int = 8
+    A: QuotientRingSpec, Q: ParameterIdealSpec, chain: _PowerChain, n_cap: int = 8,
+    least: bool = True,
 ) -> int | None:
-    """is_reduction against a shared chain of a + I^n.  Q is in a + I, so
+    """is_reduction against a shared chain of a + I^n; with least False,
+    any n <= n_cap at which I^{n+1} = Q I^n holds.  Q is in a + I, so
     a + Q G_n lies in a + I^{n+1}, so product_equals decides their
-    equality against the known basis G_{n+1}."""
+    equality against the known basis G_{n+1}.
+
+    Equality at n gives it at n + 1, so the search starts at chain.known:
+    if it holds there, it walks down while it holds (least) or stops;
+    if not, it walks up.  With groebner.VERIFY_EXTRA_STEPS set, the plain
+    search up from 0 runs too and must agree."""
+    if n_cap < 0:
+        return None
     if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
-    for n in range(n_cap + 1):
-        if product_equals(A.defining, chain.basis(n), Q.lifts, chain.basis(n + 1)):
-            return n
-    return None
+
+    def holds(n: int) -> bool:
+        return product_equals(A.defining, chain.basis(n), Q.lifts, chain.basis(n + 1))
+
+    start = chain.known if chain.known is not None and chain.known <= n_cap else 0
+    if holds(start):
+        found = start
+        while least and found > 0 and holds(found - 1):
+            found -= 1
+    else:
+        found = next((n for n in range(start + 1, n_cap + 1) if holds(n)), None)
+    if groebner.VERIFY_EXTRA_STEPS:
+        plain = next((n for n in range(n_cap + 1) if holds(n)), None)
+        agree = found == plain if least else (found is None) == (plain is None)
+        if not agree or (found is not None and not holds(found)):
+            raise AssertionError(f"the certificate search from {start} gives {found}, from 0 {plain}")
+    if found is not None:
+        chain.known = found
+    return found
 
 
 def sample_reductions(
@@ -376,16 +402,17 @@ def sample_reductions(
     """Seeded random minimal reductions of I: d-tuples of random linear
     combinations of I's generators, kept when the reduction certificate
     passes.  Deterministic for a fixed seed.  Returns (reductions, warnings)."""
-    found, warnings = _certified_samples(A, I, count, seed, n_cap)
+    found, warnings = _certified_samples(A, I, count, seed, n_cap, least=False)
     return [q for q, _ in found], warnings
 
 
 def _certified_samples(
     A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8,
-    chain: _PowerChain | None = None,
+    chain: _PowerChain | None = None, least: bool = True,
 ) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
-    """sample_reductions with each reduction's certificate, all taken
-    against one chain of a + I^n (the given one, or a new one)."""
+    """sample_reductions with each reduction's certificate (with least
+    False, an n at which it holds), all taken against one chain of a + I^n
+    (the given one, or a new one)."""
     if chain is None:
         chain = _PowerChain(A, I)
     warnings: list[str] = []
@@ -415,7 +442,7 @@ def _certified_samples(
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):
             continue
-        cert = _certificate(A, Q, chain, n_cap)
+        cert = _certificate(A, Q, chain, n_cap, least)
         if cert is not None:
             found.append((Q, cert))
     if len(found) < count:

@@ -355,7 +355,7 @@ def k_plus_j_analysis(
     entries = []
     chain = _PowerChain(B, J)
     for name, q in named:
-        if _certificate(B, q, chain) is None:
+        if _certificate(B, q, chain, least=False) is None:
             raise ValueError(f"{name} is not a reduction of J")
         r = _sally_rank(B, rep_j, q, n_max)
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))

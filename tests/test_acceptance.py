@@ -5,8 +5,10 @@ test prints one PASS line; criteria 1-8 check the built-in reproduction
 suite's frozen expectations, criterion 9 runs the property suites.
 """
 
+import json
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,20 @@ def suite_fp():
 @pytest.fixture(scope="module")
 def suite_qq():
     return run_paper_suite(field="qq", seed=0)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fixture, golden", [
+    ("suite_fp", "suite_paper_fp_seed0.json"),
+    ("suite_qq", "suite_paper_qq_seed0.json"),
+])
+def test_suite_report_matches_the_golden_json(fixture, golden, request):
+    # the `hilbsam suite paper --json` text, byte for byte (see README)
+    report = request.getfixturevalue(fixture)
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+    assert text + "\n" == (DATA / golden).read_text(encoding="utf-8")
 
 
 def _check_cases(report, prefix, label):

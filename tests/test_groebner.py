@@ -1001,3 +1001,21 @@ def test_product_degrees_outside_the_packed_range_raise(tmp_path, capsys):
     }))
     assert main(["run", str(path)]) == 3
     assert "packed range" in capsys.readouterr().err
+
+
+def test_product_equals_decided_by_its_generators_builds_no_pair_set(monkeypatch):
+    # the products of (x, y) and (x + y, y) lead with x^2, xy and y^2, so the
+    # run is decided before any pair: Gebauer-Moeller never runs
+    F, H = _basis(R2, [P("x"), P("y")]), [P("x + y"), P("y")]
+    K = ideal(R2, ["x^2", "x*y", "y^2"]).groebner()
+    a, one, H2 = ideal(R2, ["x^2 - y"]), _basis(R2, [R2.one()]), [P("x*y")]
+    K2 = _generator_list_basis(a, [R2.one()], H2)
+
+    def refuse(*args):
+        raise AssertionError("a pair set was built")
+
+    monkeypatch.setattr(groebner, "_gm_update", refuse)
+    assert product_equals(IdealHandle(R2, []), F, H, K)
+    # a run its generators leave undecided still builds its pairs
+    with pytest.raises(AssertionError, match="pair set"):
+        product_equals(a, one, H2, K2)

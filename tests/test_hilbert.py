@@ -18,6 +18,7 @@ from hilbsam.groebner import (
     local_colength,
     local_colength_info,
     maximal_ideal,
+    product_equals,
 )
 from hilbsam.hilbert import (
     QuotientRingSpec,
@@ -604,3 +605,98 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
         chain.basis(n)
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
     assert hilbert._certificate(A, not_a_reduction, chain, n_cap=2) is None
+
+
+def _certificate_cases():
+    # (A, I, Q, n_cap): certificates 2, 4, 2, 2, 1 and a non-reduction
+    tp2, tp3 = two_planes(2), two_planes(3)
+    return [
+        (tp2, maximal_ideal(tp2.ring), ["X+Z", "Y+W"], 3),
+        (tp3, maximal_ideal(tp3.ring), ["X+Z", "Y+W"], 5),
+        (tp2, big_i(tp2, 2), ["X*Y-Z", "X^2+Y^2-W"], 3),
+        (tp3, big_i(tp3, 2), ["X*Y-Z", "X^2+Y^2-W"], 3),
+        (tp2, ideal(tp2.ring, ["X^2", "Y^2", "Z", "W"]), ["X^2-Z", "Y^2-W"], 3),
+        (tp2, maximal_ideal(tp2.ring), ["X^2-Z", "Y^2-W"], 2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_certificate_search_from_any_known_n(case):
+    # the search from chain.known finds the least n (least mode) or some n
+    # where equality holds (acceptance mode), exactly when the plain search
+    # from 0 on a fresh chain finds one
+    A, I, lifts, n_cap = _certificate_cases()[case]
+    Q = parameter_ideal(A, lifts)
+    least = is_reduction(A, Q, I, n_cap)
+    chain = hilbert._PowerChain(A, I)
+    for known in [None, *range(n_cap + 2)]:
+        chain.known = known
+        assert hilbert._certificate(A, Q, chain, n_cap) == least, known
+        chain.known = known
+        n = hilbert._certificate(A, Q, chain, n_cap, least=False)
+        assert (n is None) == (least is None), known
+        if n is not None:
+            assert n <= n_cap
+            assert product_equals(A.defining, chain.basis(n), Q.lifts, chain.basis(n + 1))
+
+
+def _count_product_equals(monkeypatch) -> list:
+    runs = []
+    real = hilbert.product_equals
+
+    def counted(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(hilbert, "product_equals", counted)
+    return runs
+
+
+def test_certificates_after_the_first_start_at_the_known_n(monkeypatch):
+    # every reduction of m in two_planes(2) has certificate 2: the first
+    # candidate searches n = 0, 1, 2, each later one accepts at n = 2 with
+    # one run, or checks n = 2 and n = 1 for its least certificate
+    A = two_planes(2)
+    m = maximal_ideal(A.ring)
+    runs = _count_product_equals(monkeypatch)
+    reductions, _ = sample_reductions(A, m, 5, seed=4)
+    assert len(reductions) == 5
+    assert len(runs) <= 3 + 4
+    runs.clear()
+    rep = lambda_map(A, m, count=5, seed=4, n_max=5)
+    assert [e.certificate for e in rep.entries] == [2] * 5
+    assert len(runs) <= 3 + 2 * 4
+
+
+def test_certificate_with_a_negative_cap_makes_no_run(monkeypatch):
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X+Z", "Y+W"])
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    runs = _count_product_equals(monkeypatch)
+    engine_runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: engine_runs.append(1) or real(*a, **k))
+    assert is_reduction(A, Q, maximal_ideal(A.ring), n_cap=-1) is None
+    assert runs == [] and engine_runs == []
+
+
+def test_lambda_map_certificates_in_verify_mode(verify_mode):
+    # verify mode reruns each certificate search from 0 against the chain
+    A = two_planes(2)
+    rep = lambda_map(A, maximal_ideal(A.ring), count=3, seed=3, n_max=5)
+    assert [e.certificate for e in rep.entries] == [2, 2, 2]
+    assert rep.values == [-2]
+
+
+def test_certificate_search_disagreement_is_caught_in_verify_mode(verify_mode, monkeypatch):
+    # an equality that held at n = 0 and n = 2 but not at n = 1 would break
+    # the walk down from a known n = 2; the plain search from 0 catches it
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X+Z", "Y+W"])
+    chain = hilbert._PowerChain(A, maximal_ideal(A.ring))
+    chain.known = 2
+    monkeypatch.setattr(
+        hilbert, "product_equals", lambda a, F, H, K: any(F is chain.basis(n) for n in (0, 2))
+    )
+    with pytest.raises(AssertionError, match="certificate search"):
+        hilbert._certificate(A, Q, chain, 3)
