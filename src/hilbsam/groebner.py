@@ -27,6 +27,7 @@ import math
 import os
 import struct
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -377,7 +378,8 @@ def _engine(
     cover: list[int] | None = None,
 ) -> list[_Elem]:
     """Run Buchberger on packed term lists (each strictly descending);
-    returns the minimal interreduced elements.
+    returns the minimal interreduced elements.  When every list is one
+    term, these are the minimal monomials, found with no pair set.
 
     cover: packed monomials.  The run stops as soon as each of them is
     divisible by a leading monomial of the partial basis, and returns the
@@ -392,6 +394,10 @@ def _engine(
     _add, _sub, mul, neg, inv, one = ops
 
     raw_gens = [pr for pr in raw_gens if pr]
+    if all(len(pr) == 1 for pr in raw_gens):
+        # a monomial ideal: every S-polynomial is zero, so its minimal
+        # generators are its reduced basis (no pair set, no budget spent)
+        return _minimal([_Elem([(pr[0][0], one)]) for pr in raw_gens], pk)
     raw_gens.sort(key=lambda pr: [keyf(t[0]) for t in pr])
 
     elems: list[_Elem] = []
@@ -480,16 +486,7 @@ def _engine(
         if not heap and all(e.boundary_done for e in elems):
             break
 
-    by_lt: dict = {}
-    for e in elems:  # keep the first element per leading monomial
-        by_lt.setdefault(e.lt, e)
-    cands = list(by_lt.values())
-    minimal = []
-    for e in cands:
-        eg = e.lt | guard
-        if not any(o.lt != e.lt and (eg - o.lt) & guard == guard for o in cands):
-            minimal.append(e)
-    minimal.sort(key=lambda e: keyf(e.lt))
+    minimal = _minimal(elems, pk)
     if reduce_tails:
         for idx, e in enumerate(minimal):
             others = minimal[:idx] + minimal[idx + 1 :]
@@ -498,6 +495,18 @@ def _engine(
             tail = _reduce_pairs(e.terms[1:], others, pk, ops, trunc, full=True)
             minimal[idx] = _Elem([e.terms[0]] + tail)
             minimal[idx].boundary_done = e.boundary_done
+    return minimal
+
+
+def _minimal(elems: list[_Elem], pk: _Packing) -> list[_Elem]:
+    """The elements whose leading monomial no other one divides (the first
+    of equal ones), ascending by key: a divisor never has a larger key."""
+    guard = pk.guard
+    minimal: list[_Elem] = []
+    for e in sorted(elems, key=lambda e: pk.key(e.lt)):
+        eg = e.lt | guard
+        if not any((eg - o.lt) & guard == guard for o in minimal):
+            minimal.append(e)
     return minimal
 
 
@@ -545,56 +554,75 @@ class GroebnerBasis:
         return out
 
 
-def _standard_monomials(
+def _staircase(
     lts: list[Monomial], nvars: int, bound: float, weights: tuple[int, ...] | None = None, starts=None
-) -> list[Monomial]:
-    """Monomials of degree < bound divisible by no lt, breadth first from 1
-    (or from starts, monomials no lt divides); with 0/1 weights, of weighted
-    degree < bound.
+) -> tuple[_Packing, list[int]]:
+    """The monomials of degree < bound divisible by no lt, breadth first
+    from 1 (or from starts, monomials no lt divides); with 0/1 weights, of
+    weighted degree < bound.  Packed, with the (weighted) degree in the
+    degree field, which the guard-bit divisor test does not read.
 
     The walk tests m + e_i only for standard m.  No lt divides m, so an lt
     dividing m + e_i exceeds m in variable i alone: its i-th exponent is
-    m_i + 1.  The lts are bucketed by (i, lt_i) and only that bucket is
-    tested.  A weighted walk is finite iff every variable of weight 0 has a
-    pure power among the lts; NotLocallyFinite is raised before walking
-    otherwise."""
-    origin = (0,) * nvars
+    m_i + 1.  So only the lts with that i-th field are tested.  A weighted
+    walk is finite iff every variable of weight 0 has a pure power among
+    the lts; NotLocallyFinite is raised before walking otherwise.  A finite
+    bound past the packed range raises PackedRangeExceeded."""
+    pk = _packing(nvars, DEGREVLEX)
     if any(sum(lt) == 0 for lt in lts):
-        return []
-    every = range(nvars)
+        return pk, []
     if weights is None:
-        wdeg, free = sum, ()
-    else:
-        weighted = [i for i in every if weights[i]]
-        free = [i for i in every if not weights[i]]
-        if not all(any(lt[i] == sum(lt) for lt in lts) for i in free):
-            raise NotLocallyFinite("a variable of weight 0 has no pure power among the leading monomials")
-
-        def wdeg(m):
-            return sum(m[j] for j in weighted)
-
+        weights = (1,) * nvars
+    elif not all(w or any(lt[i] == sum(lt) for lt in lts) for i, w in enumerate(weights)):
+        raise NotLocallyFinite("a variable of weight 0 has no pure power among the leading monomials")
+    if math.inf > bound > _DEG_LIMIT:
+        raise _out_of_range(bound - 1)
+    shift, guard = pk.shift, pk.guard
+    fields = (1 << shift) - 1
+    masks = [0x7FFF << _FIELD_BITS * i for i in range(nvars)]
+    moves = [(1 << _FIELD_BITS * i | w << shift, masks[i]) for i, w in enumerate(weights)]
+    free = [move for move, w in zip(moves, weights) if not w]  # weight-0 steps keep w
     buckets: dict = {}
     for lt in lts:
-        for i, e in enumerate(lt):
-            if e:
-                buckets.setdefault((i, e), []).append(lt)
-    queue = [origin] if starts is None else list(starts)
+        p = pk.pack(lt)
+        for mask in masks:
+            if p & mask:
+                buckets.setdefault(p & mask, []).append(p)
+    if starts is None:
+        queue = [0]
+    else:
+        queue = [pk.pack(m) & fields | sum(e for e, w in zip(m, weights) if w) << shift for m in starts]
+    limit = (bound - 1) << shift if bound < math.inf else math.inf
     seen = set(queue)
     for m in queue:
-        for i in every if wdeg(m) + 1 < bound else free:  # weight-0 steps keep w
-            m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
+        for step, mask in moves if m < limit else free:
+            m2 = m + step
             if m2 in seen:
                 continue
             seen.add(m2)
-            for lt in buckets.get((i, m2[i]), ()):
-                for a, b in zip(lt, m2):
-                    if a > b:
-                        break
-                else:
+            mg = m2 | guard
+            for lt in buckets.get(m2 & mask, ()):
+                if (mg - lt) & guard == guard:
                     break  # lt divides m2
             else:
                 queue.append(m2)
-    return queue
+    return pk, queue
+
+
+def _staircase_counts(
+    lts: list[Monomial], nvars: int, bound: float, weights: tuple[int, ...] | None = None, starts=None
+) -> Counter:
+    """(Weighted) degree -> number of the monomials _staircase walks."""
+    pk, walk = _staircase(lts, nvars, bound, weights, starts)
+    return Counter(m >> pk.shift for m in walk)
+
+
+def _standard_monomials(
+    lts: list[Monomial], nvars: int, bound: float, weights: tuple[int, ...] | None = None, starts=None
+) -> list[Monomial]:
+    """The monomials _staircase walks, as exponent tuples in walk order."""
+    pk, walk = _staircase(lts, nvars, bound, weights, starts)
+    return [pk.unpack(m) for m in walk]
 
 
 class IdealHandle:
@@ -1170,7 +1198,7 @@ def colength_at_cutoff(J: IdealHandle, cutoff: int) -> int:
     gb = J.truncated_groebner(cutoff)
     if gb.contains_one():
         return 0
-    n = len(_standard_monomials(gb.leading_monomials, J.ring.nvars, cutoff))
+    n = _staircase_counts(gb.leading_monomials, J.ring.nvars, cutoff).total()
     if VERIFY_ORACLE_LIMIT:
         _oracle_check(J, cutoff, n)
     return n
@@ -1209,10 +1237,8 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
         return 0
     nv = J.ring.nvars
     lts = gb.leading_monomials
-    power_bound = 0
     for i in range(nv):
-        pure = [lt[i] for lt in lts if sum(lt) == lt[i]]
-        if not pure:
+        if not any(sum(lt) == lt[i] for lt in lts):
             try:
                 sat = saturate(J, maximal_ideal(J.ring))
             except PackedRangeExceeded:
@@ -1222,8 +1248,7 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
             if not any(g.constant_term() for g in sat.generators):
                 raise NotLocallyFinite("a positive-dimensional component passes through the origin")
             return None  # the infinite part misses the origin: truncate
-        power_bound += min(pure)
-    count = len(_standard_monomials(lts, nv, power_bound + 1))
+    count = _staircase_counts(lts, nv, math.inf).total()  # finite: every variable has a pure power
     if support_at_origin:
         return count
     for i in range(nv):
@@ -1352,7 +1377,7 @@ def sat_quotient_length(J: IdealHandle) -> int:
         return 0
     inner = J.groebner().leading_monomials
     starts = [g for g in sat.groebner().leading_monomials if not any(mono_divides(lt, g) for lt in inner)]
-    count = len(_standard_monomials(inner, J.ring.nvars, math.inf, starts=starts))
+    count = _staircase_counts(inner, J.ring.nvars, math.inf, starts=starts).total()
     if VERIFY_EXTRA_STEPS:
         ladder = _ladder_sat_quotient_length(J, sat)
         if ladder != count:

@@ -36,7 +36,7 @@ from .groebner import (
     normal_form,
     product_basis,
     product_equals,
-    _standard_monomials,
+    _staircase_counts,
 )
 from .polyring import Polynomial, RingSpec
 from .transform import parameter_chart
@@ -105,9 +105,11 @@ class QuotientRingSpec:
 
 @dataclass
 class ParameterIdealSpec:
-    """Parameter ideal given by d lifts to R; construct via parameter_ideal."""
+    """Parameter ideal given by d lifts to R; construct via parameter_ideal.
+    _chart: see _chart_of."""
 
     lifts: tuple[Polynomial, ...]
+    _chart: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _as_polys(A: QuotientRingSpec, lifts) -> tuple[Polynomial, ...]:
@@ -120,13 +122,34 @@ def _as_polys(A: QuotientRingSpec, lifts) -> tuple[Polynomial, ...]:
 
 
 def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
-    """Checked constructor: defining + (lifts) must have finite colength."""
+    """Checked constructor: defining + (lifts) must have finite colength
+    (NotLocallyFinite otherwise).  In a parameter chart that holds iff every
+    variable of weight 0 has a pure power in L(a), read off the local
+    standard basis hs_function samples from; without a chart, or over a
+    resource limit, the colength path decides.  With
+    groebner.VERIFY_EXTRA_STEPS set, both run and must agree."""
     polys = _as_polys(A, lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
-    A2, lifts, _ = _normalized(A, polys)
-    local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cutoffs)  # raises NotLocallyFinite
-    return ParameterIdealSpec(polys)
+    Q = ParameterIdealSpec(polys)
+    A2, lifts = _chart_of(A, Q)
+    try:
+        verdict = _chart_colengths(A2, lifts, 0)  # None: no chart verdict
+    except NotLocallyFinite as exc:
+        verdict = exc
+    if verdict is None or groebner.VERIFY_EXTRA_STEPS:
+        try:
+            local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cutoffs)
+            finite = True
+        except NotLocallyFinite:
+            if verdict is None:
+                raise
+            finite = False
+        if verdict is not None and finite != isinstance(verdict, dict):
+            raise AssertionError(f"the local basis finds a + Q finite: {not finite}, the colength path disagrees")
+    if isinstance(verdict, NotLocallyFinite):
+        raise verdict
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +167,15 @@ def _normalized(
     defining2 = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
     A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cutoffs)
     return A2, tuple(chart.lift_polys()), tuple(chart.transform_polys(polys))
+
+
+def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple[QuotientRingSpec, tuple[Polynomial, ...]]:
+    """_normalized(A, Q.lifts)[:2], kept on Q for this A object (a pool
+    worker's A is a new object and charts again)."""
+    if Q._chart is None or Q._chart[0] is not A:
+        A2, lifts, _ = _normalized(A, Q.lifts)
+        Q._chart = (A, A2, lifts)
+    return Q._chart[1], Q._chart[2]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +231,8 @@ def _chart_colengths(A: QuotientRingSpec, lifts, n_max: int) -> dict[int, int] |
     """l_A(A/Q^{n+1}) for n = 0..n_max from one local standard basis of the
     defining ideal a, when the lifts are distinct variables (a chart); None
     when they are not, when R[h] would exceed the ring size, or when the
-    basis exceeds a resource limit.
+    basis exceeds a resource limit.  NotLocallyFinite when a + Q is not
+    finite: a variable of weight 0 has no pure power in L(a).
 
     With weight 1 on the lifts and 0 elsewhere, the leading ideal of
     a + Q^{n+1} for the weighted local order is L(a) + Q^{n+1}, so
@@ -215,10 +248,8 @@ def _chart_colengths(A: QuotientRingSpec, lifts, n_max: int) -> dict[int, int] |
         _, lts = local_standard_basis(A.defining, weights)
     except ResourceLimit:
         return None
-    counts = [0] * (n_max + 1)
-    for m in _standard_monomials(lts, ring.nvars, n_max + 1, weights):
-        counts[sum(m[i] for i in pivots)] += 1
-    return dict(enumerate(accumulate(counts)))
+    counts = _staircase_counts(lts, ring.nvars, n_max + 1, weights)
+    return dict(enumerate(accumulate(counts[n] for n in range(n_max + 1))))
 
 
 def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> dict[int, int]:
@@ -230,7 +261,7 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
-    A2, lifts, _ = _normalized(A, Q.lifts)
+    A2, lifts = _chart_of(A, Q)
     H = _chart_colengths(A2, lifts, n_max)
     if H is None or groebner.VERIFY_EXTRA_STEPS:
         by_powers = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, islice, pairwise, permutations
-from math import comb
+from math import comb, inf
 
 from .errors import BoundViolation, PackedRangeExceeded
 from .exactalg import ExactMatrix, echelon_insert, rank
@@ -102,9 +102,7 @@ def artin_algebra(ring: RingSpec, c: IdealHandle) -> ArtinAlgebra:
         value, refusal = None, exc
     if value is not None:
         gb = c.groebner()
-        lts = gb.leading_monomials
-        bound = sum(min(lt[i] for lt in lts if sum(lt) == lt[i]) for i in range(ring.nvars))
-        basis = _standard_monomials(lts, ring.nvars, bound + 1)
+        basis = _standard_monomials(gb.leading_monomials, ring.nvars, inf)  # a finite staircase
     else:
         info = _ladder_colength_info(c, (4, 64), refusal)  # raises if no stabilization
         gb = c.truncated_groebner(info.window[1])

@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -705,12 +708,12 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
         saturate(I, ideal(R2, ["y"]))
     # and so is a count the truncation ladder does not reproduce
     monkeypatch.undo()
-    real = groebner._standard_monomials
+    real = groebner._staircase_counts
 
     def one_too_many(lts, nvars, bound, weights=None, starts=None):
-        return real(lts, nvars, bound, weights, starts) + ([()] if starts else [])
+        return real(lts, nvars, bound, weights, starts) + Counter({0: 1} if starts else {})
 
-    monkeypatch.setattr(groebner, "_standard_monomials", one_too_many)
+    monkeypatch.setattr(groebner, "_staircase_counts", one_too_many)
     with pytest.raises(AssertionError, match="truncation ladder"):
         sat_quotient_length(ideal(R2, ["x^3", "x*y"]))
 
@@ -828,6 +831,16 @@ def test_standard_monomials_match_a_brute_force_filter(case):
         m for m in _breadth_first(nvars, bound) if not any(mono_divides(lt, m) for lt in lts)
     ]
     assert groebner._standard_monomials(lts, nvars, bound) == expected
+    assert groebner._staircase_counts(lts, nvars, bound) == Counter(sum(m) for m in expected)
+    # up from starts with no bound, pure powers of degree bound closing the staircase
+    closed = lts + [tuple(bound * (j == i) for j in range(nvars)) for i in range(nvars)]
+    starts = expected[-3:]
+    reachable = [
+        m for m in itertools.product(range(bound), repeat=nvars)
+        if any(mono_divides(s, m) for s in starts) and not any(mono_divides(lt, m) for lt in closed)
+    ]
+    assert sorted(groebner._standard_monomials(closed, nvars, math.inf, starts=starts)) == reachable
+    assert groebner._staircase_counts(closed, nvars, math.inf, starts=starts) == Counter(sum(m) for m in reachable)
 
 
 def _weighted_brute_force(nvars, lts, bound, weights):
@@ -852,13 +865,19 @@ def test_weighted_standard_monomials_match_a_brute_force_filter(case):
     finite = all(w or any(lt[i] == sum(lt) > 0 for lt in lts) for i, w in enumerate(weights))
     if any(sum(lt) == 0 for lt in lts):
         assert groebner._standard_monomials(lts, nvars, bound, weights) == []
+        assert groebner._staircase_counts(lts, nvars, bound, weights) == Counter()
     elif not finite:
         with pytest.raises(NotLocallyFinite):
             groebner._standard_monomials(lts, nvars, bound, weights)
+        with pytest.raises(NotLocallyFinite):
+            groebner._staircase_counts(lts, nvars, bound, weights)
     else:
         got = groebner._standard_monomials(lts, nvars, bound, weights)
         assert len(set(got)) == len(got)
-        assert sorted(got) == _weighted_brute_force(nvars, lts, bound, weights)
+        expected = _weighted_brute_force(nvars, lts, bound, weights)
+        assert sorted(got) == expected
+        wdeg = Counter(sum(e for e, w in zip(m, weights) if w) for m in expected)
+        assert groebner._staircase_counts(lts, nvars, bound, weights) == wdeg
 
 
 @given(_small_ideals(), st.data())
@@ -1019,3 +1038,63 @@ def test_product_equals_decided_by_its_generators_builds_no_pair_set(monkeypatch
     # a run its generators leave undecided still builds its pairs
     with pytest.raises(AssertionError, match="pair set"):
         product_equals(a, one, H2, K2)
+
+
+def _refuse_pairs(*args):
+    raise AssertionError("a pair set was built")
+
+
+@st.composite
+def _monomial_inputs(draw):
+    """(ring, order, generators): one to six monomials of degree <= 12, each
+    times a nonzero coefficient, in 2-4 variables over F_32003 or QQ, under
+    degrevlex, lex or an elimination order."""
+    field = draw(st.sampled_from([GF32003, QQ]))
+    nvars = draw(st.integers(2, 4))
+    ring = RingSpec(("x", "y", "z", "w")[:nvars], field)
+    order = draw(st.sampled_from([DEGREVLEX, LEX, elimination_order(1), elimination_order(2)]))
+    coeffs = st.integers(-3, 3).filter(bool).map(field.of_int)
+    monos = draw(st.lists(_exponents(nvars, 3), min_size=1, max_size=6))
+    return ring, order, [Polynomial(ring, {m: draw(coeffs)}) for m in monos]
+
+
+def _minimal_monomials(ring, monos, order):
+    """The monomials of monos no other one divides, monic and ascending."""
+    distinct = set(monos)
+    minimal = [m for m in distinct if not any(o != m and mono_divides(o, m) for o in distinct)]
+    return [ring.monomial(m) for m in sorted(minimal, key=order.key)]
+
+
+@given(_monomial_inputs())
+@settings(max_examples=100, deadline=5000, derandomize=True)
+def test_monomial_ideals_are_based_by_their_minimal_generators(case):
+    ring, order, gens = case
+    expected = _minimal_monomials(ring, [next(iter(g.terms)) for g in gens], order)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner, "_gm_update", _refuse_pairs)
+        m.setattr(groebner, "_GB_MEMO", {})
+        assert IdealHandle(ring, gens).groebner(order).elements == expected
+
+
+def test_monomial_runs_build_no_pair_set(monkeypatch):
+    monkeypatch.setattr(groebner, "_gm_update", _refuse_pairs)
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    # truncated below 4, x*y + x^5 keeps one term and x^6 none
+    J = ideal(R2, ["x*y + x^5", "y^3 - x^4", "x^6"])
+    assert J.truncated_groebner(4).elements == _minimal_monomials(R2, [(1, 1), (0, 3)], DEGREVLEX)
+    assert colength_at_cutoff(J, 4) == truncation_colength_oracle(J, 4) == 6
+    # certificates whose products and K are monomials: J = (x^2, xy, y^3)
+    a, F, H = ideal(R2, ["x^3"]), _basis(R2, [P("x"), P("y")]), [P("x"), P("y^2")]
+    J = ideal_sum(a, ideal_product(IdealHandle(R2, F.elements), IdealHandle(R2, H)))
+    Ks = [ideal(R2, ["x^2", "x*y", "y^2"]), ideal(R2, ["y^3", "x*y", "x^2"])]
+    assert [product_equals(a, F, H, K.groebner()) for K in Ks] == [ideal_equal(J, K) for K in Ks] == [False, True]
+
+
+def test_monomial_ideals_need_no_pair_budget(monkeypatch):
+    # they spend no pairs, so a zero budget no longer refuses them (exit 3)
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+    gb = ideal(R2, ["y^3", "2*x^2*y", "x*y", "x^2"]).groebner()
+    assert [str(g) for g in gb.elements] == ["x*y", "x^2", "y^3"]
+    with pytest.raises(ResourceLimit):
+        ideal(R2, ["x^2 - y", "x*y"]).groebner()

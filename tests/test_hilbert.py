@@ -21,6 +21,7 @@ from hilbsam.groebner import (
     product_equals,
 )
 from hilbsam.hilbert import (
+    ParameterIdealSpec,
     QuotientRingSpec,
     SplitMix64,
     extract_coeffs,
@@ -47,6 +48,76 @@ def test_parameter_ideal_checks_primality():
         parameter_ideal(A, ["x", "x*y"])
     with pytest.raises(ValueError):
         parameter_ideal(A, ["x"])  # wrong lift count
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_parameter_ideal_charts_each_candidate_once(monkeypatch):
+    # in a chart the local standard basis decides finiteness: the colength
+    # path never runs, and hs_function reuses the chart for the same A
+    checks = _spy(monkeypatch, hilbert, "local_colength_info")
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    with pytest.raises(NotLocallyFinite):
+        parameter_ideal(A, ["Z", "W"])  # a + Q = (Z, W)
+    assert checks == []
+    charts = _spy(monkeypatch, hilbert, "_normalized")
+    expected = {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
+    assert hs_function(A, Q, 4) == expected
+    assert charts == []
+    # an equal quotient given as another object (a worker's) charts again
+    assert hs_function(QuotientRingSpec(A.ring, A.defining, A.dim), Q, 4) == expected
+    assert len(charts) == 1
+    # the chart is no part of the spec's equality or repr
+    assert Q == ParameterIdealSpec(Q.lifts)
+    assert repr(Q) == f"ParameterIdealSpec(lifts={Q.lifts!r})"
+
+
+def test_parameter_ideal_chart_verdict_is_checked_in_verify_mode(verify_mode, monkeypatch):
+    A = two_planes(2)
+    parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    with pytest.raises(NotLocallyFinite):
+        parameter_ideal(A, ["Z", "W"])
+
+    def not_finite(*args):
+        raise NotLocallyFinite("no pure power")
+
+    # a wrong chart verdict either way is caught
+    monkeypatch.setattr(hilbert, "_chart_colengths", not_finite)
+    with pytest.raises(AssertionError, match="colength path disagrees"):
+        parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    monkeypatch.setattr(hilbert, "_chart_colengths", lambda A, lifts, n_max: {0: 1})
+    with pytest.raises(AssertionError, match="colength path disagrees"):
+        parameter_ideal(A, ["Z", "W"])
+
+
+def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeypatch):
+    checks = _spy(monkeypatch, hilbert, "local_colength_info")
+    A = regular2()
+    parameter_ideal(A, ["x^2", "y^2"])  # no chart
+    with pytest.raises(NotLocallyFinite, match="positive-dimensional"):
+        parameter_ideal(A, ["x^2", "x*y"])
+    assert len(checks) == 2
+    # a local standard basis over the pair budget: the same verdicts
+    real = hilbert.local_standard_basis
+
+    def tiny_budget(J, weights):
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "PAIR_BUDGET", 1)
+            m.setattr(groebner, "_GB_MEMO", {})
+            return real(J, weights)
+
+    monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
+    A = two_planes(2)
+    parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    with pytest.raises(NotLocallyFinite, match="positive-dimensional"):
+        parameter_ideal(A, ["Z-X*Y", "W"])  # meets Z = W = 0 in XY = 0
+    assert len(checks) == 4
 
 
 def test_hs_regular_ring():
@@ -112,8 +183,10 @@ def test_power_bases_start_and_budget_fallback(monkeypatch):
     A = two_planes(2)
     I = big_i(A, 2)
     assert next(power_bases(A, I)).groebner().contains_one()  # a + (1)
-    # with no pair budget no basis can be built: the step multiplies the
-    # previous generators, and the ideals stay the same
+    # with no pair budget no basis of a non-monomial ideal can be built (a
+    # monomial one needs no pair): the step multiplies the previous
+    # generators, and the ideals stay the same
+    I = ideal(A.ring, ["X*Y-Z", "X^2+Y^2-W"])
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
     monkeypatch.setattr(groebner, "_GB_MEMO", {})
     handles = list(islice(power_bases(A, I, start=I), 3))
