@@ -24,7 +24,7 @@ import json
 import sys
 
 from .errors import HilbsamError, InputError, ResourceLimit, SamplingExhausted
-from .problem import Report, load_problem, run_problem
+from .problem import Report, load_problem, read_problem, run_problem
 from .suite import run_paper_suite
 
 _OP_COMMANDS = [
@@ -158,22 +158,10 @@ def main(argv: list[str] | None = None) -> int:
                 cutoff=args.cutoff,
             )
             return _emit(report, args)
-        if args.subcommand == "run":
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            problem = load_problem(
-                doc,
-                field_override=args.field,
-                seed=args.seed,
-                cutoff=args.cutoff,
-                threads=args.threads,
-            )
-            return _emit(run_problem(problem), args)
-        # single-operation commands reuse the problem-file objects
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc = dict(doc)
-        doc["tasks"] = [_single_task(args)]
+        doc = read_problem(args.file)
+        if args.subcommand != "run":
+            # single-operation commands reuse the problem-file objects
+            doc = {**doc, "tasks": [_single_task(args)]}
         problem = load_problem(
             doc,
             field_override=args.field,
@@ -182,12 +170,6 @@ def main(argv: list[str] | None = None) -> int:
             threads=args.threads,
         )
         return _emit(run_problem(problem), args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

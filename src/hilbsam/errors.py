@@ -26,20 +26,8 @@ class UnknownVariable(InputError):
     """Polynomial text references a variable not in the ring."""
 
 
-class MixedFields(HilbsamError):
-    """Operands belong to different coefficient fields."""
-
-
 class MixedRings(HilbsamError):
     """Operands belong to different polynomial rings."""
-
-
-class DivisionByZero(HilbsamError):
-    """Field division or inversion by zero."""
-
-
-class ZeroPolynomial(HilbsamError):
-    """Operation undefined on the zero polynomial (e.g. leading term)."""
 
 
 class ZeroDivisor(HilbsamError):

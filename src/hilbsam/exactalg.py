@@ -1,20 +1,18 @@
 """Exact coefficient fields, sparse echelon rank and dense nullspace/solve.
 
 Two fields are supported: the rationals (stdlib Fraction) and prime fields
-F_p with 2 < p < 2**31 (plain ints reduced mod p).  Raw coefficient values
-are Fractions or ints; FieldElement is a thin wrapper used at the public
-surface, and field_ops gives the hot loops plain functions.  Matrices are
-immutable; an echelon basis grows in place.
+F_p with 2 < p < 2**31 (plain ints reduced mod p).  Coefficient values are
+Fractions or ints; field_ops is the one place their arithmetic is defined,
+as plain functions built once per field.  Matrices are immutable; an
+echelon basis grows in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
-
-from .errors import DivisionByZero, MixedFields
 
 Coeff = Union[int, Fraction]
 
@@ -65,7 +63,6 @@ class FieldConfig:
         else:
             raise ValueError(f"unknown field kind: {self.kind!r}")
 
-    # -- raw coefficient arithmetic ------------------------------------
     @property
     def zero(self) -> Coeff:
         return 0 if self.kind == "prime" else Fraction(0)
@@ -76,28 +73,6 @@ class FieldConfig:
 
     def of_int(self, n: int) -> Coeff:
         return n % self.characteristic if self.kind == "prime" else Fraction(n)
-
-    def add(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a + b) % self.characteristic if self.kind == "prime" else a + b
-
-    def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a - b) % self.characteristic if self.kind == "prime" else a - b
-
-    def mul(self, a: Coeff, b: Coeff) -> Coeff:
-        return (a * b) % self.characteristic if self.kind == "prime" else a * b
-
-    def neg(self, a: Coeff) -> Coeff:
-        return -a % self.characteristic if self.kind == "prime" else -a
-
-    def inv(self, a: Coeff) -> Coeff:
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        if self.kind == "prime":
-            return pow(a, self.characteristic - 2, self.characteristic)
-        return Fraction(1) / a
-
-    def div(self, a: Coeff, b: Coeff) -> Coeff:
-        return self.mul(a, self.inv(b))
 
     def __str__(self):
         return "QQ" if self.kind == "rationals" else f"F{self.characteristic}"
@@ -142,58 +117,6 @@ def field_ops(F: FieldConfig) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field value in canonical form (reduced residue / lowest terms)."""
-
-    field: FieldConfig
-    value: Coeff
-
-    def __post_init__(self):
-        if self.field.kind == "prime":
-            object.__setattr__(self, "value", self.value % self.field.characteristic)
-        else:
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    def _check(self, other: FieldElement) -> None:
-        if self.field != other.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-
-def field_arith(op: str, x: FieldElement, y: FieldElement | None = None) -> FieldElement:
-    """Spec surface for exact field arithmetic; op in {add,sub,mul,div,inv,neg}."""
-    if op in ("inv", "neg"):
-        return x.inverse() if op == "inv" else -x
-    if y is None:
-        raise ValueError(f"binary operation {op!r} needs two operands")
-    return {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__, "div": x.__truediv__}[op](y)
-
-
 class ExactMatrix:
     """Dense matrix over an exact field; rows of raw coefficient values."""
 
@@ -215,13 +138,6 @@ class ExactMatrix:
         z = field.zero
         return cls(field, [[z] * cols for _ in range(rows)], cols)
 
-    @classmethod
-    def identity(cls, field: FieldConfig, n: int) -> ExactMatrix:
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
     def __getitem__(self, idx: tuple[int, int]) -> Coeff:
         return self.data[idx[0]][idx[1]]
 
@@ -237,16 +153,11 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            self.field, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
-        )
-
     def matmul(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        F = self.field
-        out = ExactMatrix.zeros(F, self.rows, other.cols)
+        add, _sub, mul, *_ = field_ops(self.field)
+        out = ExactMatrix.zeros(self.field, self.rows, other.cols)
         for i in range(self.rows):
             row = self.data[i]
             orow = out.data[i]
@@ -258,19 +169,7 @@ class ExactMatrix:
                 for j in range(other.cols):
                     b = brow[j]
                     if b:
-                        orow[j] = F.add(orow[j], F.mul(a, b))
-        return out
-
-    def mul_vector(self, vec: list[Coeff]) -> list[Coeff]:
-        F = self.field
-        out = []
-        for i in range(self.rows):
-            acc = F.zero
-            row = self.data[i]
-            for j, v in enumerate(vec):
-                if v and row[j]:
-                    acc = F.add(acc, F.mul(row[j], v))
-            out.append(acc)
+                        orow[j] = add(orow[j], mul(a, b))
         return out
 
     def is_zero(self) -> bool:
@@ -317,7 +216,7 @@ def echelon_insert(
 def _rref(m: ExactMatrix) -> tuple[list[list[Coeff]], list[int]]:
     """Reduced row echelon form (monic pivots, first nonzero entry in column
     order); returns (rows, pivot column indices).  Deterministic."""
-    F = m.field
+    _add, sub, mul, _neg, inv, one = field_ops(m.field)
     rows = [list(r) for r in m.data]
     pivots: list[int] = []
     r = 0
@@ -330,14 +229,14 @@ def _rref(m: ExactMatrix) -> tuple[list[list[Coeff]], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != F.one:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        scale = inv(rows[r][c])
+        if scale != one:
+            rows[r] = [mul(scale, x) for x in rows[r]]
         prow = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], prow)]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -357,6 +256,7 @@ def nullspace(m: ExactMatrix) -> list[ExactMatrix]:
     representatives: one basis vector per free column, unit at the free
     position)."""
     F = m.field
+    neg = field_ops(F)[3]
     rows, pivots = _rref(m)
     pivot_set = set(pivots)
     basis = []
@@ -368,13 +268,9 @@ def nullspace(m: ExactMatrix) -> list[ExactMatrix]:
         for r, pc in enumerate(pivots):
             coeff = rows[r][free]
             if coeff:
-                vec[pc] = F.neg(coeff)
+                vec[pc] = neg(coeff)
         basis.append(ExactMatrix(F, [[x] for x in vec], 1))
     return basis
-
-
-def nullity(m: ExactMatrix) -> int:
-    return m.cols - rank(m)
 
 
 def solve_linear(m: ExactMatrix, rhs: list[Coeff]) -> list[Coeff]:

@@ -19,17 +19,11 @@ standard chain/coprime criteria.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import heapq
-import json
 import math
-import os
 import struct
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -676,16 +670,11 @@ def _memo_key(ring, order, gens, trunc):
     return (str(ring.field), ring.variables, order.kind, order.block, order.weights, trunc, _gens_sig(gens))
 
 
-def _memoized(memo_key, ring, order, trunc, build) -> GroebnerBasis:
-    """The basis under memo_key: from the process memo, the disk cache, or
-    build()."""
+def _memoized(memo_key, build) -> GroebnerBasis:
+    """The basis under memo_key: from the process memo, or build()."""
     gb = _GB_MEMO.get(memo_key)
     if gb is None:
-        gb = _disk_cache_load(memo_key, ring, order, trunc)
-        if gb is None:
-            gb = build()
-            _disk_cache_store(memo_key, gb)
-        _GB_MEMO[memo_key] = gb
+        gb = _GB_MEMO[memo_key] = build()
     return gb
 
 
@@ -707,7 +696,7 @@ def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> Groeb
         minimal = _engine(pk, ring.field, raw, trunc, pair_budget, reduce_tails)
         return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
 
-    return _memoized(_memo_key(ring, order, gens, trunc), ring, order, trunc, build)
+    return _memoized(_memo_key(ring, order, gens, trunc), build)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +753,7 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
         return gb
 
     memo_key = ("product", _memo_key(ring, DEGREVLEX, a.generators, None), _gens_sig(F.elements), _gens_sig(H))
-    gb = _memoized(memo_key, ring, DEGREVLEX, None, build)
+    gb = _memoized(memo_key, build)
     if VERIFY_EXTRA_STEPS and gb.elements != _autoreduced_product_basis(a, F, H).elements:
         raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
@@ -830,68 +819,6 @@ def _homogenized(ring: RingSpec, polys: Iterable[Polynomial]) -> tuple[RingSpec,
 def _dehomogenized(ring: RingSpec, f: Polynomial) -> Polynomial:
     """f at h = 1, for f homogeneous in R[h]: no two of its terms merge."""
     return Polynomial(ring, {m[:-1]: c for m, c in f.terms.items()}, _canonical=True)
-
-
-# optional on-disk basis cache, enabled by HILBSAM_GB_CACHE (documented; off
-# by default).  Stores element term lists as JSON keyed by a content hash of
-# the memo key salted with the format version; bump the version whenever the
-# engine's bases or the entry format change, so older entries are never served.
-_DISK_CACHE_VERSION = "hilbsam-gb-2"
-
-
-def _disk_cache_path(memo_key):
-    root = os.environ.get("HILBSAM_GB_CACHE")
-    if not root:
-        return None
-    digest = hashlib.sha256(repr((_DISK_CACHE_VERSION, memo_key)).encode()).hexdigest()
-    return os.path.join(root, digest + ".json")
-
-
-def _disk_cache_load(memo_key, ring, order, trunc):
-    path = _disk_cache_path(memo_key)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        elements = []
-        for terms in payload["elements"]:
-            d = {}
-            for entry in terms:
-                exps = tuple(entry[0])
-                c = entry[1]
-                d[exps] = Fraction(c) if ring.field.kind == "rationals" else int(c)
-            elements.append(Polynomial(ring, d))
-        return GroebnerBasis(ring, order, elements, trunc)
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _disk_cache_store(memo_key, gb: GroebnerBasis) -> None:
-    """Write the entry to a temporary file beside it, then rename it into
-    place: pool workers share the directory, so no reader may see a torn
-    entry."""
-    path = _disk_cache_path(memo_key)
-    if path is None:
-        return
-    payload = {
-        "elements": [
-            [[list(m), str(c)] for m, c in f.sorted_terms(gb.order)] for f in gb.elements
-        ]
-    }
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

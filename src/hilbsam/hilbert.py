@@ -95,9 +95,6 @@ class QuotientRingSpec:
     def plus(self, I: IdealHandle) -> IdealHandle:
         return ideal_sum(self.defining, I)
 
-    def maximal_ideal(self) -> IdealHandle:
-        return IdealHandle(self.ring, [self.ring.variable(i) for i in range(self.ring.nvars)])
-
     def colength(self, I: IdealHandle) -> int:
         """l_A(A/I) for an ideal given by lifts to R."""
         return local_colength_info(self.plus(I), self.cutoffs).value
@@ -132,9 +129,9 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
     Q = ParameterIdealSpec(polys)
-    A2, lifts = _chart_of(A, Q)
+    A2, lifts, local = _chart_of(A, Q)
     try:
-        verdict = _chart_colengths(A2, lifts, 0)  # None: no chart verdict
+        verdict = _chart_colengths(local, 0)  # None: no chart verdict
     except NotLocallyFinite as exc:
         verdict = exc
     if verdict is None or groebner.VERIFY_EXTRA_STEPS:
@@ -169,13 +166,14 @@ def _normalized(
     return A2, tuple(chart.lift_polys()), tuple(chart.transform_polys(polys))
 
 
-def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple[QuotientRingSpec, tuple[Polynomial, ...]]:
-    """_normalized(A, Q.lifts)[:2], kept on Q for this A object (a pool
-    worker's A is a new object and charts again)."""
+def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
+    """(A2, lifts, local): _normalized(A, Q.lifts)[:2] and their
+    _local_basis, kept on Q for this A object (a pool worker's A is a new
+    object and charts again)."""
     if Q._chart is None or Q._chart[0] is not A:
         A2, lifts, _ = _normalized(A, Q.lifts)
-        Q._chart = (A, A2, lifts)
-    return Q._chart[1], Q._chart[2]
+        Q._chart = (A, A2, lifts, _local_basis(A2, lifts))
+    return Q._chart[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +225,12 @@ def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel sampling and coefficient extraction
 
-def _chart_colengths(A: QuotientRingSpec, lifts, n_max: int) -> dict[int, int] | None:
-    """l_A(A/Q^{n+1}) for n = 0..n_max from one local standard basis of the
-    defining ideal a, when the lifts are distinct variables (a chart); None
-    when they are not, when R[h] would exceed the ring size, or when the
-    basis exceeds a resource limit.  NotLocallyFinite when a + Q is not
-    finite: a variable of weight 0 has no pure power in L(a).
-
-    With weight 1 on the lifts and 0 elsewhere, the leading ideal of
-    a + Q^{n+1} for the weighted local order is L(a) + Q^{n+1}, so
-    l(A/Q^{n+1}) counts the standard monomials of a of weighted degree
-    <= n: one basis and one walk give every sample."""
+def _local_basis(A: QuotientRingSpec, lifts) -> tuple | None:
+    """(weights, lts): weight 1 on the lifts, 0 elsewhere, and the leading
+    monomials of the local standard basis of the defining ideal a for that
+    weighted local order, when the lifts are distinct variables (a chart);
+    None when they are not, when R[h] would exceed the ring size, or when
+    the basis exceeds a resource limit."""
     ring = A.ring
     variables = {ring.variable(i): i for i in range(ring.nvars)}
     pivots = {variables.get(f) for f in lifts}
@@ -248,7 +241,21 @@ def _chart_colengths(A: QuotientRingSpec, lifts, n_max: int) -> dict[int, int] |
         _, lts = local_standard_basis(A.defining, weights)
     except ResourceLimit:
         return None
-    counts = _staircase_counts(lts, ring.nvars, n_max + 1, weights)
+    return weights, lts
+
+
+def _chart_colengths(local: tuple | None, n_max: int) -> dict[int, int] | None:
+    """l_A(A/Q^{n+1}) for n = 0..n_max from a chart's _local_basis (None
+    without one); NotLocallyFinite when a + Q is not finite: a variable of
+    weight 0 has no pure power in L(a).
+
+    The leading ideal of a + Q^{n+1} for the weighted local order is
+    L(a) + Q^{n+1}, so l(A/Q^{n+1}) counts the standard monomials of a of
+    weighted degree <= n: one basis and one walk give every sample."""
+    if local is None:
+        return None
+    weights, lts = local
+    counts = _staircase_counts(lts, len(weights), n_max + 1, weights)
     return dict(enumerate(accumulate(counts[n] for n in range(n_max + 1))))
 
 
@@ -261,8 +268,8 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
-    A2, lifts = _chart_of(A, Q)
-    H = _chart_colengths(A2, lifts, n_max)
+    A2, lifts, local = _chart_of(A, Q)
+    H = _chart_colengths(local, n_max)
     if H is None or groebner.VERIFY_EXTRA_STEPS:
         by_powers = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
         if H is not None and H != by_powers:

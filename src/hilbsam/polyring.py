@@ -13,13 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    MixedRings,
-    PolySyntaxError,
-    UnknownVariable,
-    ZeroPolynomial,
-)
-from .exactalg import Coeff, FieldConfig
+from .errors import MixedRings, PolySyntaxError, UnknownVariable
+from .exactalg import Coeff, FieldConfig, field_ops
 
 Monomial = tuple  # exponent tuple, one nonnegative int per variable
 
@@ -44,10 +39,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
 
 
 @dataclass(frozen=True)
@@ -219,9 +210,10 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check(other)
         F = self.ring.field
+        add, zero = field_ops(F)[0], F.zero
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = F.add(res.get(m, F.zero), c)
+            s = add(res.get(m, zero), c)
             if s:
                 res[m] = s
             else:
@@ -231,9 +223,10 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         self._check(other)
         F = self.ring.field
+        sub, zero = field_ops(F)[1], F.zero
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = F.sub(res.get(m, F.zero), c)
+            s = sub(res.get(m, zero), c)
             if s:
                 res[m] = s
             else:
@@ -241,17 +234,19 @@ class Polynomial:
         return Polynomial(self.ring, res, _canonical=True)
 
     def __neg__(self) -> Polynomial:
-        F = self.ring.field
-        return Polynomial(self.ring, {m: F.neg(c) for m, c in self.terms.items()}, _canonical=True)
+        neg = field_ops(self.ring.field)[3]
+        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()}, _canonical=True)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._check(other)
         F = self.ring.field
+        add, _sub, mul, *_ = field_ops(F)
+        zero = F.zero
         res: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = F.add(res.get(m, F.zero), F.mul(c1, c2))
+                s = add(res.get(m, zero), mul(c1, c2))
                 if s:
                     res[m] = s
                 else:
@@ -273,10 +268,10 @@ class Polynomial:
         return result
 
     def scale(self, c: Coeff) -> Polynomial:
-        F = self.ring.field
         if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()}, _canonical=True)
+        mul = field_ops(self.ring.field)[2]
+        return Polynomial(self.ring, {m: mul(c, v) for m, v in self.terms.items()}, _canonical=True)
 
     def substitute(self, images: dict[int, Polynomial]) -> Polynomial:
         """Evaluate with variable i replaced by images[i] (others fixed)."""
@@ -309,6 +304,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.ring.variables
+        *_, neg, _inv, one = field_ops(self.ring.field)
         parts = []
         for m, c in self.sorted_terms():
             factors = []
@@ -320,9 +316,9 @@ class Polynomial:
             body = "*".join(factors)
             if not body:
                 parts.append(str(c))
-            elif c == self.ring.field.one:
+            elif c == one:
                 parts.append(body)
-            elif c == self.ring.field.neg(self.ring.field.one):
+            elif c == neg(one):
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{c}*{body}")
@@ -331,21 +327,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def leading_term(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, Coeff]:
-    """The order-maximal term of a nonzero polynomial."""
-    if f.is_zero():
-        raise ZeroPolynomial("leading term of 0")
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
-
-
-def poly_arith(op: str, f: Polynomial, g=None) -> Polynomial:
-    """Spec surface: op in {add,sub,mul,pow}; pow takes an int exponent."""
-    if op == "pow":
-        return f ** g
-    return {"add": f.__add__, "sub": f.__sub__, "mul": f.__mul__}[op](g)
 
 
 # ---------------------------------------------------------------------------

@@ -625,12 +625,15 @@ def run_problem(problem: Problem) -> Report:
     return Report(str(problem.ring.field), problem.seed, results)
 
 
-def run_file(path: str, **kwargs) -> Report:
+def read_problem(path: str) -> dict:
+    """The problem document in a JSON file; InputError when the file cannot
+    be read (missing, a directory, no permission) or holds no JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return run_problem(load_problem(doc, **kwargs))
+    _require(isinstance(doc, dict), f"{path}: problem document must be a JSON object")
+    return doc

@@ -15,7 +15,7 @@ so fitting the binomial basis to e_0 * binom(n+2,2) + l(T_n) recovers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice, pairwise, permutations
 from math import comb, inf
 
@@ -57,14 +57,13 @@ from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
 
 @dataclass
 class ArtinAlgebra:
-    """C = R/c with its standard-monomial basis and per-variable
-    multiplication matrices (column j holds the image of basis element j)."""
+    """C = R/c with its standard-monomial basis; action matrices hold the
+    image of basis element j in column j."""
 
     ring: RingSpec
     ideal: IdealHandle
     basis: list[Monomial]
     gb: GroebnerBasis
-    mult: dict[int, ExactMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
         self._index = {m: i for i, m in enumerate(self.basis)}
@@ -86,11 +85,6 @@ class ArtinAlgebra:
         cols = [self.coords(f * self.ring.monomial(b)) for b in self.basis]
         data = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
         return ExactMatrix(self.ring.field, data, self.dim)
-
-    def mult_matrix(self, var: int) -> ExactMatrix:
-        if var not in self.mult:
-            self.mult[var] = self.action_matrix(self.ring.variable(var))
-        return self.mult[var]
 
 
 def artin_algebra(ring: RingSpec, c: IdealHandle) -> ArtinAlgebra:
@@ -154,11 +148,6 @@ def tn_length(C: ArtinAlgebra, act: ActionPair, n: int) -> int:
     """Nullity of the (n+2)c x (n+1)c block matrix with op_a on the diagonal
     blocks and op_b on the subdiagonal blocks (0 for n < 0: no columns)."""
     return next(islice(_tn_lengths(act), n, None)) if n >= 0 else 0
-
-
-def simultaneous_annihilator_length(C: ArtinAlgebra, act: ActionPair) -> int:
-    """l((0) :_C Q): nullity of the stacked [op_a; op_b] matrix, l(T_0)."""
-    return next(_tn_lengths(act))
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exactalg import field_ops
 from .polyring import Polynomial, RingSpec
 
 
@@ -57,7 +58,7 @@ def parameter_chart(ring: RingSpec, lifts) -> ParameterChart | None:
     """Build a chart for the lifts, or None when the shape does not apply."""
     lifts = list(lifts)
     d = len(lifts)
-    F = ring.field
+    inv = field_ops(ring.field)[4]
     # candidate pivots: variables occurring only linearly in every lift
     candidates = [
         v
@@ -83,7 +84,7 @@ def parameter_chart(ring: RingSpec, lifts) -> ParameterChart | None:
         if pivot_var is None:
             return None
         c = _linear_coefficient(work[k], pivot_var)
-        work[k] = work[k].scale(F.inv(c))
+        work[k] = work[k].scale(inv(c))
         for j in range(d):
             if j != k:
                 cj = _linear_coefficient(work[j], pivot_var)

@@ -343,51 +343,6 @@ def test_resource_limit():
         ideal(R, gens).groebner(LEX, pair_budget=3)
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    import hilbsam.groebner as G
-
-    monkeypatch.setenv("HILBSAM_GB_CACHE", str(tmp_path))
-    R = ring4()
-    gens = ["X^2*Z - W^3", "Y^2*Z", "X*W - Y*Z"]
-    base = ideal(R, gens).groebner().elements
-    assert any(tmp_path.iterdir()), "cache directory must be populated"
-    G._GB_MEMO.clear()  # force the reload to come from disk
-    again = ideal(R, gens).groebner().elements
-    assert again == base
-
-
-def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
-    import hilbsam.groebner as G
-
-    monkeypatch.setenv("HILBSAM_GB_CACHE", str(tmp_path))
-    monkeypatch.setattr(G, "_GB_MEMO", {})
-
-    def torn_dump(payload, fh):
-        fh.write('{"elements": [')
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr(G.json, "dump", torn_dump)
-    gb = ideal(ring4(), ["X^2*Z - W^3", "Y^2*Z", "X*W - Y*Z"]).groebner()
-    assert gb.elements  # the failed store does not affect the result
-    assert list(tmp_path.iterdir()) == []  # neither a torn entry nor its temporary file
-
-
-def test_disk_cache_ignores_entries_of_another_format_version(tmp_path, monkeypatch):
-    import hilbsam.groebner as G
-
-    monkeypatch.setenv("HILBSAM_GB_CACHE", str(tmp_path))
-    monkeypatch.setattr(G, "_GB_MEMO", {})
-    R = ring4()
-    gens = ideal(R, ["X^2*Z - W^3", "Y^2*Z", "X*W - Y*Z"]).generators
-    key = G._memo_key(R, DEGREVLEX, gens, None)
-    version = G._DISK_CACHE_VERSION
-    monkeypatch.setattr(G, "_DISK_CACHE_VERSION", "an-older-engine")
-    IdealHandle(R, gens).groebner()
-    assert G._disk_cache_load(key, R, DEGREVLEX, None) is not None
-    monkeypatch.setattr(G, "_DISK_CACHE_VERSION", version)
-    assert G._disk_cache_load(key, R, DEGREVLEX, None) is None
-
-
 def test_rationals_agree_with_prime_field():
     for field in (GF32003, QQ):
         A = two_planes(2, field)

@@ -91,7 +91,7 @@ def test_parameter_ideal_chart_verdict_is_checked_in_verify_mode(verify_mode, mo
     monkeypatch.setattr(hilbert, "_chart_colengths", not_finite)
     with pytest.raises(AssertionError, match="colength path disagrees"):
         parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    monkeypatch.setattr(hilbert, "_chart_colengths", lambda A, lifts, n_max: {0: 1})
+    monkeypatch.setattr(hilbert, "_chart_colengths", lambda local, n_max: {0: 1})
     with pytest.raises(AssertionError, match="colength path disagrees"):
         parameter_ideal(A, ["Z", "W"])
 
@@ -540,11 +540,12 @@ def _chart_systems(draw):
 def test_local_basis_samples_match_the_power_colengths(case):
     A, lifts, n_max = case
     A2, lifts2, _ = _normalized(A, lifts)
+    local = hilbert._local_basis(A2, lifts2)
+    assert local is not None
     try:
-        H = hilbert._chart_colengths(A2, lifts2, n_max)
+        H = hilbert._chart_colengths(local, n_max)
     except NotLocallyFinite:
         assume(False)  # a + Q is not finite at the origin: no samples to compare
-    assert H is not None
     assert H == power_colengths(A2, IdealHandle(A.ring, lifts2), n_max)
 
 
@@ -581,7 +582,7 @@ def _spy_power_colengths(monkeypatch):
 def test_hs_function_falls_back_without_a_chart(monkeypatch):
     A = regular2()
     lifts = [parse_poly(A.ring, "x^2"), parse_poly(A.ring, "y^2")]
-    assert hilbert._chart_colengths(A, lifts, 3) is None
+    assert hilbert._local_basis(A, lifts) is None
     calls = _spy_power_colengths(monkeypatch)
     assert hs_function(A, parameter_ideal(A, lifts), 3) == {n: 4 * comb(n + 2, 2) for n in range(4)}
     assert calls == [1]
@@ -592,7 +593,7 @@ def test_hs_function_falls_back_at_sixteen_variables(monkeypatch):
     R = RingSpec(tuple(f"v{i}" for i in range(16)), GF32003)
     A = QuotientRingSpec(R, IdealHandle(R, [R.variable(i) for i in range(2, 16)]), 2)
     Q = parameter_ideal(A, ["v0", "v1"])
-    assert hilbert._chart_colengths(A, Q.lifts, 3) is None
+    assert hilbert._local_basis(A, Q.lifts) is None
     calls = _spy_power_colengths(monkeypatch)
     assert hs_function(A, Q, 3) == {n: comb(n + 2, 2) for n in range(4)}
     assert calls == [1]
@@ -600,7 +601,6 @@ def test_hs_function_falls_back_at_sixteen_variables(monkeypatch):
 
 def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
     A = two_planes(2)
-    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     real = hilbert.local_standard_basis
 
     def tiny_budget(J, weights):
@@ -610,6 +610,9 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
             return real(J, weights)
 
     monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
+    # the chart's local basis is built (and here refused) once, by
+    # parameter_ideal, which then takes the colength path
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     A2, lifts, _ = _normalized(A, Q.lifts)
     with pytest.raises(ResourceLimit):
         tiny_budget(A2.defining, (0, 0, 1, 1))

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbsam.errors import MixedRings, PolySyntaxError, UnknownVariable, ZeroPolynomial
-from hilbsam.exactalg import GF32003, prime_field
+from hilbsam.errors import MixedRings, PolySyntaxError, UnknownVariable
+from hilbsam.exactalg import GF32003, QQ, prime_field
 from hilbsam.polyring import (
     DEGREVLEX,
     LEX,
@@ -11,10 +11,8 @@ from hilbsam.polyring import (
     Polynomial,
     RingSpec,
     elimination_order,
-    leading_term,
     mono_divides,
     parse_poly,
-    poly_arith,
 )
 
 R2 = RingSpec(("x", "y"), GF32003)
@@ -59,25 +57,27 @@ def test_parse_errors():
 
 
 def test_poly_arith_examples():
-    assert poly_arith("pow", P("x - y"), 0) == R2.one()
-    assert poly_arith("mul", P("x+y"), P("x-y")) == P("x^2 - y^2")
+    assert P("x - y") ** 0 == R2.one()
+    assert P("x+y") * P("x-y") == P("x^2 - y^2")
     # binomial coefficients reduce mod p (characteristic 2 is outside the
     # allowed field range, so the smallest admissible prime stands in)
     ring_f3 = RingSpec(("x", "y"), prime_field(3))
-    cube = poly_arith("pow", parse_poly(ring_f3, "x+y"), 3)
+    cube = parse_poly(ring_f3, "x+y") ** 3
     assert cube == parse_poly(ring_f3, "x^3 + y^3")
     with pytest.raises(MixedRings):
-        poly_arith("add", P("x"), parse_poly(ring_f3, "x"))
+        P("x") + parse_poly(ring_f3, "x")
+
+
+def _lm(f, order):
+    return max(f.terms, key=order.key)
 
 
 def test_leading_term_examples():
     f = P("x^2 + y^3")
-    assert leading_term(f, DEGREVLEX)[0] == (0, 3)  # degree wins
-    assert leading_term(f, LEX)[0] == (2, 0)  # x beats y in lex
+    assert _lm(f, DEGREVLEX) == (0, 3)  # degree wins
+    assert _lm(f, LEX) == (2, 0)  # x beats y in lex
     g = P("x*y + y^2")
-    assert leading_term(g, DEGREVLEX)[0] == (1, 1)  # revlex tie-break at degree 2
-    with pytest.raises(ZeroPolynomial):
-        leading_term(R2.zero(), DEGREVLEX)
+    assert _lm(g, DEGREVLEX) == (1, 1)  # revlex tie-break at degree 2
 
 
 def test_canonical_form_closure():
@@ -108,10 +108,41 @@ def test_ring_axioms(f, g, h):
 def test_lt_multiplicative(f, g):
     if f.is_zero() or g.is_zero():
         return
-    mf, cf = leading_term(f, DEGREVLEX)
-    mg, cg = leading_term(g, DEGREVLEX)
-    mfg, _ = leading_term(f * g, DEGREVLEX)
+    mf, mg, mfg = (_lm(p, DEGREVLEX) for p in (f, g, f * g))
     assert mfg == tuple(a + b for a, b in zip(mf, mg))
+
+
+_integer = st.one_of(st.integers(-50, 50), st.sampled_from([32002, 32003, -32003, 64007]))
+
+
+@st.composite
+def _integer_poly_pairs(draw):
+    """Two small-integer polynomials in 2 or 3 variables as {exponents:
+    int}, an integer scalar and a small exponent; coefficients near
+    multiples of 32003 make terms vanish mod p."""
+    n = draw(st.integers(2, 3))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), _integer, max_size=5)
+    return n, draw(poly), draw(poly), draw(_integer), draw(st.integers(0, 3))
+
+
+@given(_integer_poly_pairs())
+@settings(max_examples=80, deadline=None)
+def test_prime_field_arithmetic_is_integer_arithmetic_mod_p(case):
+    # Z -> F_p is a ring map: every operation over F_32003 equals the QQ
+    # result, whose coefficients are integers, reduced mod 32003
+    n, f, g, c, e = case
+    rq, rp = (RingSpec(("x", "y", "z")[:n], F) for F in (QQ, GF32003))
+
+    def lift(ring, terms):
+        return Polynomial(ring, {m: ring.field.of_int(v) for m, v in terms.items()})
+
+    fq, gq, fp, gp = lift(rq, f), lift(rq, g), lift(rp, f), lift(rp, g)
+    cq, cp = QQ.of_int(c), GF32003.of_int(c)
+    pairs = [(fq + gq, fp + gp), (fq - gq, fp - gp), (-fq, -fp), (fq * gq, fp * gp),
+             (fq.scale(cq), fp.scale(cp)), (fq ** e, fp ** e)]
+    for q, p in pairs:
+        assert all(v.denominator == 1 for v in q.terms.values())
+        assert lift(rp, {m: int(v) for m, v in q.terms.items()}) == p
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),

@@ -226,3 +226,34 @@ def test_negative_count_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'count' must be a non-negative integer" in err
     assert "sampled" not in err
+
+
+def test_unreadable_problem_files_are_input_errors(tmp_path, capsys):
+    # a directory, or a document that is no JSON object, ends in exit 2
+    # with a message, never a traceback
+    assert main(["run", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert main(["colength", "--file", str(tmp_path), "--ideal", "c"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["colength", "--file", str(listed), "--ideal", "c"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_sampled_coeffs_builds_one_local_basis_per_candidate(monkeypatch):
+    # parameter_ideal builds each candidate's local standard basis once and
+    # keeps it on the spec; hs_function walks that one and looks up no other
+    from hilbsam import hilbert
+
+    problem = load_problem(_doc(
+        {"name": "s", "command": "sampled-coeffs", "quotient": "A", "ideal": "bigI",
+         "count": 3, "seed": 0, "nmax": 5},
+    ))
+    calls = {"parameter_ideal": [], "local_standard_basis": []}
+    for name, seen in calls.items():
+        real = getattr(hilbert, name)
+        monkeypatch.setattr(hilbert, name, lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+    report = run_problem(problem)
+    assert report.ok and len(report.tasks[0].result["coeffs"]) == 3
+    assert len(calls["local_standard_basis"]) == len(calls["parameter_ideal"]) >= 3

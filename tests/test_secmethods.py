@@ -39,7 +39,6 @@ from hilbsam.secmethods import (
     k_plus_j_analysis,
     sally_lengths,
     sally_rank,
-    simultaneous_annihilator_length,
     tn_length,
     unmixed_component,
 )
@@ -49,7 +48,7 @@ def test_artin_algebra_examples():
     R = ring4()
     C = artin_algebra(R, maximal_ideal(R))
     assert C.dim == 1
-    assert all(C.mult_matrix(i).is_zero() for i in range(4))
+    assert all(C.action_matrix(R.variable(i)).is_zero() for i in range(4))
     C4 = artin_algebra(R, ideal(R, ["X^2", "Y^2", "Z", "W"]))
     assert C4.dim == 4
     assert C4.basis == [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]
@@ -63,7 +62,7 @@ def test_artin_algebra_examples():
 def test_mult_ops_commute_and_kill_relations():
     R = ring4()
     C = artin_algebra(R, ideal(R, ["X^2", "Y^3", "Z - X*Y", "W^2"]))
-    mats = [C.mult_matrix(i) for i in range(4)]
+    mats = [C.action_matrix(R.variable(i)) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert mats[i].matmul(mats[j]) == mats[j].matmul(mats[i])
