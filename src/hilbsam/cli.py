@@ -4,10 +4,9 @@ Two composite entry points plus one subcommand per library operation:
 
   hilbsam run FILE            execute the task blocks of a problem file
   hilbsam suite paper         run the built-in reproduction suite
-  hilbsam gb|colength|hilb|coeffs|kernel-e1|ann-length|slice-e1|dseq|
-          superficial|unmixed|reduction|sample-reductions|lambda|sally|
-          sally-rank|kplusj  --file FILE ...   run one operation against
-                              the named objects of a problem file
+  hilbsam OPERATION --file FILE ...  run one task command (gb, colength,
+                              hilb, coeffs, kernel-e1, ...) against the
+                              named objects of a problem file
 
 Polynomial grammar: integer literals, variable names, + - * ^ and
 parentheses; ^ binds tightest, then *, then + and -; unary minus is
@@ -24,31 +23,11 @@ import json
 import sys
 
 from .errors import HilbsamError, InputError, ResourceLimit, SamplingExhausted
-from .problem import Report, load_problem, read_problem, run_problem
+from .problem import Report, TaskRunner, load_problem, read_problem, run_problem
 from .suite import run_paper_suite
 
-_OP_COMMANDS = [
-    "gb",
-    "colength",
-    "sat-quotient-length",
-    "hilb",
-    "ideal-hilb",
-    "coeffs",
-    "ideal-coeffs",
-    "kernel-e1",
-    "ann-length",
-    "slice-e1",
-    "dseq",
-    "superficial",
-    "unmixed",
-    "reduction",
-    "sample-reductions",
-    "sampled-coeffs",
-    "lambda",
-    "sally",
-    "sally-rank",
-    "kplusj",
-]
+# one subcommand per task command a problem file accepts
+_OP_COMMANDS = [name[4:].replace("_", "-") for name in vars(TaskRunner) if name.startswith("cmd_")]
 
 _TASK_OPTIONS = {
     "ideal": str,

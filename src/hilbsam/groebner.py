@@ -367,7 +367,6 @@ def _engine(
     field: FieldConfig,
     raw_gens: list,
     trunc: int | None = None,
-    pair_budget: int | None = None,
     reduce_tails: bool = True,
     cover: list[int] | None = None,
 ) -> list[_Elem]:
@@ -382,7 +381,6 @@ def _engine(
     by the same Gebauer-Moeller updates in insertion order."""
     if trunc is not None and trunc > _DEG_LIMIT:
         raise PackedRangeExceeded(f"truncation cutoff {trunc} leaves the packed range (<= {_DEG_LIMIT})")
-    budget = PAIR_BUDGET if pair_budget is None else pair_budget
     keyf, shift, guard = pk.key, pk.shift, pk.guard
     ops = field_ops(field)
     _add, _sub, mul, neg, inv, one = ops
@@ -437,8 +435,8 @@ def _engine(
     def spend(n: int = 1) -> None:
         nonlocal processed
         processed += n
-        if processed > budget:
-            raise ResourceLimit(f"pair budget {budget} exhausted")
+        if processed > PAIR_BUDGET:
+            raise ResourceLimit(f"pair budget {PAIR_BUDGET} exhausted")
 
     while uncovered != []:
         while heap and uncovered != []:
@@ -538,15 +536,6 @@ class GroebnerBasis:
         zero = (0,) * self.ring.nvars
         return any(lt == zero for lt in self.leading_monomials)
 
-    def standard_monomials(self) -> list[Monomial]:
-        """Monomials outside the staircase (finite in truncation mode),
-        sorted ascending under the basis order."""
-        if self.trunc_degree is None:
-            raise ValueError("standard monomial enumeration needs a truncated basis")
-        out = _standard_monomials(self.leading_monomials, self.ring.nvars, self.trunc_degree)
-        out.sort(key=self.order.key)
-        return out
-
 
 def _staircase(
     lts: list[Monomial], nvars: int, bound: float, weights: tuple[int, ...] | None = None, starts=None
@@ -645,19 +634,19 @@ class IdealHandle:
         J._cache[(gb.order, gb.trunc_degree)] = gb
         return J
 
-    def groebner(self, order: MonomialOrder = DEGREVLEX, pair_budget: int | None = None) -> GroebnerBasis:
+    def groebner(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         key = (order, None)
         gb = self._cache.get(key)
         if gb is None:
-            gb = _compute_basis(self.ring, order, self.generators, None, pair_budget, True)
+            gb = _compute_basis(self.ring, order, self.generators, None, True)
             self._cache[key] = gb
         return gb
 
-    def truncated_groebner(self, trunc: int, pair_budget: int | None = None) -> GroebnerBasis:
+    def truncated_groebner(self, trunc: int) -> GroebnerBasis:
         key = (DEGREVLEX, trunc)
         gb = self._cache.get(key)
         if gb is None:
-            gb = _compute_basis(self.ring, DEGREVLEX, self.generators, trunc, pair_budget, False)
+            gb = _compute_basis(self.ring, DEGREVLEX, self.generators, trunc, False)
             self._cache[key] = gb
         return gb
 
@@ -686,14 +675,14 @@ def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> Gro
     return gb
 
 
-def _compute_basis(ring, order, gens, trunc, pair_budget, reduce_tails) -> GroebnerBasis:
+def _compute_basis(ring, order, gens, trunc, reduce_tails) -> GroebnerBasis:
     if trunc is not None and not order.degree_compatible:
         raise ValueError("truncated bases need a degree-compatible order")
 
     def build():
         pk = _packing(ring.nvars, order)
         raw = [pk.sorted_terms(f.terms, trunc) for f in gens]
-        minimal = _engine(pk, ring.field, raw, trunc, pair_budget, reduce_tails)
+        minimal = _engine(pk, ring.field, raw, trunc, reduce_tails)
         return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
 
     return _memoized(_memo_key(ring, order, gens, trunc), build)

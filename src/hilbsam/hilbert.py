@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 
 from .errors import (
@@ -95,10 +95,6 @@ class QuotientRingSpec:
     def plus(self, I: IdealHandle) -> IdealHandle:
         return ideal_sum(self.defining, I)
 
-    def colength(self, I: IdealHandle) -> int:
-        """l_A(A/I) for an ideal given by lifts to R."""
-        return local_colength_info(self.plus(I), self.cutoffs).value
-
 
 @dataclass
 class ParameterIdealSpec:
@@ -129,7 +125,7 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
     Q = ParameterIdealSpec(polys)
-    A2, lifts, local = _chart_of(A, Q)
+    A2, lifts, _, local = _chart_of(A, Q)
     try:
         verdict = _chart_colengths(local, 0)  # None: no chart verdict
     except NotLocallyFinite as exc:
@@ -152,27 +148,27 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
 # ---------------------------------------------------------------------------
 # coordinate normalization plumbing
 
-def _normalized(
-    A: QuotientRingSpec, lifts, polys=()
-) -> tuple[QuotientRingSpec, tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    """Rewrite A, the parameter lifts and any further polynomials through a
-    parameter chart when one applies (the lifts become plain variables);
-    colengths and ideal equalities are invariant."""
+def _normalized(A: QuotientRingSpec, lifts) -> tuple:
+    """(A2, lifts2, move): A and the parameter lifts rewritten through a
+    parameter chart when one applies (the lifts become plain variables),
+    and move, which rewrites further polynomials the same way (list when no
+    chart applies; never a lambda, so it pickles).  Colengths and ideal
+    equalities are invariant."""
     chart = parameter_chart(A.ring, lifts)
     if chart is None:
-        return A, tuple(lifts), tuple(polys)
+        return A, tuple(lifts), list
     defining2 = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
     A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cutoffs)
-    return A2, tuple(chart.lift_polys()), tuple(chart.transform_polys(polys))
+    return A2, tuple(chart.lift_polys()), chart.transform_polys
 
 
 def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
-    """(A2, lifts, local): _normalized(A, Q.lifts)[:2] and their
-    _local_basis, kept on Q for this A object (a pool worker's A is a new
-    object and charts again)."""
+    """(A2, lifts, move, local): _normalized(A, Q.lifts) and the
+    _local_basis of its A2 and lifts, kept on Q for this A object.  One
+    pickled (A, Q) keeps Q._chart[0] is A, so a pool worker reuses them."""
     if Q._chart is None or Q._chart[0] is not A:
-        A2, lifts, _ = _normalized(A, Q.lifts)
-        Q._chart = (A, A2, lifts, _local_basis(A2, lifts))
+        A2, lifts, move = _normalized(A, Q.lifts)
+        Q._chart = (A, A2, lifts, move, _local_basis(A2, lifts))
     return Q._chart[1:]
 
 
@@ -202,17 +198,21 @@ def power_bases(A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None =
             current = A.plus(IdealHandle(A.ring, gens))
 
 
-def power_colengths(A: QuotientRingSpec, I: IdealHandle, n_max: int) -> dict[int, int]:
-    """l_A(A/I^{n+1}) for n = 0..n_max, passing the previous stabilization
-    cutoff forward as a hint.
+def power_colengths(
+    A: QuotientRingSpec, I: IdealHandle, n_max: int, start: IdealHandle | None = None
+) -> dict[int, int]:
+    """l_A(A/S * I^n) for n = 0..n_max with S = start (default I, giving
+    l_A(A/I^{n+1})), passing the previous stabilization cutoff forward as a
+    hint.  S must lie in the radical of a + I, as I does, or as I does over
+    a reduction Q of it.
 
-    rad(a + I^{n+1}) = rad(a + I): once the global zero-dimensional path
-    certified that a + I is supported at the origin alone (n = 0, no
-    window), the later powers skip its per-variable nilpotency walk."""
+    Then rad(a + S * I^n) = rad(a + S): once the global zero-dimensional
+    path certified that a + S is supported at the origin alone (n = 0, no
+    window), the later ideals skip its per-variable nilpotency walk."""
     H: dict[int, int] = {}
     hint = A.cutoffs[0]
     certified = False
-    for n, J in zip(range(n_max + 1), power_bases(A, I, start=I)):
+    for n, J in zip(range(n_max + 1), power_bases(A, I, start=I if start is None else start)):
         info = local_colength_info(J, (hint, A.cutoffs[1]), support_at_origin=certified)
         H[n] = info.value
         if info.window is not None:
@@ -268,7 +268,7 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
-    A2, lifts, local = _chart_of(A, Q)
+    A2, lifts, _, local = _chart_of(A, Q)
     H = _chart_colengths(local, n_max)
     if H is None or groebner.VERIFY_EXTRA_STEPS:
         by_powers = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
@@ -549,36 +549,13 @@ def _map_candidates(A, candidates, n_max, threads) -> list[HilbertReport]:
     # there are candidates or cores
     workers = min(threads, len(candidates), os.cpu_count() or 1)
     if workers > 1:
-        payloads = [_pickle_payload(A, q, n_max) for q in candidates]
         from concurrent.futures import ProcessPoolExecutor
 
+        # each call item pickles (A, q, n_max) together, so the worker's q
+        # keeps its chart of the worker's A
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_coeffs_worker, payloads))
+            return list(pool.map(hilbert_report, repeat(A), candidates, repeat(n_max)))
     return [hilbert_report(A, q, n_max) for q in candidates]
-
-
-def _pickle_payload(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max):
-    return (
-        A.ring.variables,
-        A.ring.field.kind,
-        A.ring.field.characteristic,
-        [dict(g.terms) for g in A.defining.generators],
-        A.dim,
-        A.cutoffs,
-        [dict(f.terms) for f in Q.lifts],
-        n_max,
-    )
-
-
-def _coeffs_worker(payload) -> HilbertReport:
-    from .exactalg import FieldConfig
-
-    variables, kind, char, def_terms, dim, cutoffs, lift_terms, n_max = payload
-    ring = RingSpec(tuple(variables), FieldConfig(kind, char))
-    defining = IdealHandle(ring, [Polynomial(ring, t) for t in def_terms])
-    A = QuotientRingSpec(ring, defining, dim, tuple(cutoffs))
-    Q = ParameterIdealSpec(tuple(Polynomial(ring, t) for t in lift_terms))
-    return hilbert_report(A, Q, n_max)
 
 
 # ---------------------------------------------------------------------------

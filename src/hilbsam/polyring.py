@@ -191,6 +191,9 @@ class Polynomial:
             self._hash = hash((self.ring.variables, frozenset(self.terms.items())))
         return self._hash
 
+    def __reduce__(self):  # string hashes are per process: the cached hash is not pickled
+        return Polynomial, (self.ring, self.terms, True)
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)

@@ -90,6 +90,7 @@ class Problem:
     seed: int = 0
     threads: int = 1
     default_order: MonomialOrder = DEGREVLEX
+    cutoffs: tuple[int, int] = (4, 64)  # (start, cap) of every colength's truncation ladder
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -211,6 +212,7 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
         seed=doc.get("seed", 0) if seed is None else seed,
         threads=threads,
         default_order=default_order,
+        cutoffs=cutoffs,
     )
 
 
@@ -341,7 +343,7 @@ class TaskRunner:
     def _artin(self, task: dict):
         name = task.get("artinian")
         _require(name in self.p.artinian, f"unknown artinian presentation {name!r}")
-        return artin_algebra(self.p.ring, self.p.artinian[name])
+        return artin_algebra(self.p.ring, self.p.artinian[name], self._cutoffs(task))
 
     def _poly(self, task: dict, key: str) -> Polynomial:
         text = task.get(key)
@@ -387,7 +389,7 @@ class TaskRunner:
     def _cutoffs(self, task) -> tuple[int, int]:
         if "cutoff" in task:
             return (4, int(task["cutoff"]))
-        return (4, 64)
+        return self.p.cutoffs
 
     def cmd_sat_quotient_length(self, task):
         J = self._ideal(task)

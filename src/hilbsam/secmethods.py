@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import count, islice, pairwise, permutations
 from math import comb, inf
 
-from .errors import BoundViolation, PackedRangeExceeded
+from .errors import BoundViolation
 from .exactalg import ExactMatrix, echelon_insert, rank
 from .groebner import (
     GroebnerBasis,
@@ -31,8 +31,6 @@ from .groebner import (
     normal_form,
     sat_quotient_length,
     saturate,
-    _global_zero_dim_colength,
-    _ladder_colength_info,
     _standard_monomials,
 )
 from .hilbert import (
@@ -44,7 +42,9 @@ from .hilbert import (
     ideal_hilbert_report,
     is_reduction,
     power_bases,
+    power_colengths,
     _certificate,
+    _chart_of,
     _k_plus_j_hilbert,
     _normalized,
     _PowerChain,
@@ -87,20 +87,13 @@ class ArtinAlgebra:
         return ExactMatrix(self.ring.field, data, self.dim)
 
 
-def artin_algebra(ring: RingSpec, c: IdealHandle) -> ArtinAlgebra:
-    """Build C = R/c (locally at the origin) with exact multiplication data."""
-    refusal = None
-    try:
-        value = _global_zero_dim_colength(c)
-    except PackedRangeExceeded as exc:
-        value, refusal = None, exc
-    if value is not None:
-        gb = c.groebner()
-        basis = _standard_monomials(gb.leading_monomials, ring.nvars, inf)  # a finite staircase
-    else:
-        info = _ladder_colength_info(c, (4, 64), refusal)  # raises if no stabilization
-        gb = c.truncated_groebner(info.window[1])
-        basis = gb.standard_monomials()
+def artin_algebra(ring: RingSpec, c: IdealHandle, cutoffs: tuple[int, int] = (4, 64)) -> ArtinAlgebra:
+    """Build C = R/c (locally at the origin) with exact multiplication data:
+    the standard monomials of the basis local_colength_info counted, the
+    untruncated one or the truncated one at the end of its window."""
+    info = local_colength_info(c, cutoffs)  # raises if no stabilization
+    gb = c.groebner() if info.window is None else c.truncated_groebner(info.window[1])
+    basis = _standard_monomials(gb.leading_monomials, ring.nvars, gb.trunc_degree or inf)
     basis.sort(key=DEGREVLEX.key)
     return ArtinAlgebra(ring, c, basis, gb)
 
@@ -192,8 +185,8 @@ def e1_via_slice(A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial) -> i
     nonzerodivisor; the caller asserts (or pre-checks) superficiality."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
-    A2, _, (a,) = _normalized(A, Q.lifts, (a,))
-    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, [a])))
+    A2, _, move, _ = _chart_of(A, Q)
+    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, move([a]))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +228,8 @@ def is_superficial(
 ) -> bool:
     """Windowed check of (Q^{n+1} : a) = Q^n + (0 : a) in A.  A False is
     definitive (a witness n exists); a True is heuristic evidence."""
-    A2, lifts, (a,) = _normalized(A, Q.lifts, (a,))
+    A2, lifts, move, _ = _chart_of(A, Q)
+    (a,) = move([a])
     zero_colon = colon(A2.defining, a)  # (0 :_A a), as an ideal of R
     bases = pairwise(power_bases(A2, IdealHandle(A.ring, lifts)))  # (a + Q^n, a + Q^{n+1})
     for n, (power, nxt) in zip(range(max(window, default=-1) + 1), bases):
@@ -247,31 +241,20 @@ def is_superficial(
 # ---------------------------------------------------------------------------
 # Sally modules
 
-@dataclass
-class SallyReport:
-    degree_lengths: dict[int, int]  # n >= 1 -> l(I^{n+1} / Q^n I)
-    rank: int | None = None
-
-
 def sally_lengths(
-    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int = 4,
-    check: bool = True,
+    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int = 4
 ) -> dict[int, int]:
     """l(I^{n+1}/Q^n I) = l(A/Q^n I) - l(A/I^{n+1}) for n = 1..n_max.
-    Q must be a reduction of I (verified unless check=False)."""
-    if check and is_reduction(A, Q, I) is None:
+    Q must be a reduction of I (verified)."""
+    if is_reduction(A, Q, I) is None:
         raise ValueError("Q is not a reduction of I")
-    A2, lifts, gens = _normalized(A, Q.lifts, I.generators)
-    I2 = IdealHandle(A.ring, gens)
-    qn_i = power_bases(A2, IdealHandle(A.ring, lifts), start=I2)  # a + Q^n I
-    i_n1 = power_bases(A2, I2, start=I2)  # a + I^{n+1}
-    out: dict[int, int] = {}
-    cut = A.cutoffs
-    for n, lhs, rhs in zip(range(n_max + 1), qn_i, i_n1):
-        if n:
-            out[n] = local_colength_info(lhs, cut).value - local_colength_info(rhs, cut).value
-            if out[n] < 0:
-                raise AssertionError("negative Sally length; engine bug")
+    A2, lifts, move, _ = _chart_of(A, Q)
+    I2 = IdealHandle(A.ring, move(I.generators))
+    qn_i = power_colengths(A2, IdealHandle(A.ring, lifts), n_max, start=I2)
+    i_n1 = power_colengths(A2, I2, n_max)
+    out = {n: qn_i[n] - i_n1[n] for n in range(1, n_max + 1)}
+    if any(v < 0 for v in out.values()):
+        raise AssertionError("negative Sally length; engine bug")
     return out
 
 
@@ -285,13 +268,12 @@ class SallyRankReport:
 
 
 def sally_rank(
-    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None,
-    check: bool = True,
+    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None
 ) -> SallyRankReport:
     """Localized Sally-module length through the bookkeeping identity
     rank = e1_I - e0_I - e1_Q + l(A/I); reports the inputs alongside.
-    Q must be a reduction of I (verified unless check=False)."""
-    if check and is_reduction(A, Q, I) is None:
+    Q must be a reduction of I (verified)."""
+    if is_reduction(A, Q, I) is None:
         raise ValueError("Q is not a reduction of I")
     return _sally_rank(A, ideal_hilbert_report(A, I, n_max), Q, n_max)
 

@@ -336,11 +336,13 @@ def test_sat_quotient_length_examples(verify_mode):
     assert sat_quotient_length(ideal(R2, ["x^2", "x*y", "y^2*(y-1)"])) == 3
 
 
-def test_resource_limit():
+def test_resource_limit(monkeypatch):
     R = ring4()
     gens = ["X^3*Y + Z*W^2", "Y^3*Z + X*W^2", "Z^3 - X*Y*W"]
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
+    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     with pytest.raises(ResourceLimit):
-        ideal(R, gens).groebner(LEX, pair_budget=3)
+        ideal(R, gens).groebner(LEX)
 
 
 def test_rationals_agree_with_prime_field():

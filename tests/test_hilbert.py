@@ -70,7 +70,7 @@ def test_parameter_ideal_charts_each_candidate_once(monkeypatch):
     expected = {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
     assert hs_function(A, Q, 4) == expected
     assert charts == []
-    # an equal quotient given as another object (a worker's) charts again
+    # an equal quotient given as another object charts again
     assert hs_function(QuotientRingSpec(A.ring, A.defining, A.dim), Q, 4) == expected
     assert len(charts) == 1
     # the chart is no part of the spec's equality or repr
@@ -484,8 +484,8 @@ def test_worker_pool_is_clamped(monkeypatch, threads, cpus, candidates, pool):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -494,6 +494,42 @@ def test_worker_pool_is_clamped(monkeypatch, threads, cpus, candidates, pool):
     reports = hilbert._map_candidates(A, [Q] * candidates, 5, threads)
     assert [r.coeffs for r in reports] == [(1, 0, 0)] * candidates
     assert sizes == ([] if pool is None else [pool])
+
+
+def test_a_pickled_spec_keeps_its_chart(monkeypatch):
+    # one pickled (A, Q, n_max), as a pool's call item, keeps Q's chart of A:
+    # the worker neither charts Q nor builds its local basis again
+    import concurrent.futures
+    import pickle
+
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    assert Q._chart[2][0]._hash is not None  # the chart's lifts were hashed
+    A2, Q2, n_max = pickle.loads(pickle.dumps((A, Q, 5)))
+    assert Q2._chart[0] is A2
+    assert all(f._hash is None for f in Q2._chart[2])  # string hashes are per process
+    charts = _spy(monkeypatch, hilbert, "_normalized")
+    bases = _spy(monkeypatch, hilbert, "local_standard_basis")
+    assert hilbert_report(A2, Q2, n_max).coeffs == (8, -4, 0)
+
+    class PicklingPool:  # pickles each call item as a process pool does; never forks
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = hilbert._map_candidates(A, [Q, Q], 5, 2)
+    assert [r.coeffs for r in reports] == [(8, -4, 0)] * 2
+    assert charts == bases == []
 
 
 def test_hs_function_threads_match():

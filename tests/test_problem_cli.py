@@ -257,3 +257,45 @@ def test_sampled_coeffs_builds_one_local_basis_per_candidate(monkeypatch):
     report = run_problem(problem)
     assert report.ok and len(report.tasks[0].result["coeffs"]) == 3
     assert len(calls["local_standard_basis"]) == len(calls["parameter_ideal"]) >= 3
+
+
+_OFF_ORIGIN_DOC = {
+    # (x^2 - x^3, y^5) has a second point at x = 1: its colength at the
+    # origin, 10, comes from the truncation ladder
+    "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+    "ideals": {"J": ["x^2 - x^3", "y^5"]},
+    "artinian": {"C": {"ideal": "J"}},
+}
+
+
+@pytest.mark.parametrize("task, value", [
+    ({"command": "colength", "ideal": "J"}, 10),
+    ({"command": "ann-length", "artinian": "C", "f": "x"}, 5),
+], ids=["colength", "ann-length"])
+def test_run_cutoff_caps_every_colength(tmp_path, capsys, task, value):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_OFF_ORIGIN_DOC, "tasks": [task]}))
+    assert main(["run", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    assert result["value"] == value
+    assert result.get("algebra_length", 10) == 10
+    # a cap of 3 certifies no value
+    assert main(["run", str(path), "--cutoff", "3"]) == 3
+    assert "NotLocallyFinite" in capsys.readouterr().err
+
+
+def test_every_subcommand_is_a_task_command():
+    import argparse
+
+    from hilbsam.cli import build_parser
+    from hilbsam.problem import TaskRunner
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    operations = set(sub.choices) - {"run", "suite"}
+    for command in operations:
+        load_problem(_doc({"command": command}))  # accepted
+    commands = {name[4:].replace("_", "-") for name in vars(TaskRunner) if name.startswith("cmd_")}
+    assert commands == operations
+    for command in ("run", "suite"):
+        with pytest.raises(InputError, match="unknown command"):
+            load_problem(_doc({"command": command}))

@@ -59,6 +59,25 @@ def test_artin_algebra_examples():
     assert normal_form(y * x, C4.gb) == xy
 
 
+@pytest.mark.parametrize("gens, window, basis", [
+    # m-primary: the untruncated basis
+    (["X^2", "Y^3", "Z - X*Y", "W^2"], None,
+     [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1),
+      (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 1, 1, 1), (0, 2, 0, 1)]),
+    # a second point at X = 1: the truncated basis at the ladder's window end
+    (["X^2*(X-1)", "Y^2", "Z", "W"], (4, 6), [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]),
+], ids=["global", "ladder"])
+def test_artin_algebra_takes_its_colength_from_the_colength_layer(monkeypatch, gens, window, basis):
+    infos = []
+    real = secmethods.local_colength_info
+    monkeypatch.setattr(secmethods, "local_colength_info", lambda *a: infos.append(real(*a)) or infos[-1])
+    R = ring4()
+    C = artin_algebra(R, ideal(R, gens))
+    assert [info.window for info in infos] == [window]
+    assert C.basis == basis and C.dim == infos[0].value
+    assert C.gb.trunc_degree == (window and window[1])
+
+
 def test_mult_ops_commute_and_kill_relations():
     R = ring4()
     C = artin_algebra(R, ideal(R, ["X^2", "Y^3", "Z - X*Y", "W^2"]))
@@ -340,6 +359,38 @@ def test_sally_lengths_examples():
     assert sally_lengths(A, I, Q, 4) == {1: 2, 2: 3, 3: 4, 4: 5}
     Qp = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
     assert sally_lengths(A, I, Qp, 4) == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
+    # a + Q^n I and a + I^{n+1} keep the radical of their n = 0 ideal: once
+    # that took the global path, the later ones skip the nilpotency walk
+    walks = []
+    real = groebner._global_zero_dim_colength
+    monkeypatch.setattr(groebner, "_global_zero_dim_colength",
+                        lambda J, support_at_origin=False: walks.append(support_at_origin) or real(J, support_at_origin))
+    A = two_planes(2)
+    I = big_i(A, 2)
+    for lifts, n_max, lengths in [(["X^2-Z", "Y^2-W"], 4, {1: 2, 2: 3, 3: 4, 4: 5}),
+                                  (["X*Y-Z", "X^2+Y^2-W"], 3, {1: 1, 2: 1, 3: 1})]:
+        Q = parameter_ideal(A, lifts)
+        walks.clear()
+        assert sally_lengths(A, I, Q, n_max) == lengths
+        assert walks == ([False] + [True] * n_max) * 2
+
+
+def test_charted_checkers_reuse_the_chart_of_the_spec(monkeypatch):
+    # parameter_ideal charts Q once; the slice, superficiality and Sally
+    # methods read that chart for the same A instead of charting again
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    charts = []
+    real = hilbert.parameter_chart
+    monkeypatch.setattr(hilbert, "parameter_chart", lambda *a: charts.append(a) or real(*a))
+    a = parse_poly(A.ring, "X^2-Z")
+    assert e1_via_slice(A, Q, a) == hilbert_report(A, Q, 5).coeffs[1] == -4
+    assert is_superficial(A, Q, a)
+    assert sally_lengths(A, big_i(A, 2), Q, 2) == {1: 2, 2: 3}
+    assert charts == []
 
 
 def test_sally_rank_examples():
