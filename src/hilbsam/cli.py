@@ -23,26 +23,14 @@ import json
 import sys
 
 from .errors import HilbsamError, InputError, ResourceLimit, SamplingExhausted
-from .problem import Report, TaskRunner, load_problem, read_problem, run_problem
+from .problem import TASK_KEYS, Report, TaskRunner, load_problem, read_problem, run_problem
 from .suite import run_paper_suite
 
 # one subcommand per task command a problem file accepts
 _OP_COMMANDS = [name[4:].replace("_", "-") for name in vars(TaskRunner) if name.startswith("cmd_")]
 
-_TASK_OPTIONS = {
-    "ideal": str,
-    "quotient": str,
-    "params": str,
-    "artinian": str,
-    "a": str,
-    "b": str,
-    "f": str,
-    "order": str,
-    "e0": int,
-    "count": int,
-    "ncap": int,
-    "expect": str,
-}
+# task keys every subcommand takes through _add_common
+_COMMON_KEYS = ("nmax", "cutoff", "seed")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -73,13 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in _OP_COMMANDS:
         p = sub.add_parser(cmd, help=f"run the {cmd} operation against a problem file")
         p.add_argument("--file", required=True, help="problem file with the named objects")
-        for opt, typ in _TASK_OPTIONS.items():
-            p.add_argument(f"--{opt}", type=typ, default=None)
-        p.add_argument("--elems", nargs="*", default=None, help="polynomials for dseq")
-        p.add_argument("--named", nargs="*", default=None, help="named parameter ideals")
-        p.add_argument("--all-orders", action="store_true")
-        p.add_argument("--check-dseq", action="store_true")
-        p.add_argument("--window", type=int, nargs=2, default=None)
+        for key, kind in TASK_KEYS.items():
+            if key not in _COMMON_KEYS:
+                p.add_argument("--" + key.replace("_", "-"), default=None, help=kind.what, **kind.flag)
+        p.add_argument("--expect", type=str, default=None, help="expected primary value, as JSON")
         _add_common(p)
     return parser
 
@@ -99,28 +84,11 @@ def _emit(report: Report, args) -> int:
 
 def _single_task(args) -> dict:
     task: dict = {"command": args.subcommand, "name": args.subcommand}
-    for opt in _TASK_OPTIONS:
-        value = getattr(args, opt.replace("-", "_"), None)
-        if value is not None:
-            task[opt] = value
-    if args.elems:
-        task["elems"] = args.elems
-    if args.named:
-        task["named"] = args.named
-    if args.all_orders:
-        task["all_orders"] = True
-    if args.check_dseq:
-        task["check_dseq"] = True
-    if args.window:
-        task["window"] = args.window
-    if args.nmax is not None:
-        task["nmax"] = args.nmax
-    if args.cutoff is not None:
-        task["cutoff"] = args.cutoff
-    if args.seed is not None:
-        task["seed"] = args.seed
-    if "expect" in task:
-        task["expect"] = json.loads(task["expect"])
+    for key in TASK_KEYS:
+        if getattr(args, key) is not None:
+            task[key] = getattr(args, key)
+    if args.expect is not None:
+        task["expect"] = json.loads(args.expect)
     return task
 
 

@@ -24,7 +24,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -987,21 +987,30 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
-    """(I : f).  For f = c·u with u a monomial (a constant included), the
-    ideal generated by the reduced degrevlex basis of I : u, from
-    _by_monomial with no elimination; otherwise the generators of I ∩ (f)
-    divided exactly by f.
-
-    With VERIFY_EXTRA_STEPS set, a monomial colon is checked against the
-    intersection (AssertionError on a difference)."""
+    """(I : f), by _part: for f = c·u with u a monomial (a constant
+    included), the ideal generated by the reduced degrevlex basis of I : u,
+    with no elimination; otherwise the generators of I ∩ (f) divided
+    exactly by f."""
     if f.is_zero():
         raise ZeroDivisor("colon by zero")
+    return _part(I, f, saturate=False)
+
+
+def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
+    """I : f, or with saturate I : f^inf: by _by_monomial for a monomial f,
+    generated by its reduced degrevlex basis; otherwise by
+    _colon_by_intersection or by _saturation_by_elimination.
+
+    With VERIFY_EXTRA_STEPS set, a monomial part is checked against the
+    other way (AssertionError on a difference)."""
+    other = _saturation_by_elimination if saturate else _colon_by_intersection
     if len(f.terms) > 1:
-        return _colon_by_intersection(I, f)
-    gb = _by_monomial(I, next(iter(f.terms)), saturate=False)
-    if VERIFY_EXTRA_STEPS and gb.elements != _colon_by_intersection(I, f).groebner().elements:
-        raise AssertionError("the colon by a monomial disagrees with the colon by intersection")
-    return IdealHandle.of_basis(gb)
+        return other(I, f)
+    part = IdealHandle.of_basis(_by_monomial(I, next(iter(f.terms)), saturate))
+    if VERIFY_EXTRA_STEPS and list(part.generators) != list(other(I, f).groebner().elements):
+        what = "saturation" if saturate else "colon"
+        raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
+    return part
 
 
 def _colon_by_intersection(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -1048,43 +1057,28 @@ def _permuted(ring: RingSpec, f: Polynomial, perm: list[int]) -> Polynomial:
     return Polynomial(ring, {tuple(m[j] for j in perm): c for m, c in f.terms.items()}, _canonical=True)
 
 
-def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """(I : J) as the intersection of the colons by J's generators."""
-    gens = autoreduce(I.ring, list(J.generators))
-    if not gens:
-        raise ZeroDivisor("colon by the zero ideal")
-    result = colon(I, gens[0])
-    for g in gens[1:]:
-        result = intersect(result, colon(I, g))
-    return result
-
-
-def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """(I : J^inf) = ∩_g (I : g^inf) over the autoreduced generators g of J,
-    each part by _saturation_part, then the parts are intersected.  Returns
-    the saturation generated by its reduced degrevlex basis.  The pair
-    budget bounds each basis (ResourceLimit); raises ZeroDivisor when J is
-    zero."""
+def _by_generators(I: IdealHandle, J: IdealHandle, what: str, part) -> IdealHandle:
+    """∩_g part(g) over the autoreduced generators g of J, intersected in
+    turn; raises ZeroDivisor when J is zero."""
     if I.ring != J.ring:
         raise MixedRings("ideals from different rings")
     gens = autoreduce(I.ring, list(J.generators))
     if not gens:
-        raise ZeroDivisor("saturation by the zero ideal")
-    return reduce(intersect, (_saturation_part(I, g) for g in gens))
+        raise ZeroDivisor(f"{what} by the zero ideal")
+    return reduce(intersect, map(part, gens))
 
 
-def _saturation_part(I: IdealHandle, g: Polynomial) -> IdealHandle:
-    """I : g^inf, generated by its reduced degrevlex basis: by _by_monomial
-    for a monomial g, otherwise by one elimination.
+def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
+    """(I : J) as the intersection of the colons by J's generators."""
+    return _by_generators(I, J, "colon", partial(colon, I))
 
-    With VERIFY_EXTRA_STEPS set, a monomial part is checked against the
-    elimination (AssertionError on a difference)."""
-    if len(g.terms) > 1:
-        return _saturation_by_elimination(I, g)
-    part = IdealHandle.of_basis(_by_monomial(I, next(iter(g.terms)), saturate=True))
-    if VERIFY_EXTRA_STEPS and part.generators != _saturation_by_elimination(I, g).generators:
-        raise AssertionError("the saturation by a monomial disagrees with the elimination")
-    return part
+
+def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
+    """(I : J^inf) = ∩_g (I : g^inf) over the autoreduced generators g of J,
+    each part by _part.  Returns the saturation generated by its reduced
+    degrevlex basis.  The pair budget bounds each basis (ResourceLimit);
+    raises ZeroDivisor when J is zero."""
+    return _by_generators(I, J, "saturation", partial(_part, I, saturate=True))
 
 
 def _saturation_by_elimination(I: IdealHandle, g: Polynomial) -> IdealHandle:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, PolySyntaxError, UnknownVariable
 from .exactalg import FieldConfig, QQ, prime_field
 from .groebner import (
     IdealHandle,
@@ -59,7 +60,7 @@ from .secmethods import (
 def parse_field(text: str) -> FieldConfig:
     if text == "qq":
         return QQ
-    if text.startswith("fp:"):
+    if isinstance(text, str) and text.startswith("fp:"):
         try:
             return prime_field(int(text[3:]))
         except ValueError as exc:
@@ -72,9 +73,12 @@ def parse_order(text: str) -> MonomialOrder:
         return DEGREVLEX
     if text == "lex":
         return LEX
-    if text.startswith("elim:"):
+    if isinstance(text, str) and text.startswith("elim:"):
         return elimination_order(int(text[5:]))
     raise InputError(f"unknown order {text!r}")
+
+
+_REQUIRED = object()
 
 
 @dataclass
@@ -92,43 +96,135 @@ class Problem:
     default_order: MonomialOrder = DEGREVLEX
     cutoffs: tuple[int, int] = (4, 64)  # (start, cap) of every colength's truncation ladder
 
+    def read(self, task: dict, key: str, default: Any = _REQUIRED) -> Any:
+        """task[key] read by its TASK_KEYS kind, or default when the key is
+        absent (an InputError when there is no default).  A value that
+        cannot be read is an InputError naming the key."""
+        if key not in task:
+            _require(default is not _REQUIRED, f"task needs {key!r}")
+            return default
+        kind, value = TASK_KEYS[key], task[key]
+        try:
+            return kind.read(self, value)
+        except (InputError, TypeError, ValueError, KeyError) as exc:
+            detail = f" ({exc})" if isinstance(exc, (PolySyntaxError, UnknownVariable)) else ""
+            raise InputError(f"{key!r} must be {kind.what}, got {value!r}{detail}") from exc
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InputError(msg)
 
 
+def _checked(ok: bool, value: Any) -> Any:
+    if not ok:
+        raise TypeError(value)
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _polynomials(ring: RingSpec, texts: Any) -> list[Polynomial]:
+    _require(isinstance(texts, (list, tuple)) and all(isinstance(s, str) for s in texts),
+             f"expected a list of polynomial strings, got {texts!r}")
+    return [parse_poly(ring, s) for s in texts]
+
+
+def _parameters(p: Problem, name: Any) -> ParameterIdealSpec:
+    return p.parameters[name][1]  # KeyError, or TypeError when unhashable
+
+
+class TaskKey(NamedTuple):
+    """How a task key is read: what its value must be, the reader from
+    (problem, value) to what the commands take, and the argparse keywords
+    of its per-operation CLI flag."""
+
+    what: str
+    read: Callable[[Problem, Any], Any]
+    flag: dict
+
+
+_TEXT, _NUMBER = {"type": str}, {"type": int}
+_POLYNOMIAL = TaskKey("a polynomial", lambda p, v: _polynomials(p.ring, [v])[0], _TEXT)
+_INTEGER = TaskKey("an integer", lambda p, v: _checked(_is_int(v), v), _NUMBER)
+_COUNT = TaskKey("a non-negative integer", lambda p, v: _checked(_is_int(v) and v >= 0, v), _NUMBER)
+_FLAG = TaskKey("true or false", lambda p, v: _checked(isinstance(v, bool), v), {"action": "store_true"})
+
+# every key a task block may carry besides its command, name and expectations
+TASK_KEYS: dict[str, TaskKey] = {
+    "quotient": TaskKey("a quotient name", lambda p, v: p.quotients[v], _TEXT),
+    "params": TaskKey("a parameter ideal name", _parameters, _TEXT),
+    "artinian": TaskKey("an Artinian presentation name", lambda p, v: p.artinian[v], _TEXT),
+    "ideal": TaskKey("an ideal name or a list of polynomials",
+                     lambda p, v: p.ideals[v] if isinstance(v, str)
+                     else IdealHandle(p.ring, _polynomials(p.ring, v)), _TEXT),
+    "a": _POLYNOMIAL,
+    "b": _POLYNOMIAL,
+    "f": _POLYNOMIAL,
+    "elems": TaskKey("a list of polynomials", lambda p, v: _polynomials(p.ring, v), {"nargs": "*"}),
+    "named": TaskKey("a list of parameter ideal names",
+                     lambda p, v: [(n, _parameters(p, n)) for n in _checked(isinstance(v, (list, tuple)), v)],
+                     {"nargs": "*"}),
+    "order": TaskKey("degrevlex, lex or elim:b", lambda p, v: parse_order(v), _TEXT),
+    "e0": _INTEGER,
+    "nmax": _INTEGER,
+    "cutoff": _INTEGER,
+    "seed": _INTEGER,
+    "count": _COUNT,
+    "ncap": _COUNT,
+    "window": TaskKey("[start, stop], two integers",
+                      lambda p, v: range(*_checked(isinstance(v, (list, tuple)) and len(v) == 2
+                                                   and all(map(_is_int, v)), v)),
+                      {"type": int, "nargs": 2}),
+    "all_orders": _FLAG,
+    "check_dseq": _FLAG,
+}
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key) or {}
+    _require(isinstance(value, dict), f"{key!r} must be an object, got {value!r}")
+    return value
+
+
 def load_problem(doc: dict, field_override: str | None = None, seed: int | None = None,
                  cutoff: int | None = None, threads: int = 1) -> Problem:
-    """Validate and resolve a problem document."""
+    """Validate and resolve a problem document.  Every task key in
+    TASK_KEYS is read once here, so a malformed task fails before any task
+    runs."""
     _require(threads >= 1, f"threads must be at least 1, got {threads}")
     _require(isinstance(doc, dict), "problem document must be a JSON object")
     ring_doc = doc.get("ring")
     _require(isinstance(ring_doc, dict), "missing 'ring' object")
+    variables = ring_doc.get("variables", [])
+    _require(isinstance(variables, list), f"ring 'variables' must be a list of names, got {variables!r}")
     field_text = field_override or ring_doc.get("field", "fp:32003")
     try:
-        ring = RingSpec(tuple(ring_doc.get("variables", ())), parse_field(field_text))
-    except (ValueError, InputError) as exc:
+        ring = RingSpec(tuple(variables), parse_field(field_text))
+    except (TypeError, ValueError, InputError) as exc:
         raise InputError(f"bad ring spec: {exc}") from exc
-    default_order = parse_order(ring_doc.get("order", "degrevlex"))
-
-    def poly(text: Any) -> Polynomial:
-        _require(isinstance(text, str), f"expected polynomial string, got {text!r}")
-        return parse_poly(ring, text)
-
-    ideals: dict[str, IdealHandle] = {}
+    tasks = doc.get("tasks") or []
+    _require(isinstance(tasks, list), "'tasks' must be a list")
+    problem = Problem(ring, {}, {}, {}, {}, tasks, threads=threads,
+                      default_order=parse_order(ring_doc.get("order", "degrevlex")),
+                      cutoffs=(4, cutoff) if cutoff else (4, 64))
+    problem.seed = problem.read(doc, "seed", 0) if seed is None else seed
+    ideals = problem.ideals
 
     def resolve_ideal(value: Any) -> IdealHandle:
         if isinstance(value, str):
             _require(value in ideals, f"unknown ideal name {value!r}")
             return ideals[value]
         if isinstance(value, list):
-            return IdealHandle(ring, [poly(p) for p in value])
+            return IdealHandle(ring, _polynomials(ring, value))
         if isinstance(value, dict) and len(value) == 1:
             op, args = next(iter(value.items()))
+            _require(isinstance(args, list), f"{op} takes a list, got {args!r}")
             if op == "power":
-                _require(isinstance(args, list) and len(args) == 2, "power takes [ideal, n]")
-                return ideal_power(resolve_ideal(args[0]), int(args[1]))
+                _require(len(args) == 2 and _is_int(args[1]), "power takes [ideal, n]")
+                return ideal_power(resolve_ideal(args[0]), args[1])
             parts = [resolve_ideal(a) for a in args]
             _require(len(parts) >= 2, f"{op} takes at least two ideals")
             out = parts[0]
@@ -148,72 +244,43 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
             return out
         raise InputError(f"cannot interpret ideal value {value!r}")
 
-    for name, value in (doc.get("ideals") or {}).items():
+    for name, value in _section(doc, "ideals").items():
         ideals[name] = resolve_ideal(value)
 
-    cutoffs = (4, cutoff) if cutoff else (4, 64)
-    quotients: dict[str, QuotientRingSpec] = {}
-    for name, q in (doc.get("quotients") or {}).items():
+    for name, q in _section(doc, "quotients").items():
         _require(isinstance(q, dict) and "defining" in q and "dim" in q,
                  f"quotient {name!r} needs 'defining' and 'dim'")
         try:
-            quotients[name] = QuotientRingSpec(
-                ring, resolve_ideal(q["defining"]), int(q["dim"]), cutoffs
+            problem.quotients[name] = QuotientRingSpec(
+                ring, resolve_ideal(q["defining"]), int(q["dim"]), problem.cutoffs
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad quotient {name!r}: {exc}") from exc
 
-    parameters: dict[str, tuple[str, ParameterIdealSpec]] = {}
-    for name, p in (doc.get("parameters") or {}).items():
-        _require(isinstance(p, dict) and "quotient" in p and "lifts" in p,
-                 f"parameter ideal {name!r} needs 'quotient' and 'lifts'")
+    for name, p in _section(doc, "parameters").items():
+        _require(isinstance(p, dict) and "quotient" in p and isinstance(p.get("lifts"), list),
+                 f"parameter ideal {name!r} needs 'quotient' and a list 'lifts'")
         qname = p["quotient"]
-        _require(qname in quotients, f"unknown quotient {qname!r}")
-        parameters[name] = (qname, parameter_ideal(quotients[qname], [poly(s) for s in p["lifts"]]))
+        _require(isinstance(qname, str) and qname in problem.quotients, f"unknown quotient {qname!r}")
+        problem.parameters[name] = (
+            qname, parameter_ideal(problem.quotients[qname], _polynomials(ring, p["lifts"])))
 
-    artinian: dict[str, IdealHandle] = {}
-    for name, a in (doc.get("artinian") or {}).items():
+    for name, a in _section(doc, "artinian").items():
         _require(isinstance(a, dict) and "ideal" in a, f"artinian {name!r} needs 'ideal'")
-        artinian[name] = resolve_ideal(a["ideal"])
+        problem.artinian[name] = resolve_ideal(a["ideal"])
 
-    tasks = doc.get("tasks") or []
-    _require(isinstance(tasks, list), "'tasks' must be a list")
     for i, task in enumerate(tasks):
         _require(isinstance(task, dict), f"task {i} must be an object")
-        command = str(task.get("command"))
-        _require(
-            hasattr(TaskRunner, "cmd_" + command.replace("-", "_")),
-            f"task {i}: unknown command {command!r}",
-        )
-        for key, table in (("quotient", quotients), ("params", parameters),
-                           ("artinian", artinian)):
-            name = task.get(key)
-            if name is not None:
-                _require(name in table, f"task {i}: unknown {key} {name!r}")
-        iname = task.get("ideal")
-        if isinstance(iname, str):
-            _require(iname in ideals, f"task {i}: unknown ideal {iname!r}")
-        for name in task.get("named", []):
-            _require(name in parameters, f"task {i}: unknown parameter ideal {name!r}")
-        for key in ("ncap", "count"):
-            if key in task:
-                try:
-                    value = int(task[key])
-                except (TypeError, ValueError):
-                    value = -1
-                _require(value >= 0, f"task {i}: {key!r} must be a non-negative integer, got {task[key]!r}")
-    return Problem(
-        ring,
-        ideals,
-        quotients,
-        parameters,
-        artinian,
-        tasks,
-        seed=doc.get("seed", 0) if seed is None else seed,
-        threads=threads,
-        default_order=default_order,
-        cutoffs=cutoffs,
-    )
+        command = task.get("command")
+        _require(isinstance(command, str) and hasattr(TaskRunner, "cmd_" + command.replace("-", "_")),
+                 f"task {i}: unknown command {command!r}")
+        try:
+            for key in task:
+                if key in TASK_KEYS:
+                    problem.read(task, key)
+        except InputError as exc:
+            raise InputError(f"task {i}: {exc}") from exc
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -317,96 +384,51 @@ def _as_tuple(value: Any):
 
 
 class TaskRunner:
-    """Dispatches one task block to the library; results are plain data."""
+    """Dispatches one task block to the library; results are plain data.
+    A command method takes read(key[, default]), which reads the task's
+    value of key through Problem.read."""
 
     def __init__(self, problem: Problem):
         self.p = problem
 
-    # -- argument accessors ----------------------------------------------
-    def _quotient(self, task: dict) -> QuotientRingSpec:
-        name = task.get("quotient")
-        _require(name in self.p.quotients, f"unknown quotient {name!r}")
-        return self.p.quotients[name]
+    def _cutoffs(self, read) -> tuple[int, int]:
+        cutoff = read("cutoff", None)
+        return self.p.cutoffs if cutoff is None else (4, cutoff)
 
-    def _ideal(self, task: dict, key: str = "ideal") -> IdealHandle:
-        name = task.get(key)
-        if isinstance(name, list):
-            return IdealHandle(self.p.ring, [parse_poly(self.p.ring, s) for s in name])
-        _require(name in self.p.ideals, f"unknown ideal {name!r}")
-        return self.p.ideals[name]
+    def _artin(self, read):
+        return artin_algebra(self.p.ring, read("artinian"), self._cutoffs(read))
 
-    def _params(self, task: dict, key: str = "params") -> ParameterIdealSpec:
-        name = task.get(key)
-        _require(name in self.p.parameters, f"unknown parameter ideal {name!r}")
-        return self.p.parameters[name][1]
+    def _in_quotient(self, read) -> IdealHandle:
+        J, A = read("ideal"), read("quotient", None)
+        return J if A is None else A.plus(J)
 
-    def _artin(self, task: dict):
-        name = task.get("artinian")
-        _require(name in self.p.artinian, f"unknown artinian presentation {name!r}")
-        return artin_algebra(self.p.ring, self.p.artinian[name], self._cutoffs(task))
-
-    def _poly(self, task: dict, key: str) -> Polynomial:
-        text = task.get(key)
-        _require(isinstance(text, str), f"task needs polynomial string {key!r}")
-        return parse_poly(self.p.ring, text)
-
-    def _named_params(self, task: dict) -> list[tuple[str, ParameterIdealSpec]]:
-        out = []
-        for name in task.get("named", []):
-            _require(name in self.p.parameters, f"unknown parameter ideal {name!r}")
-            out.append((name, self.p.parameters[name][1]))
-        return out
-
-    def _seed(self, task: dict) -> int:
-        return int(task.get("seed", self.p.seed))
-
-    def _nmax(self, task: dict) -> int | None:
-        return int(task["nmax"]) if "nmax" in task else None
+    def run_task(self, task: dict) -> tuple[dict, Any, list[str]]:
+        return getattr(self, "cmd_" + task["command"].replace("-", "_"))(partial(self.p.read, task))
 
     # -- command implementations ------------------------------------------
-    def run_task(self, task: dict) -> tuple[dict, Any, list[str]]:
-        command = task.get("command")
-        handler = getattr(self, "cmd_" + str(command).replace("-", "_"), None)
-        _require(handler is not None, f"unknown command {command!r}")
-        return handler(task)
-
-    def cmd_gb(self, task):
-        order = parse_order(task["order"]) if "order" in task else self.p.default_order
-        gb = self._ideal(task).groebner(order)
+    def cmd_gb(self, read):
+        gb = read("ideal").groebner(read("order", self.p.default_order))
         elements = [str(g) for g in gb.elements]
         return {"elements": elements, "size": len(elements)}, len(elements), []
 
-    def cmd_colength(self, task):
-        J = self._ideal(task)
-        if "quotient" in task:
-            J = self._quotient(task).plus(J)
-        info = local_colength_info(J, self._cutoffs(task))
+    def cmd_colength(self, read):
+        info = local_colength_info(self._in_quotient(read), self._cutoffs(read))
         result = {"value": info.value}
         if info.window is not None:
             result["stabilization_window"] = list(info.window)
         return result, info.value, []
 
-    def _cutoffs(self, task) -> tuple[int, int]:
-        if "cutoff" in task:
-            return (4, int(task["cutoff"]))
-        return self.p.cutoffs
-
-    def cmd_sat_quotient_length(self, task):
-        J = self._ideal(task)
-        if "quotient" in task:
-            J = self._quotient(task).plus(J)
-        value = sat_quotient_length(J)
+    def cmd_sat_quotient_length(self, read):
+        value = sat_quotient_length(self._in_quotient(read))
         return {"value": value}, value, []
 
-    def cmd_hilb(self, task):
-        A = self._quotient(task)
-        H = hs_function(A, self._params(task), self._nmax(task))
+    def cmd_hilb(self, read):
+        H = hs_function(read("quotient"), read("params"), read("nmax", None))
         values = [H[n] for n in sorted(H)]
         return {"samples": values, "from": 0}, values, []
 
-    def cmd_coeffs(self, task):
-        A = self._quotient(task)
-        rep = hilbert_report(A, self._params(task), self._nmax(task))
+    def cmd_coeffs(self, read):
+        rep = hilbert_report(read("quotient"), read("params"), read("nmax", None))
         result = {
             "coeffs": list(rep.coeffs),
             "samples": [rep.samples[n] for n in sorted(rep.samples)],
@@ -415,17 +437,15 @@ class TaskRunner:
         }
         return result, list(rep.coeffs), rep.warnings
 
-    def cmd_ideal_hilb(self, task):
-        A = self._quotient(task)
-        I = self._ideal(task)
-        n_max = self._nmax(task) or A.dim + 6
-        H = power_colengths(A, I, n_max)
+    def cmd_ideal_hilb(self, read):
+        A = read("quotient")
+        n_max = read("nmax", None) or A.dim + 6
+        H = power_colengths(A, read("ideal"), n_max)
         values = [H[n] for n in sorted(H)]
         return {"samples": values, "from": 0}, values, []
 
-    def cmd_ideal_coeffs(self, task):
-        A = self._quotient(task)
-        rep = ideal_hilbert_report(A, self._ideal(task), self._nmax(task))
+    def cmd_ideal_coeffs(self, read):
+        rep = ideal_hilbert_report(read("quotient"), read("ideal"), read("nmax", None))
         result = {
             "coeffs": list(rep.coeffs),
             "samples": [rep.samples[n] for n in sorted(rep.samples)],
@@ -433,16 +453,14 @@ class TaskRunner:
         }
         return result, list(rep.coeffs), rep.warnings
 
-    def cmd_kernel_e1(self, task):
-        C = self._artin(task)
-        act = action_pair(C, self._poly(task, "a"), self._poly(task, "b"))
-        if "e0" in task:
-            e0 = int(task["e0"])
-        else:
-            rep0 = hilbert_report(self._quotient(task), self._params(task), self._nmax(task))
+    def cmd_kernel_e1(self, read):
+        C = self._artin(read)
+        act = action_pair(C, read("a"), read("b"))
+        e0 = read("e0", None)
+        if e0 is None:
+            rep0 = hilbert_report(read("quotient"), read("params"), read("nmax", None))
             e0 = rep0.coeffs[0]
-        window = range(*task.get("window", (0, 7)))
-        rep = e1_e2_via_kernel(C, act, e0, window)
+        rep = e1_e2_via_kernel(C, act, e0, read("window", range(0, 7)))
         result = {
             "e0": e0,
             "e1": rep.e1,
@@ -452,35 +470,29 @@ class TaskRunner:
         }
         return result, [rep.e1, rep.e2], []
 
-    def cmd_ann_length(self, task):
-        C = self._artin(task)
-        value = annihilator_length(C, self._poly(task, "f"))
+    def cmd_ann_length(self, read):
+        C = self._artin(read)
+        value = annihilator_length(C, read("f"))
         return {"value": value, "algebra_length": C.dim}, value, []
 
-    def cmd_slice_e1(self, task):
-        A = self._quotient(task)
-        value = e1_via_slice(A, self._params(task), self._poly(task, "a"))
+    def cmd_slice_e1(self, read):
+        value = e1_via_slice(read("quotient"), read("params"), read("a"))
         return {"value": value}, value, ["conditional on superficiality of the slice element"]
 
-    def cmd_dseq(self, task):
-        A = self._quotient(task)
-        elems = [parse_poly(self.p.ring, s) for s in task.get("elems", [])]
-        if not elems:
-            elems = list(self._params(task).lifts)
-        value = is_d_sequence(A, elems, bool(task.get("all_orders", False)))
+    def cmd_dseq(self, read):
+        elems = read("elems", None) or list(read("params").lifts)
+        value = is_d_sequence(read("quotient"), elems, read("all_orders", False))
         return {"value": value}, value, []
 
-    def cmd_superficial(self, task):
-        A = self._quotient(task)
-        window = range(*task.get("window", (2, 7)))
-        value = is_superficial(A, self._params(task), self._poly(task, "a"), window)
+    def cmd_superficial(self, read):
+        window = read("window", range(2, 7))
+        value = is_superficial(read("quotient"), read("params"), read("a"), window)
         warnings = [] if not value else ["windowed superficiality: True is heuristic evidence"]
         return {"value": value, "window": [window.start, window.stop]}, value, warnings
 
-    def cmd_unmixed(self, task):
-        A = self._quotient(task)
-        a = self._poly(task, "a")
-        U = unmixed_component(A, a, self._poly(task, "b"))
+    def cmd_unmixed(self, read):
+        A, a = read("quotient"), read("a")
+        U = unmixed_component(A, a, read("b"))
         qlen = sat_quotient_length(ideal_sum(A.defining, IdealHandle(self.p.ring, [a])))
         return (
             {"generators": [str(g) for g in U.generators], "quotient_length": qlen},
@@ -488,43 +500,37 @@ class TaskRunner:
             [],
         )
 
-    def cmd_reduction(self, task):
-        A = self._quotient(task)
-        cert = is_reduction(A, self._params(task), self._ideal(task), int(task.get("ncap", 8)))
+    def cmd_reduction(self, read):
+        cert = is_reduction(read("quotient"), read("params"), read("ideal"), read("ncap", 8))
         return {"certificate": cert, "is_reduction": cert is not None}, cert, []
 
-    def cmd_sample_reductions(self, task):
-        A = self._quotient(task)
-        count = int(task.get("count", 5))
-        reductions, warnings = sample_reductions(A, self._ideal(task), count, self._seed(task))
+    def _sampled(self, read):
+        A = read("quotient")
+        return (A, *sample_reductions(A, read("ideal"), read("count", 5), read("seed", self.p.seed)))
+
+    def cmd_sample_reductions(self, read):
+        _, reductions, warnings = self._sampled(read)
         lifts = [[str(f) for f in q.lifts] for q in reductions]
         return {"count": len(reductions), "lifts": lifts}, len(reductions), warnings
 
-    def cmd_sampled_coeffs(self, task):
+    def cmd_sampled_coeffs(self, read):
         """Coefficient tuples of seeded sampled reductions (one per sample)."""
-        A = self._quotient(task)
-        count = int(task.get("count", 5))
-        reductions, warnings = sample_reductions(A, self._ideal(task), count, self._seed(task))
-        reports = [hilbert_report(A, q, self._nmax(task)) for q in reductions]
-        tuples = [list(r.coeffs) for r in reports]
-        dseq = None
-        if task.get("check_dseq"):
-            dseq = [is_d_sequence(A, list(q.lifts)) for q in reductions]
-        result = {"coeffs": tuples}
-        if dseq is not None:
-            result["d_sequence"] = dseq
+        A, reductions, warnings = self._sampled(read)
+        reports = [hilbert_report(A, q, read("nmax", None)) for q in reductions]
+        result = {"coeffs": [list(r.coeffs) for r in reports]}
+        if read("check_dseq", False):
+            result["d_sequence"] = [is_d_sequence(A, list(q.lifts)) for q in reductions]
         primary = sorted({r.coeffs[1] for r in reports})
         return result, primary, warnings
 
-    def cmd_lambda(self, task):
-        A = self._quotient(task)
+    def cmd_lambda(self, read):
         rep = lambda_map(
-            A,
-            self._ideal(task),
-            int(task.get("count", 5)),
-            self._seed(task),
-            self._nmax(task),
-            named=self._named_params(task),
+            read("quotient"),
+            read("ideal"),
+            read("count", 5),
+            read("seed", self.p.seed),
+            read("nmax", None),
+            named=read("named", []),
             threads=self.p.threads,
         )
         entries = {
@@ -532,15 +538,13 @@ class TaskRunner:
         }
         return {"values": rep.values, "entries": entries}, rep.values, rep.warnings
 
-    def cmd_sally(self, task):
-        A = self._quotient(task)
-        lengths = sally_lengths(A, self._ideal(task), self._params(task), int(task.get("nmax", 4)))
+    def cmd_sally(self, read):
+        lengths = sally_lengths(read("quotient"), read("ideal"), read("params"), read("nmax", 4))
         values = [lengths[n] for n in sorted(lengths)]
         return {"degree_lengths": values, "degrees": sorted(lengths)}, values, []
 
-    def cmd_sally_rank(self, task):
-        A = self._quotient(task)
-        r = sally_rank(A, self._ideal(task), self._params(task), self._nmax(task))
+    def cmd_sally_rank(self, read):
+        r = sally_rank(read("quotient"), read("ideal"), read("params"), read("nmax", None))
         result = {
             "rank": r.rank,
             "e0_i": r.e0_i,
@@ -550,9 +554,8 @@ class TaskRunner:
         }
         return result, r.rank, []
 
-    def cmd_kplusj(self, task):
-        B = self._quotient(task)
-        rep = k_plus_j_analysis(B, self._ideal(task), self._named_params(task), self._nmax(task))
+    def cmd_kplusj(self, read):
+        rep = k_plus_j_analysis(read("quotient"), read("ideal"), read("named", []), read("nmax", None))
         entries = {e.name: {"rank": e.rank, "e1": e.e1_derived} for e in rep.entries}
         result = {
             "coeffs": list(rep.coeffs),
@@ -614,7 +617,6 @@ def run_problem(problem: Problem) -> Report:
     runner = TaskRunner(problem)
     results = []
     for i, task in enumerate(problem.tasks):
-        _require(isinstance(task, dict), f"task {i} must be an object")
         name = str(task.get("name", f"task{i}"))
         start = time.perf_counter()
         result, primary, warnings = runner.run_task(task)

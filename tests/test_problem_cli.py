@@ -299,3 +299,107 @@ def test_every_subcommand_is_a_task_command():
     for command in ("run", "suite"):
         with pytest.raises(InputError, match="unknown command"):
             load_problem(_doc({"command": command}))
+
+
+def _task_shape(**task):
+    return _doc({"name": "t", **task})
+
+
+def _doc_shape(edit):
+    doc = _doc()
+    edit(doc)
+    return doc
+
+
+_MALFORMED = {
+    # task values the task-key table cannot read
+    "window": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z", window=5),
+               "'window'"),
+    "nmax": (_task_shape(command="hilb", quotient="A", params="Qdiag", nmax=[3]), "'nmax'"),
+    "named": (_task_shape(command="lambda", quotient="A", ideal="c", named=5), "'named'"),
+    "elems": (_task_shape(command="dseq", quotient="A", elems=5), "'elems'"),
+    "elems-entry": (_task_shape(command="dseq", quotient="A", elems=[5]), "'elems'"),
+    "ideal-object": (_task_shape(command="gb", ideal={"x": 1}), "'ideal'"),
+    "ideal-entry": (_task_shape(command="gb", ideal=[5]), "'ideal'"),
+    "order": (_task_shape(command="gb", ideal="c", order=5), "'order'"),
+    "window-length": (_task_shape(command="superficial", window=[0, 7, 1]), "'window' must be"),
+    "flag": (_task_shape(command="sampled-coeffs", check_dseq=1), "'check_dseq' must be"),
+    "integer-text": (_task_shape(command="hilb", nmax="5"), "'nmax' must be"),
+    "named-entry": (_task_shape(command="lambda", named=["Q", "nope"]), "'named' must be"),
+    "polynomial-syntax": (_task_shape(command="slice-e1", a="X+"), "'a' must be a polynomial"),
+    # document-level values
+    "ring-variables": (_doc_shape(lambda d: d["ring"].update(variables=5)), "variables"),
+    "ring-field": (_doc_shape(lambda d: d["ring"].update(field=5)), "field"),
+    "ring-order": (_doc_shape(lambda d: d["ring"].update(order=5)), "order"),
+    "quotients": (_doc_shape(lambda d: d.update(quotients=[1])), "'quotients'"),
+    "artinian": (_doc_shape(lambda d: d.update(artinian=["x"])), "'artinian'"),
+    "intersect": (_doc_shape(lambda d: d["ideals"].update(bad={"intersect": 5})), "intersect"),
+    "lifts": (_doc_shape(lambda d: d["parameters"]["Q"].update(lifts=5)), "'lifts'"),
+    "seed": (_doc_shape(lambda d: d.update(seed="x")), "'seed'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_documents_exit_2(tmp_path, capsys, name):
+    doc, mention = _MALFORMED[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert mention in err
+
+
+_HEAD_OPERATION_FLAGS = {
+    "-h", "--help", "--file", "--field", "--seed", "--nmax", "--cutoff", "--threads", "--json",
+    "--timings", "--expect", "--ideal", "--quotient", "--params", "--artinian", "--a", "--b", "--f",
+    "--order", "--e0", "--count", "--ncap", "--elems", "--named", "--all-orders", "--check-dseq",
+    "--window",
+}
+
+
+def _operation_parsers():
+    import argparse
+
+    from hilbsam.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: p for name, p in sub.choices.items() if name not in ("run", "suite")}
+
+
+def test_operation_flags_are_unchanged():
+    parsers = _operation_parsers()
+    assert len(parsers) == 20
+    for name, parser in parsers.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == _HEAD_OPERATION_FLAGS, name
+
+
+def test_task_values_are_read_only_through_the_task_key_table():
+    # a command method takes only a reader of the task-key table, and every
+    # key of the table is a flag of every single-operation subcommand
+    import inspect
+
+    from hilbsam.cli import _COMMON_KEYS
+    from hilbsam.problem import TASK_KEYS, TaskRunner
+
+    for name, method in vars(TaskRunner).items():
+        if name.startswith("cmd_"):
+            assert list(inspect.signature(method).parameters) == ["self", "read"], name
+            source = inspect.getsource(method)
+            assert "task[" not in source and "task.get(" not in source, name
+    table_flags = {"--" + key.replace("_", "-") for key in TASK_KEYS}
+    for name, parser in _operation_parsers().items():
+        assert table_flags <= {s for a in parser._actions for s in a.option_strings}, name
+    assert set(_COMMON_KEYS) <= set(TASK_KEYS)
+
+
+def test_missing_task_keys_fail_when_the_command_reads_them(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc({"command": "hilb", "params": "Qdiag"})))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: task needs 'quotient'\n"
+    assert main(["superficial", "--file", str(path), "--quotient", "A", "--params", "Qdiag",
+                 "--a", "X-Z", "--window", "2", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["window"] == [2, 4]
