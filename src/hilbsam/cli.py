@@ -38,7 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled reductions")
     parser.add_argument("--nmax", type=int, default=None, help="largest sampled power index")
     parser.add_argument("--cutoff", type=int, default=None, help="truncation cutoff cap")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size for sampling fans")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--timings", action="store_true", help="include timings in the JSON report")
 
@@ -98,24 +97,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand in ("suite", "run") and args.nmax is not None:
             raise InputError("--nmax applies to single-operation commands; set 'nmax' per task instead")
         if args.subcommand == "suite":
-            report = run_paper_suite(
-                field=args.field or "fp:32003",
-                seed=args.seed or 0,
-                threads=args.threads,
-                cutoff=args.cutoff,
-            )
+            report = run_paper_suite(field=args.field or "fp:32003", seed=args.seed or 0, cutoff=args.cutoff)
             return _emit(report, args)
         doc = read_problem(args.file)
         if args.subcommand != "run":
             # single-operation commands reuse the problem-file objects
             doc = {**doc, "tasks": [_single_task(args)]}
-        problem = load_problem(
-            doc,
-            field_override=args.field,
-            seed=args.seed,
-            cutoff=args.cutoff,
-            threads=args.threads,
-        )
+        problem = load_problem(doc, field_override=args.field, seed=args.seed, cutoff=args.cutoff)
         return _emit(run_problem(problem), args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

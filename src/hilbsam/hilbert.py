@@ -11,10 +11,9 @@ so e_0 is the multiplicity and the report stores (e_0, ..., e_d).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb
 
 from .errors import (
@@ -164,8 +163,7 @@ def _normalized(A: QuotientRingSpec, lifts) -> tuple:
 
 def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
     """(A2, lifts, move, local): _normalized(A, Q.lifts) and the
-    _local_basis of its A2 and lifts, kept on Q for this A object.  One
-    pickled (A, Q) keeps Q._chart[0] is A, so a pool worker reuses them."""
+    _local_basis of its A2 and lifts, kept on Q for this A object."""
     if Q._chart is None or Q._chart[0] is not A:
         A2, lifts, move = _normalized(A, Q.lifts)
         Q._chart = (A, A2, lifts, move, _local_basis(A2, lifts))
@@ -519,7 +517,6 @@ def lambda_map(
     seed: int,
     n_max: int | None = None,
     named: list[tuple[str, ParameterIdealSpec]] | None = None,
-    threads: int = 1,
 ) -> LambdaReport:
     """e_1 over sampled (and named) minimal reductions of I."""
     warnings: list[str] = []
@@ -535,27 +532,12 @@ def lambda_map(
         sampled, w = _certified_samples(A, I, count, seed, chain=chain)
         warnings.extend(w)
         candidates.extend((f"sample{i}", q, cert) for i, (q, cert) in enumerate(sampled))
-    reports = _map_candidates(A, [q for _, q, _ in candidates], n_max, threads)
     entries = [
-        LambdaEntry(name, tuple(str(f) for f in q.lifts), cert, rep.coeffs)
-        for (name, q, cert), rep in zip(candidates, reports)
+        LambdaEntry(name, tuple(str(f) for f in q.lifts), cert, hilbert_report(A, q, n_max).coeffs)
+        for name, q, cert in candidates
     ]
     values = sorted({e.coeffs[1] for e in entries})
     return LambdaReport(values, entries, warnings)
-
-
-def _map_candidates(A, candidates, n_max, threads) -> list[HilbertReport]:
-    # a fork-started pool launches all its workers at once: never more than
-    # there are candidates or cores
-    workers = min(threads, len(candidates), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # each call item pickles (A, q, n_max) together, so the worker's q
-        # keeps its chart of the worker's A
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(hilbert_report, repeat(A), candidates, repeat(n_max)))
-    return [hilbert_report(A, q, n_max) for q in candidates]
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ class Problem:
     artinian: dict[str, IdealHandle]
     tasks: list[dict]
     seed: int = 0
-    threads: int = 1
     default_order: MonomialOrder = DEGREVLEX
     cutoffs: tuple[int, int] = (4, 64)  # (start, cap) of every colength's truncation ladder
 
@@ -169,14 +168,14 @@ TASK_KEYS: dict[str, TaskKey] = {
                      {"nargs": "*"}),
     "order": TaskKey("degrevlex, lex or elim:b", lambda p, v: parse_order(v), _TEXT),
     "e0": _INTEGER,
-    "nmax": _INTEGER,
+    "nmax": _COUNT,
     "cutoff": _INTEGER,
     "seed": _INTEGER,
     "count": _COUNT,
     "ncap": _COUNT,
-    "window": TaskKey("[start, stop], two integers",
+    "window": TaskKey("[start, stop], two integers with start < stop",
                       lambda p, v: range(*_checked(isinstance(v, (list, tuple)) and len(v) == 2
-                                                   and all(map(_is_int, v)), v)),
+                                                   and all(map(_is_int, v)) and v[0] < v[1], v)),
                       {"type": int, "nargs": 2}),
     "all_orders": _FLAG,
     "check_dseq": _FLAG,
@@ -193,7 +192,8 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
                  cutoff: int | None = None, threads: int = 1) -> Problem:
     """Validate and resolve a problem document.  Every task key in
     TASK_KEYS is read once here, so a malformed task fails before any task
-    runs."""
+    runs.  Every task runs in this process: threads is accepted (at least 1)
+    for callers that still pass it, and nothing reads it."""
     _require(threads >= 1, f"threads must be at least 1, got {threads}")
     _require(isinstance(doc, dict), "problem document must be a JSON object")
     ring_doc = doc.get("ring")
@@ -207,7 +207,7 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
         raise InputError(f"bad ring spec: {exc}") from exc
     tasks = doc.get("tasks") or []
     _require(isinstance(tasks, list), "'tasks' must be a list")
-    problem = Problem(ring, {}, {}, {}, {}, tasks, threads=threads,
+    problem = Problem(ring, {}, {}, {}, {}, tasks,
                       default_order=parse_order(ring_doc.get("order", "degrevlex")),
                       cutoffs=(4, cutoff) if cutoff else (4, 64))
     problem.seed = problem.read(doc, "seed", 0) if seed is None else seed
@@ -278,6 +278,9 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
             for key in task:
                 if key in TASK_KEYS:
                     problem.read(task, key)
+            least = task.get("expect_min_distinct", 0)
+            _require(_is_int(least) and least >= 0,
+                     f"'expect_min_distinct' must be {_COUNT.what}, got {least!r}")
         except InputError as exc:
             raise InputError(f"task {i}: {exc}") from exc
     return problem
@@ -439,8 +442,7 @@ class TaskRunner:
 
     def cmd_ideal_hilb(self, read):
         A = read("quotient")
-        n_max = read("nmax", None) or A.dim + 6
-        H = power_colengths(A, read("ideal"), n_max)
+        H = power_colengths(A, read("ideal"), read("nmax", A.dim + 6))
         values = [H[n] for n in sorted(H)]
         return {"samples": values, "from": 0}, values, []
 
@@ -531,7 +533,6 @@ class TaskRunner:
             read("seed", self.p.seed),
             read("nmax", None),
             named=read("named", []),
-            threads=self.p.threads,
         )
         entries = {
             e.name: {"coeffs": list(e.coeffs), "certificate": e.certificate} for e in rep.entries

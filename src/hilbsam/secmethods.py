@@ -227,12 +227,16 @@ def is_superficial(
     A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial, window: range = range(2, 7)
 ) -> bool:
     """Windowed check of (Q^{n+1} : a) = Q^n + (0 : a) in A.  A False is
-    definitive (a witness n exists); a True is heuristic evidence."""
+    definitive (a witness n exists); a True is heuristic evidence.  A
+    window that holds no n >= 0 is a ValueError."""
+    last = max(window, default=-1)
+    if last < 0:
+        raise ValueError(f"the superficiality window [{window.start}, {window.stop}) holds no n >= 0")
     A2, lifts, move, _ = _chart_of(A, Q)
     (a,) = move([a])
     zero_colon = colon(A2.defining, a)  # (0 :_A a), as an ideal of R
     bases = pairwise(power_bases(A2, IdealHandle(A.ring, lifts)))  # (a + Q^n, a + Q^{n+1})
-    for n, (power, nxt) in zip(range(max(window, default=-1) + 1), bases):
+    for n, (power, nxt) in zip(range(last + 1), bases):
         if n in window and not ideal_equal(colon(nxt, a), ideal_sum(power, zero_colon)):
             return False
     return True

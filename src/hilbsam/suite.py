@@ -318,10 +318,6 @@ def paper_suite_doc() -> dict:
     }
 
 
-def run_paper_suite(
-    field: str = "fp:32003", seed: int = 0, threads: int = 1, cutoff: int | None = None
-) -> Report:
-    problem = load_problem(
-        paper_suite_doc(), field_override=field, seed=seed, cutoff=cutoff, threads=threads
-    )
+def run_paper_suite(field: str = "fp:32003", seed: int = 0, cutoff: int | None = None) -> Report:
+    problem = load_problem(paper_suite_doc(), field_override=field, seed=seed, cutoff=cutoff)
     return run_problem(problem)

@@ -1,4 +1,3 @@
-import os
 from itertools import islice
 from math import comb
 
@@ -463,43 +462,9 @@ def test_direct_path_without_chart():
     assert cert is not None
 
 
-@pytest.mark.parametrize("threads, cpus, candidates, pool", [
-    (1000, 64, 2, 2),  # no more workers than candidates
-    (1000, 3, 5, 3),  # nor than cores
-    (8, None, 5, None),  # an unknown core count runs in process
-    (1, 64, 5, None),
-])
-def test_worker_pool_is_clamped(monkeypatch, threads, cpus, candidates, pool):
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:  # runs the workers in process; never forks
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    A = regular2()
-    Q = parameter_ideal(A, ["x", "y"])
-    reports = hilbert._map_candidates(A, [Q] * candidates, 5, threads)
-    assert [r.coeffs for r in reports] == [(1, 0, 0)] * candidates
-    assert sizes == ([] if pool is None else [pool])
-
-
 def test_a_pickled_spec_keeps_its_chart(monkeypatch):
-    # one pickled (A, Q, n_max), as a pool's call item, keeps Q's chart of A:
-    # the worker neither charts Q nor builds its local basis again
-    import concurrent.futures
+    # one pickled (A, Q, n_max) keeps Q's chart of A: the copy neither
+    # charts Q nor builds its local basis again
     import pickle
 
     A = two_planes(2)
@@ -511,37 +476,7 @@ def test_a_pickled_spec_keeps_its_chart(monkeypatch):
     charts = _spy(monkeypatch, hilbert, "_normalized")
     bases = _spy(monkeypatch, hilbert, "local_standard_basis")
     assert hilbert_report(A2, Q2, n_max).coeffs == (8, -4, 0)
-
-    class PicklingPool:  # pickles each call item as a process pool does; never forks
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    reports = hilbert._map_candidates(A, [Q, Q], 5, 2)
-    assert [r.coeffs for r in reports] == [(8, -4, 0)] * 2
     assert charts == bases == []
-
-
-def test_hs_function_threads_match():
-    A = two_planes(2)
-    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    Qp = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
-    seq = lambda_map(A, big_i(A, 2), count=0, seed=0, n_max=5, named=[("Q", Q), ("Qp", Qp)])
-    par = lambda_map(
-        A, big_i(A, 2), count=0, seed=0, n_max=5, named=[("Q", Q), ("Qp", Qp)], threads=2
-    )
-    assert seq.values == par.values
-    assert [e.coeffs for e in seq.entries] == [e.coeffs for e in par.entries]
 
 
 # ---------------------------------------------------------------------------

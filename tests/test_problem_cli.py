@@ -132,11 +132,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
-def test_threads_below_one_is_an_input_error(capsys):
+def test_threads_below_one_is_an_input_error():
     with pytest.raises(InputError):
         load_problem(_doc(), threads=0)
-    assert main(["suite", "paper", "--threads", "0"]) == 2
-    assert "threads" in capsys.readouterr().err
 
 
 def test_cli_not_locally_finite_is_exit_3(tmp_path, capsys):
@@ -327,6 +325,14 @@ _MALFORMED = {
     "integer-text": (_task_shape(command="hilb", nmax="5"), "'nmax' must be"),
     "named-entry": (_task_shape(command="lambda", named=["Q", "nope"]), "'named' must be"),
     "polynomial-syntax": (_task_shape(command="slice-e1", a="X+"), "'a' must be a polynomial"),
+    "window-reversed": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",
+                                    window=[5, 2]), "'window' must be"),
+    "window-negative": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",
+                                    window=[-3, 0]), "holds no n >= 0"),
+    "nmax-negative": (_task_shape(command="ideal-hilb", quotient="A", ideal="bigI", nmax=-2),
+                      "'nmax' must be a non-negative integer"),
+    "expect-min-distinct": (_task_shape(command="gb", ideal="c", expect_min_distinct="x"),
+                            "'expect_min_distinct' must be"),
     # document-level values
     "ring-variables": (_doc_shape(lambda d: d["ring"].update(variables=5)), "variables"),
     "ring-field": (_doc_shape(lambda d: d["ring"].update(field=5)), "field"),
@@ -352,7 +358,7 @@ def test_malformed_documents_exit_2(tmp_path, capsys, name):
 
 
 _HEAD_OPERATION_FLAGS = {
-    "-h", "--help", "--file", "--field", "--seed", "--nmax", "--cutoff", "--threads", "--json",
+    "-h", "--help", "--file", "--field", "--seed", "--nmax", "--cutoff", "--json",
     "--timings", "--expect", "--ideal", "--quotient", "--params", "--artinian", "--a", "--b", "--f",
     "--order", "--e0", "--count", "--ncap", "--elems", "--named", "--all-orders", "--check-dseq",
     "--window",
@@ -403,3 +409,10 @@ def test_missing_task_keys_fail_when_the_command_reads_them(capsys, tmp_path):
     assert main(["superficial", "--file", str(path), "--quotient", "A", "--params", "Qdiag",
                  "--a", "X-Z", "--window", "2", "4", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["window"] == [2, 4]
+
+
+def test_ideal_hilb_nmax_zero_is_one_sample(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc({"command": "ideal-hilb", "quotient": "A", "ideal": "bigI", "nmax": 0})))
+    assert main(["run", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["samples"] == [3]
