@@ -56,11 +56,6 @@ class NoPolynomialTail(HilbsamError):
     """Sampled values never became polynomial: request more samples."""
 
 
-class NonIntegerCoefficient(HilbsamError):
-    """The binomial-basis fit produced a non-integer coefficient; signals a
-    bug or a wrong declared dimension."""
-
-
 class BoundViolation(HilbsamError):
     """A proven inequality failed; signals a bug."""
 

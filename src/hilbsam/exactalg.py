@@ -1,4 +1,5 @@
-"""Exact coefficient fields, sparse echelon rank and dense nullspace/solve.
+"""Exact coefficient fields, sparse echelon rank and a dense nullspace (the
+tests' reference for rank).
 
 Two fields are supported: the rationals (stdlib Fraction) and prime fields
 F_p with 2 < p < 2**31 (plain ints reduced mod p).  Coefficient values are
@@ -271,18 +272,3 @@ def nullspace(m: ExactMatrix) -> list[ExactMatrix]:
                 vec[pc] = neg(coeff)
         basis.append(ExactMatrix(F, [[x] for x in vec], 1))
     return basis
-
-
-def solve_linear(m: ExactMatrix, rhs: list[Coeff]) -> list[Coeff]:
-    """Unique solution of m x = rhs; raises on singular/inconsistent systems."""
-    F = m.field
-    aug = ExactMatrix(F, [row + [b] for row, b in zip(m.data, rhs)], m.cols + 1)
-    rows, pivots = _rref(aug)
-    if m.cols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != m.cols:
-        raise ValueError("singular linear system")
-    sol = [F.zero] * m.cols
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][m.cols]
-    return sol

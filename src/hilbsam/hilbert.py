@@ -12,19 +12,11 @@ so e_0 is the multiplicity and the report stores (e_0, ..., e_d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .errors import (
-    NonIntegerCoefficient,
-    NoPolynomialTail,
-    NotLocallyFinite,
-    ResourceLimit,
-    SamplingExhausted,
-)
+from .errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from . import groebner
-from .exactalg import ExactMatrix, QQ, solve_linear
 from .groebner import (
     IdealHandle,
     autoreduce,
@@ -151,8 +143,7 @@ def _normalized(A: QuotientRingSpec, lifts) -> tuple:
     """(A2, lifts2, move): A and the parameter lifts rewritten through a
     parameter chart when one applies (the lifts become plain variables),
     and move, which rewrites further polynomials the same way (list when no
-    chart applies; never a lambda, so it pickles).  Colengths and ideal
-    equalities are invariant."""
+    chart applies).  Colengths and ideal equalities are invariant."""
     chart = parameter_chart(A.ring, lifts)
     if chart is None:
         return A, tuple(lifts), list
@@ -286,7 +277,6 @@ class HilbertReport:
     coeffs: tuple[int, ...]
     window: tuple[int, int]
     polynomial_from: int
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def e0(self) -> int:
@@ -305,19 +295,24 @@ def hilbert_value(coeffs: tuple[int, ...], d: int, n: int) -> int:
 def extract_coeffs(samples: dict[int, int], d: int) -> HilbertReport:
     """Fit the binomial basis to the polynomial tail of the samples.
 
-    Finds the least n0 from which the (d+1)-st finite differences vanish,
-    solves for the coefficients from the last d+1 samples, verifies the fit
-    against every sample with n >= n0, and checks integrality.
+    Finds the least n0 from which the (d+1)-st finite differences vanish
+    and reads the coefficients off the difference table at n1 = hi - d:
+
+        Delta^{d-k} H(n) = sum_{i <= k} (-1)^i e_i binom(n + d - i, k - i),
+
+    so each e_k follows from e_0, ..., e_{k-1} in integers.  The fit is
+    checked against every sample with n >= n0.  The polynomial holds from
+    n0 on and not before: Delta^{d+1} H(n0 - 1) is nonzero.
     """
     ns = sorted(samples)
     if len(ns) < 2 * (d + 1):
         raise ValueError(f"need at least {2 * (d + 1)} consecutive samples")
     if ns != list(range(ns[0], ns[-1] + 1)):
         raise ValueError("samples must be consecutive")
-    values = [samples[n] for n in ns]
-    diffs = values
+    table = [[samples[n] for n in ns]]  # table[j][i] = Delta^j H(ns[0] + i)
     for _ in range(d + 1):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        table.append([b - a for a, b in zip(table[-1], table[-1][1:])])
+    diffs = table[d + 1]
     idx0 = len(diffs)
     while idx0 > 0 and diffs[idx0 - 1] == 0:
         idx0 -= 1
@@ -327,30 +322,22 @@ def extract_coeffs(samples: dict[int, int], d: int) -> HilbertReport:
     hi = ns[-1]
     if hi - n0 < d:
         raise NoPolynomialTail("polynomial tail shorter than the fit window; request more samples")
-    fit_ns = list(range(hi - d, hi + 1))
-    matrix = ExactMatrix(
-        QQ,
-        [[Fraction((-1) ** i * comb(n + d - i, d - i)) for i in range(d + 1)] for n in fit_ns],
-    )
-    sol = solve_linear(matrix, [Fraction(samples[n]) for n in fit_ns])
-    if any(c.denominator != 1 for c in sol):
-        raise NonIntegerCoefficient(f"non-integer coefficients {sol}: bug or wrong dimension")
-    coeffs = tuple(int(c) for c in sol)
+    n1 = hi - d
+    coeffs: list[int] = []
+    for k in range(d + 1):
+        rest = table[d - k][n1 - ns[0]] - sum(
+            (-1) ** i * e * comb(n1 + d - i, k - i) for i, e in enumerate(coeffs))
+        coeffs.append((-1) ** k * rest)
     for n in range(n0, hi + 1):
         if hilbert_value(coeffs, d, n) != samples[n]:
             raise NoPolynomialTail("fitted polynomial misses a sample inside the window")
     if coeffs[0] < 1:
         raise ValueError(f"multiplicity {coeffs[0]} < 1: wrong declared dimension?")
-    poly_from = n0
-    while poly_from > ns[0] and hilbert_value(coeffs, d, poly_from - 1) == samples[poly_from - 1]:
-        poly_from -= 1
-    return HilbertReport(dict(samples), coeffs, (ns[0], hi), poly_from)
+    return HilbertReport(dict(samples), tuple(coeffs), (ns[0], hi), n0)
 
 
 def hilbert_report(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> HilbertReport:
     """hs_function + extract_coeffs for a parameter ideal."""
-    if n_max is None:
-        n_max = A.dim + 6
     return extract_coeffs(hs_function(A, Q, n_max), A.dim)
 
 
@@ -383,20 +370,14 @@ class _PowerChain:
 
 
 def is_reduction(
-    A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = 8
+    A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = 8, *,
+    chain: _PowerChain | None = None, least: bool = True,
 ) -> int | None:
     """Least n <= n_cap with I^{n+1} = Q I^n in A (reduction certificate),
-    or None.  Requires Q contained in I + defining."""
-    return _certificate(A, Q, _PowerChain(A, I), n_cap)
-
-
-def _certificate(
-    A: QuotientRingSpec, Q: ParameterIdealSpec, chain: _PowerChain, n_cap: int = 8,
-    least: bool = True,
-) -> int | None:
-    """is_reduction against a shared chain of a + I^n; with least False,
-    any n <= n_cap at which I^{n+1} = Q I^n holds.  Q is in a + I, so
-    a + Q G_n lies in a + I^{n+1}, so product_equals decides their
+    or None; with least False, any such n.  Requires Q contained in
+    I + defining.  chain is the chain of a + I^n to search against (default:
+    a new one); callers that try several candidates share one.  Q is in
+    a + I, so a + Q G_n lies in a + I^{n+1}, so product_equals decides their
     equality against the known basis G_{n+1}.
 
     Equality at n gives it at n + 1, so the search starts at chain.known:
@@ -405,6 +386,8 @@ def _certificate(
     search up from 0 runs too and must agree."""
     if n_cap < 0:
         return None
+    if chain is None:
+        chain = _PowerChain(A, I)
     if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
 
@@ -429,26 +412,15 @@ def _certificate(
 
 
 def sample_reductions(
-    A: QuotientRingSpec,
-    I: IdealHandle,
-    count: int,
-    seed: int,
-    n_cap: int = 8,
-) -> tuple[list[ParameterIdealSpec], list[str]]:
+    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8, *,
+    chain: _PowerChain | None = None, least: bool = False,
+) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
     """Seeded random minimal reductions of I: d-tuples of random linear
     combinations of I's generators, kept when the reduction certificate
-    passes.  Deterministic for a fixed seed.  Returns (reductions, warnings)."""
-    found, warnings = _certified_samples(A, I, count, seed, n_cap, least=False)
-    return [q for q, _ in found], warnings
-
-
-def _certified_samples(
-    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8,
-    chain: _PowerChain | None = None, least: bool = True,
-) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
-    """sample_reductions with each reduction's certificate (with least
-    False, an n at which it holds), all taken against one chain of a + I^n
-    (the given one, or a new one)."""
+    passes.  Deterministic for a fixed seed.  Returns ([(reduction,
+    certificate)], warnings), every certificate taken by is_reduction with
+    n_cap and least against one chain of a + I^n (the given one, or a new
+    one)."""
     if chain is None:
         chain = _PowerChain(A, I)
     warnings: list[str] = []
@@ -478,7 +450,7 @@ def _certified_samples(
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):
             continue
-        cert = _certificate(A, Q, chain, n_cap, least)
+        cert = is_reduction(A, Q, I, n_cap, chain=chain, least=least)
         if cert is not None:
             found.append((Q, cert))
     if len(found) < count:
@@ -517,19 +489,21 @@ def lambda_map(
     seed: int,
     n_max: int | None = None,
     named: list[tuple[str, ParameterIdealSpec]] | None = None,
+    n_cap: int = 8,
 ) -> LambdaReport:
-    """e_1 over sampled (and named) minimal reductions of I."""
+    """e_1 over sampled (and named) minimal reductions of I, each with its
+    least reduction number up to n_cap."""
     warnings: list[str] = []
     candidates: list[tuple[str, ParameterIdealSpec, int]] = []
     chain = _PowerChain(A, I)
     for name, q in named or []:
-        cert = _certificate(A, q, chain)
+        cert = is_reduction(A, q, I, n_cap, chain=chain)
         if cert is None:
             warnings.append(f"named ideal {name} is not a reduction of I; skipped")
             continue
         candidates.append((name, q, cert))
     if count:
-        sampled, w = _certified_samples(A, I, count, seed, chain=chain)
+        sampled, w = sample_reductions(A, I, count, seed, n_cap, chain=chain, least=True)
         warnings.extend(w)
         candidates.extend((f"sample{i}", q, cert) for i, (q, cert) in enumerate(sampled))
     entries = [
@@ -538,32 +512,3 @@ def lambda_map(
     ]
     values = sorted({e.coeffs[1] for e in entries})
     return LambdaReport(values, entries, warnings)
-
-
-# ---------------------------------------------------------------------------
-# the k + J subring construction
-
-def k_plus_j_hilbert(B: QuotientRingSpec, J: IdealHandle, n_max: int | None = None) -> HilbertReport:
-    """Hilbert report of A = k + J inside B: the maximal ideal of A is J and
-
-        l_A(A/m_A^{n+1}) = l_B(B/J^{n+1}) - (l_B(B/J) - 1)   for n >= 1,
-
-    with l_A(A/m_A) = 1; coefficients come from the n >= 1 tail."""
-    return _k_plus_j_hilbert(B, J, n_max)[0]
-
-
-def _k_plus_j_hilbert(
-    B: QuotientRingSpec, J: IdealHandle, n_max: int | None
-) -> tuple[HilbertReport, dict[int, int]]:
-    """k_plus_j_hilbert's report and the lengths l_B(B/J^{n+1}) it fitted."""
-    d = B.dim
-    if n_max is None:
-        n_max = d + 7
-    if n_max < 2 * (d + 1) + 1:
-        raise ValueError("n_max too small to fit the n >= 1 tail")
-    lengths = power_colengths(B, J, n_max)
-    correction = lengths[0] - 1
-    samples = {0: 1}
-    for n in range(1, n_max + 1):
-        samples[n] = lengths[n] - correction
-    return extract_coeffs(samples, d), lengths

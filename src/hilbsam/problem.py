@@ -438,7 +438,7 @@ class TaskRunner:
             "window": list(rep.window),
             "polynomial_from": rep.polynomial_from,
         }
-        return result, list(rep.coeffs), rep.warnings
+        return result, list(rep.coeffs), []
 
     def cmd_ideal_hilb(self, read):
         A = read("quotient")
@@ -453,7 +453,7 @@ class TaskRunner:
             "samples": [rep.samples[n] for n in sorted(rep.samples)],
             "polynomial_from": rep.polynomial_from,
         }
-        return result, list(rep.coeffs), rep.warnings
+        return result, list(rep.coeffs), []
 
     def cmd_kernel_e1(self, read):
         C = self._artin(read)
@@ -508,7 +508,9 @@ class TaskRunner:
 
     def _sampled(self, read):
         A = read("quotient")
-        return (A, *sample_reductions(A, read("ideal"), read("count", 5), read("seed", self.p.seed)))
+        found, warnings = sample_reductions(
+            A, read("ideal"), read("count", 5), read("seed", self.p.seed), read("ncap", 8))
+        return A, [q for q, _ in found], warnings
 
     def cmd_sample_reductions(self, read):
         _, reductions, warnings = self._sampled(read)
@@ -533,6 +535,7 @@ class TaskRunner:
             read("seed", self.p.seed),
             read("nmax", None),
             named=read("named", []),
+            n_cap=read("ncap", 8),
         )
         entries = {
             e.name: {"coeffs": list(e.coeffs), "certificate": e.certificate} for e in rep.entries

@@ -43,9 +43,7 @@ from .hilbert import (
     is_reduction,
     power_bases,
     power_colengths,
-    _certificate,
     _chart_of,
-    _k_plus_j_hilbert,
     _normalized,
     _PowerChain,
 )
@@ -248,8 +246,10 @@ def is_superficial(
 def sally_lengths(
     A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int = 4
 ) -> dict[int, int]:
-    """l(I^{n+1}/Q^n I) = l(A/Q^n I) - l(A/I^{n+1}) for n = 1..n_max.
-    Q must be a reduction of I (verified)."""
+    """l(I^{n+1}/Q^n I) = l(A/Q^n I) - l(A/I^{n+1}) for n = 1..n_max, with
+    n_max >= 1.  Q must be a reduction of I (verified)."""
+    if n_max < 1:
+        raise ValueError(f"Sally lengths start at n = 1; n_max {n_max} checks nothing")
     if is_reduction(A, Q, I) is None:
         raise ValueError("Q is not a reduction of I")
     A2, lifts, move, _ = _chart_of(A, Q)
@@ -316,19 +316,31 @@ def k_plus_j_analysis(
     named: list[tuple[str, ParameterIdealSpec]],
     n_max: int | None = None,
 ) -> KPlusJReport:
-    """Hilbert coefficients of A = k + J plus, for each named reduction q of
-    J, the localized Sally length (computed in B, where the Sally modules of
-    J and of the maximal ideal of A agree) and the derived first coefficient
-    e1 = (e1_m - e0_m + 1) - rank."""
-    rep, lengths = _k_plus_j_hilbert(B, J, n_max)
+    """Hilbert coefficients of A = k + J inside B plus, for each named
+    reduction q of J, the localized Sally length (computed in B, where the
+    Sally modules of J and of the maximal ideal of A agree) and the derived
+    first coefficient e1 = (e1_m - e0_m + 1) - rank.  The maximal ideal of
+    A is J and
+
+        l_A(A/m_A^{n+1}) = l_B(B/J^{n+1}) - (l_B(B/J) - 1)   for n >= 1,
+
+    with l_A(A/m_A) = 1; the coefficients come from the n >= 1 tail of the
+    samples up to n_max (default dim + 7)."""
+    d = B.dim
+    samples_max = d + 7 if n_max is None else n_max
+    if samples_max < 2 * (d + 1) + 1:
+        raise ValueError("n_max too small to fit the n >= 1 tail")
+    lengths = power_colengths(B, J, samples_max)
+    samples = {0: 1} | {n: lengths[n] - lengths[0] + 1 for n in range(1, samples_max + 1)}
+    rep = extract_coeffs(samples, d)
     identity = rep.coeffs[1] - rep.coeffs[0] + 1
     # the Sally ranks fit l(B/J^{n+1}) over sally_rank's window, n <= dim + 6
-    fit_max = B.dim + 6 if n_max is None else n_max
-    rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, B.dim) if named else None
+    fit_max = d + 6 if n_max is None else n_max
+    rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, d) if named else None
     entries = []
     chain = _PowerChain(B, J)
     for name, q in named:
-        if _certificate(B, q, chain, least=False) is None:
+        if is_reduction(B, q, J, chain=chain, least=False) is None:
             raise ValueError(f"{name} is not a reduction of J")
         r = _sally_rank(B, rep_j, q, n_max)
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))

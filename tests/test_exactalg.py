@@ -16,7 +16,6 @@ from hilbsam.exactalg import (
     nullspace,
     prime_field,
     rank,
-    solve_linear,
 )
 
 
@@ -125,10 +124,3 @@ def test_echelon_rows_span_the_row_space(m):
     both = ExactMatrix(m.field, m.data + stored, m.cols)
     assert len(_rref(both)[1]) == len(_rref(m)[1]) == len(rows)
 
-
-def test_solve_linear():
-    m = _mat(QQ, [[2, 1], [1, 3]])
-    sol = solve_linear(m, [QQ.of_int(5), QQ.of_int(10)])
-    assert sol == [Fraction(1), Fraction(3)]
-    with pytest.raises(ValueError):
-        solve_linear(_mat(QQ, [[1, 1], [2, 2]]), [QQ.of_int(0), QQ.of_int(1)])

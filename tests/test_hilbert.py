@@ -1,3 +1,4 @@
+import sys
 from itertools import islice
 from math import comb
 
@@ -29,7 +30,6 @@ from hilbsam.hilbert import (
     hs_function,
     ideal_hilbert_report,
     is_reduction,
-    k_plus_j_hilbert,
     lambda_map,
     parameter_ideal,
     power_bases,
@@ -38,6 +38,7 @@ from hilbsam.hilbert import (
     _normalized,
 )
 from hilbsam.polyring import Polynomial, RingSpec, monomials_of_degree, parse_poly
+from hilbsam.secmethods import k_plus_j_analysis
 from hilbsam.transform import parameter_chart
 
 
@@ -312,10 +313,10 @@ def test_is_reduction_requires_containment():
 def test_sample_reductions_regular():
     A = regular2()
     m = maximal_ideal(A.ring)
-    reductions, warnings = sample_reductions(A, m, 3, seed=1)
-    assert len(reductions) == 3
-    for q in reductions:
-        assert is_reduction(A, q, m) == 0  # two independent linear forms
+    found, warnings = sample_reductions(A, m, 3, seed=1)
+    assert len(found) == 3
+    for q, cert in found:
+        assert cert == is_reduction(A, q, m) == 0  # two independent linear forms
     assert any("3 reductions" in w for w in warnings)
 
 
@@ -324,11 +325,11 @@ def test_sample_reductions_deterministic():
     m = maximal_ideal(A.ring)
     first, _ = sample_reductions(A, m, 5, seed=7)
     second, _ = sample_reductions(A, m, 5, seed=7)
-    assert [q.lifts for q in first] == [q.lifts for q in second]
-    coeffs = {hilbert_report(A, q, 5).coeffs for q in first}
+    assert [(q.lifts, cert) for q, cert in first] == [(q.lifts, cert) for q, cert in second]
+    coeffs = {hilbert_report(A, q, 5).coeffs for q, _ in first}
     assert coeffs == {(4, -2, 0)}
     # reduction stability: every returned candidate re-verifies post hoc
-    assert all(is_reduction(A, q, m, 8) is not None for q in first)
+    assert all(is_reduction(A, q, m, 8) is not None for q, _ in first)
 
 
 def test_sample_reductions_of_composite_ideal(verify_mode):
@@ -336,9 +337,9 @@ def test_sample_reductions_of_composite_ideal(verify_mode):
     # entry against the basis of the autoreduced products
     A = two_planes(2)
     I = big_i(A, 2)
-    reductions, _ = sample_reductions(A, I, 5, seed=2)
-    assert len(reductions) == 5
-    assert all(is_reduction(A, q, I) is not None for q in reductions)
+    found, _ = sample_reductions(A, I, 5, seed=2)
+    assert len(found) == 5
+    assert all(is_reduction(A, q, I) is not None for q, _ in found)
 
 
 def test_sample_reductions_exhaustion():
@@ -376,8 +377,8 @@ def test_lambda_map_rejects_non_reduction():
 def test_maximal_ideal_reductions_constant_e1():
     for n, expected in ((2, -2), (3, -3)):
         A = two_planes(n)
-        reductions, _ = sample_reductions(A, maximal_ideal(A.ring), 3, seed=5)
-        values = {hilbert_report(A, q, 5).coeffs[1] for q in reductions}
+        found, _ = sample_reductions(A, maximal_ideal(A.ring), 3, seed=5)
+        values = {hilbert_report(A, q, 5).coeffs[1] for q, _ in found}
         assert values == {expected}
 
 
@@ -385,7 +386,7 @@ def test_cohen_macaulay_reductions_are_flat():
     A = regular2()
     rng_seeds = [11, 12, 13]
     for seed in rng_seeds:
-        (q,), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=seed)
+        ((q, _),), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=seed)
         rep = hilbert_report(A, q, 5)
         assert rep.coeffs[1:] == (0, 0)
         assert rep.samples == {n: rep.coeffs[0] * comb(n + 2, 2) for n in range(6)}
@@ -424,14 +425,14 @@ def test_k_plus_j_examples():
     # the subring construction over the n=2 two-planes ring
     B = two_planes(2)
     J = big_i(B, 2)
-    rep = k_plus_j_hilbert(B, J, 8)
+    rep = k_plus_j_analysis(B, J, [], 8).report
     assert rep.coeffs == (8, 2, -6)
     assert rep.samples[0] == 1
     assert rep.samples[1] == 14
     assert rep.polynomial_from == 1
     # J = m in a regular ring: the subring is the whole ring
     B2 = regular2()
-    rep2 = k_plus_j_hilbert(B2, maximal_ideal(B2.ring), 8)
+    rep2 = k_plus_j_analysis(B2, maximal_ideal(B2.ring), [], 8).report
     assert rep2.coeffs == (1, 0, 0)
     assert rep2.samples == {n: comb(n + 2, 2) for n in range(9)}
 
@@ -636,7 +637,7 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
     I = big_i(A, 2)
     Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
     chain = hilbert._PowerChain(A, I)
-    cert = hilbert._certificate(A, Q, chain)
+    cert = is_reduction(A, Q, I, chain=chain)
     assert cert is not None
     chain.basis(cert + 1)
 
@@ -644,14 +645,15 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
         raise AssertionError(f"a basis was built for {self}")
 
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
-    assert hilbert._certificate(A, Q, chain) == cert
+    assert is_reduction(A, Q, I, chain=chain) == cert
     monkeypatch.undo()
     not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    chain = hilbert._PowerChain(A, maximal_ideal(A.ring))
+    m = maximal_ideal(A.ring)
+    chain = hilbert._PowerChain(A, m)
     for n in range(4):
         chain.basis(n)
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
-    assert hilbert._certificate(A, not_a_reduction, chain, n_cap=2) is None
+    assert is_reduction(A, not_a_reduction, m, n_cap=2, chain=chain) is None
 
 
 def _certificate_cases():
@@ -678,9 +680,9 @@ def test_certificate_search_from_any_known_n(case):
     chain = hilbert._PowerChain(A, I)
     for known in [None, *range(n_cap + 2)]:
         chain.known = known
-        assert hilbert._certificate(A, Q, chain, n_cap) == least, known
+        assert is_reduction(A, Q, I, n_cap, chain=chain) == least, known
         chain.known = known
-        n = hilbert._certificate(A, Q, chain, n_cap, least=False)
+        n = is_reduction(A, Q, I, n_cap, chain=chain, least=False)
         assert (n is None) == (least is None), known
         if n is not None:
             assert n <= n_cap
@@ -706,8 +708,8 @@ def test_certificates_after_the_first_start_at_the_known_n(monkeypatch):
     A = two_planes(2)
     m = maximal_ideal(A.ring)
     runs = _count_product_equals(monkeypatch)
-    reductions, _ = sample_reductions(A, m, 5, seed=4)
-    assert len(reductions) == 5
+    found, _ = sample_reductions(A, m, 5, seed=4)
+    assert len(found) == 5
     assert len(runs) <= 3 + 4
     runs.clear()
     rep = lambda_map(A, m, count=5, seed=4, n_max=5)
@@ -740,10 +742,49 @@ def test_certificate_search_disagreement_is_caught_in_verify_mode(verify_mode, m
     # the walk down from a known n = 2; the plain search from 0 catches it
     A = two_planes(2)
     Q = parameter_ideal(A, ["X+Z", "Y+W"])
-    chain = hilbert._PowerChain(A, maximal_ideal(A.ring))
+    m = maximal_ideal(A.ring)
+    chain = hilbert._PowerChain(A, m)
     chain.known = 2
     monkeypatch.setattr(
         hilbert, "product_equals", lambda a, F, H, K: any(F is chain.basis(n) for n in (0, 2))
     )
     with pytest.raises(AssertionError, match="certificate search"):
-        hilbert._certificate(A, Q, chain, 3)
+        is_reduction(A, Q, m, 3, chain=chain)
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Point every hilbsam module attribute bound to original at replacement,
+    as the benchmark's tracer does."""
+    for name, module in list(sys.modules.items()):
+        if name == "hilbsam" or name.startswith("hilbsam."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_every_certificate_search_is_one_is_reduction_call(monkeypatch):
+    # a counting wrapper on the module attribute sees one call per candidate
+    # tried: each named ideal, then each sampled parameter ideal
+    searched, tried = [], []
+    real, real_parameter_ideal = hilbert.is_reduction, hilbert.parameter_ideal
+    _rebind(monkeypatch, real, lambda A, Q, I, *a, **k: searched.append(Q) or real(A, Q, I, *a, **k))
+
+    def tracked(A, lifts):
+        tried.append(real_parameter_ideal(A, lifts))
+        return tried[-1]
+
+    A = two_planes(2)
+    not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    diagonal = parameter_ideal(A, ["X-Z", "Y-W"])
+    _rebind(monkeypatch, real_parameter_ideal, tracked)
+    rep = lambda_map(A, maximal_ideal(A.ring), count=3, seed=3, n_max=5,
+                     named=[("Q", not_a_reduction), ("D", diagonal)])
+    assert [e.name for e in rep.entries] == ["D", "sample0", "sample1", "sample2"]
+    assert len(tried) >= 3
+    assert list(map(id, searched)) == list(map(id, [not_a_reduction, diagonal, *tried]))
+    searched.clear()
+    B = two_planes(2)
+    Q = real_parameter_ideal(B, ["X^2-Z", "Y^2-W"])
+    Qp = real_parameter_ideal(B, ["X*Y-Z", "X^2+Y^2-W"])
+    k_plus_j_analysis(B, big_i(B, 2), [("Q", Q), ("Qp", Qp)])
+    assert list(map(id, searched)) == [id(Q), id(Qp)]

@@ -416,3 +416,51 @@ def test_ideal_hilb_nmax_zero_is_one_sample(tmp_path, capsys):
     path.write_text(json.dumps(_doc({"command": "ideal-hilb", "quotient": "A", "ideal": "bigI", "nmax": 0})))
     assert main(["run", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["samples"] == [3]
+
+
+def test_local_commands_run_through_the_cli(tmp_path, capsys):
+    # two_planes(2) with the values the benchmark's local workload freezes
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc(
+        {"name": "slice", "command": "slice-e1", "quotient": "A", "params": "Qdiag", "a": "X-Z",
+         "expect": -2},
+        {"name": "satq", "command": "sat-quotient-length", "quotient": "A", "ideal": ["X^2-Z"],
+         "expect": 4},
+        {"name": "unmixed", "command": "unmixed", "quotient": "A", "a": "X-Z", "b": "Y-W",
+         "expect": 2},
+    )))
+    assert main(["run", str(path), "--json"]) == 0
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert [(t["primary"], t["pass"]) for t in tasks] == [(-2, True), (4, True), (2, True)]
+    assert tasks[2]["result"]["generators"] == ["X - Z", "Z^2", "Y^2*W", "Y^2*Z"]
+
+
+def test_sally_nmax_zero_is_an_input_error(tmp_path, capsys):
+    # Sally lengths are reported for n = 1..nmax, so nmax 0 would check nothing
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc(
+        {"command": "sally", "quotient": "A", "ideal": "c", "params": "Q", "nmax": 0})))
+    assert main(["run", str(path)]) == 2
+    assert "n_max 0 checks nothing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sampled-coeffs", "lambda"])
+def test_sampling_commands_read_ncap(tmp_path, capsys, command):
+    # every reduction of m in two_planes(4) has least reduction number 6
+    doc = _doc({"name": "s", "command": command, "quotient": "A4", "ideal": "m", "count": 1,
+                "seed": 0, "ncap": 5})
+    doc["ideals"] |= {"m": ["X", "Y", "Z", "W"], "pp4": ["X^4", "Y^4"],
+                      "two_planes4": {"intersect": ["pp4", "zw"]}}
+    doc["quotients"]["A4"] = {"defining": "two_planes4", "dim": 2}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    assert "found 0/1 reductions in 10 attempts" in capsys.readouterr().err
+    doc["tasks"][0]["ncap"] = 6
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    if command == "lambda":
+        assert result["entries"]["sample0"] == {"certificate": 6, "coeffs": [17, -4, -6]}
+    else:
+        assert result["coeffs"] == [[17, -4, -6]]

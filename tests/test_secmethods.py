@@ -146,21 +146,29 @@ def test_incremental_tn_lengths_match_the_dense_block_matrix(act):
 
 
 def test_kernel_method_runs_no_dense_elimination(monkeypatch):
-    # one sparse echelon basis serves the whole window; the only dense
-    # elimination left is the binomial fit's 3 x 4 augmented system over QQ
+    # one sparse echelon basis serves the whole window, and the binomial fit
+    # reads the integer difference table: no dense elimination at all
     C = artin_algebra(ring4(), ideal(ring4(), ["X^3", "Y^3", "Z", "W"]))
     act = action_pair(C, parse_poly(C.ring, "X-Z"), parse_poly(C.ring, "Y-W"))
-    dense = exactalg._rref
 
-    def fit_only(m):
-        if (m.field, m.rows, m.cols) != (QQ, 3, 4):
-            raise AssertionError(f"dense elimination of a {m.rows} x {m.cols} matrix")
-        return dense(m)
+    def refuse(m):
+        raise AssertionError(f"dense elimination of a {m.rows} x {m.cols} matrix")
 
-    monkeypatch.setattr(exactalg, "_rref", fit_only)
+    monkeypatch.setattr(exactalg, "_rref", refuse)
     rep = e1_e2_via_kernel(C, act, 10, range(0, 12))
     assert (rep.e1, rep.e2) == (-3, -3)
     assert rep.annihilator_bound == tn_length(C, act, 0) == 1
+
+
+def test_the_suite_runs_no_dense_elimination(monkeypatch):
+    # _rref is left to nullspace, the tests' reference for rank
+    from hilbsam.suite import run_paper_suite
+
+    calls = []
+    dense = exactalg._rref
+    monkeypatch.setattr(exactalg, "_rref", lambda m: calls.append((m.rows, m.cols)) or dense(m))
+    assert run_paper_suite(field="fp:32003", seed=0).ok
+    assert calls == []
 
 
 def test_kernel_e1_e2_examples():
@@ -206,11 +214,11 @@ def test_annihilator_length_examples():
 def test_e1_via_slice_examples():
     # staged ring with n = 2: a generic sampled reduction generator gives -1
     A = staged(2)
-    (q,), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=4)
+    ((q, _),), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=4)
     assert e1_via_slice(A, q, q.lifts[0]) == -1
     # two-planes ring with n = 2: -2
     A2 = two_planes(2)
-    (q2,), _ = sample_reductions(A2, maximal_ideal(A2.ring), 1, seed=4)
+    ((q2, _),), _ = sample_reductions(A2, maximal_ideal(A2.ring), 1, seed=4)
     assert e1_via_slice(A2, q2, q2.lifts[0]) == -2
     # Cohen-Macaulay: 0
     A3 = regular2()
@@ -220,7 +228,7 @@ def test_e1_via_slice_examples():
 
 def test_slice_agrees_with_fit_on_samples():
     for A in (staged(2), two_planes(2), fat_point(2)):
-        (q,), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=8)
+        ((q, _),), _ = sample_reductions(A, maximal_ideal(A.ring), 1, seed=8)
         rep = hilbert_report(A, q, 5)
         assert e1_via_slice(A, q, q.lifts[0]) == rep.coeffs[1]
 
@@ -232,8 +240,8 @@ def test_is_d_sequence_examples(verify_mode):
     assert is_d_sequence(A, xy, all_orders=True)
     # sampled reduction pairs of m on the fat-point ring are d-sequences
     Af = fat_point(2)
-    reductions, _ = sample_reductions(Af, maximal_ideal(Af.ring), 2, seed=21)
-    for q in reductions:
+    found, _ = sample_reductions(Af, maximal_ideal(Af.ring), 2, seed=21)
+    for q, _ in found:
         assert is_d_sequence(Af, list(q.lifts))
     # the diagonal parameters on the two-planes ring are not
     At = two_planes(2)
@@ -249,7 +257,7 @@ def test_unmixed_component_examples():
     assert ideal_equal(U, ideal(A.ring, ["x"]))
     # fat-point ring: l(U(a)/(a)) = 2 for reduction generators of m
     Af = fat_point(2)
-    (q,), _ = sample_reductions(Af, maximal_ideal(Af.ring), 1, seed=13)
+    ((q, _),), _ = sample_reductions(Af, maximal_ideal(Af.ring), 1, seed=13)
     a, b = q.lifts
     U = unmixed_component(Af, a, b)
     assert member(a, U)
@@ -426,13 +434,13 @@ def test_k_plus_j_analysis(monkeypatch):
     Q = parameter_ideal(B, ["X^2-Z", "Y^2-W"])
     Qp = parameter_ideal(B, ["X*Y-Z", "X^2+Y^2-W"])
     sampled = []
-    power_colengths = hilbert.power_colengths
 
-    def recording(A, I, n_max):
-        sampled.append(I.generators)
-        return power_colengths(A, I, n_max)
+    def recording(real):
+        return lambda A, I, n_max, **kw: sampled.append(I.generators) or real(A, I, n_max, **kw)
 
-    monkeypatch.setattr(hilbert, "power_colengths", recording)
+    # k_plus_j_analysis samples through secmethods, the reports through hilbert
+    for module in (hilbert, secmethods):
+        monkeypatch.setattr(module, "power_colengths", recording(module.power_colengths))
     rep = k_plus_j_analysis(B, J, [("Q", Q), ("Qp", Qp)])
     assert sampled.count(J.generators) == 1  # the lengths l(B/J^{n+1}) are sampled once
     assert rep.coeffs == (8, 2, -6)
