@@ -164,51 +164,60 @@ def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # powers modulo the defining ideal
 
-def power_bases(A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
-    """Yield the ideals a + S * I^n of R for n = 0, 1, ..., where a is the
-    defining ideal and S = start (default: the unit ideal).
+class PowerChain:
+    """The ideals a + S * I^n of R, n = 0, 1, ..., with a the defining ideal
+    and S = start (default: the unit ideal), each built once on demand with
+    its reduced degrevlex basis and, when asked, its colength l_A(A/S * I^n).
+    One chain serves every question a call asks about the same (A, I).
+    known is an n at which a candidate's certificate held, where the next
+    certificate search starts.
 
-    Steps by a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
-    multiplies the reduced degrevlex basis of the previous ideal (usually
-    cached already by its colength) by the generators of I on packed
-    monomials, and the yielded ideal keeps the basis it returns.  When
-    either basis exceeds the pair budget (or the packed range), the step
-    multiplies the generators instead, as autoreduced Polynomial products."""
-    gens = start.generators if start is not None else (A.ring.one(),)
-    current = A.plus(IdealHandle(A.ring, gens))
-    while True:
-        yield current
-        try:
-            previous = current.groebner()
-            gens = previous.elements
-            current = IdealHandle.of_basis(product_basis(A.defining, previous, I.generators))
-        except ResourceLimit:
-            gens = autoreduced_product(gens, I)
-            current = A.plus(IdealHandle(A.ring, gens))
+    A step is a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
+    multiplies the previous basis (usually built by its colength) by the
+    generators of I on packed monomials.  Over the pair budget or the packed
+    range it multiplies the generators instead, as autoreduced products.
 
+    S must lie in the radical of a + I, as I does, or as I does over a
+    reduction Q of it.  Then every proper ideal of the chain has the radical
+    of a + S: once one took the global zero-dimensional path (no window), the
+    later colengths skip its nilpotency walk; a + (1) certifies nothing.  Each
+    colength passes the previous window's start forward as the ladder hint."""
 
-def power_colengths(
-    A: QuotientRingSpec, I: IdealHandle, n_max: int, start: IdealHandle | None = None
-) -> dict[int, int]:
-    """l_A(A/S * I^n) for n = 0..n_max with S = start (default I, giving
-    l_A(A/I^{n+1})), passing the previous stabilization cutoff forward as a
-    hint.  S must lie in the radical of a + I, as I does, or as I does over
-    a reduction Q of it.
+    def __init__(self, A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
+        self.A, self.I = A, I
+        self._gens = start.generators if start is not None else (A.ring.one(),)
+        self._ideals = [A.plus(IdealHandle(A.ring, self._gens))]
+        self._bases: list = []
+        self._colengths: dict[int, int] = {}
+        self._hint, self._certified = A.cutoffs[0], False
+        self.known: int | None = None
 
-    Then rad(a + S * I^n) = rad(a + S): once the global zero-dimensional
-    path certified that a + S is supported at the origin alone (n = 0, no
-    window), the later ideals skip its per-variable nilpotency walk."""
-    H: dict[int, int] = {}
-    hint = A.cutoffs[0]
-    certified = False
-    for n, J in zip(range(n_max + 1), power_bases(A, I, start=I if start is None else start)):
-        info = local_colength_info(J, (hint, A.cutoffs[1]), support_at_origin=certified)
-        H[n] = info.value
-        if info.window is not None:
-            hint = max(info.window[0], A.cutoffs[0])
-        elif n == 0:
-            certified = True
-    return H
+    def ideal(self, n: int) -> IdealHandle:
+        while len(self._ideals) <= n:
+            try:
+                previous = self._ideals[-1].groebner()
+                self._gens = previous.elements
+                nxt = IdealHandle.of_basis(product_basis(self.A.defining, previous, self.I.generators))
+            except ResourceLimit:
+                self._gens = autoreduced_product(self._gens, self.I)
+                nxt = self.A.plus(IdealHandle(self.A.ring, self._gens))
+            self._ideals.append(nxt)
+        return self._ideals[n]
+
+    def basis(self, n: int):
+        while len(self._bases) <= n:
+            self._bases.append(self.ideal(len(self._bases)).groebner())
+        return self._bases[n]
+
+    def colength(self, n: int) -> int:
+        if n not in self._colengths:
+            info = local_colength_info(self.ideal(n), (self._hint, self.A.cutoffs[1]), self._certified)
+            if info.window is not None:
+                self._hint = max(info.window[0], self.A.cutoffs[0])
+            elif info.value:  # a proper ideal supported at the origin alone
+                self._certified = True
+            self._colengths[n] = info.value
+        return self._colengths[n]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +269,8 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
     A2, lifts, _, local = _chart_of(A, Q)
     H = _chart_colengths(local, n_max)
     if H is None or groebner.VERIFY_EXTRA_STEPS:
-        by_powers = power_colengths(A2, IdealHandle(A.ring, lifts), n_max)
+        chain = PowerChain(A2, IdealHandle(A.ring, lifts))
+        by_powers = {n: chain.colength(n + 1) for n in range(n_max + 1)}
         if H is not None and H != by_powers:
             raise AssertionError(f"local standard basis gives {H}, the powers give {by_powers}")
         H = by_powers
@@ -341,37 +351,24 @@ def hilbert_report(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None
     return extract_coeffs(hs_function(A, Q, n_max), A.dim)
 
 
-def ideal_hilbert_report(A: QuotientRingSpec, I: IdealHandle, n_max: int | None = None) -> HilbertReport:
-    """Hilbert coefficients of an arbitrary m-primary ideal of A."""
+def ideal_hilbert_report(
+    A: QuotientRingSpec, I: IdealHandle, n_max: int | None = None, *, chain: PowerChain | None = None
+) -> HilbertReport:
+    """Hilbert coefficients of an arbitrary m-primary ideal of A, from the
+    colengths of chain (default: a new PowerChain of (A, I))."""
     if n_max is None:
         n_max = A.dim + 6
-    return extract_coeffs(power_colengths(A, I, n_max), A.dim)
+    if chain is None:
+        chain = PowerChain(A, I)
+    return extract_coeffs({n: chain.colength(n + 1) for n in range(n_max + 1)}, A.dim)
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
-class _PowerChain:
-    """The reduced degrevlex bases G_n of a + I^n, n = 0, 1, ..., in the
-    given coordinates, built on demand.  One chain serves the reduction
-    certificates of every candidate against the same (a, I) within a call;
-    ideal equality does not depend on coordinates.  known is an n at which
-    a candidate's certificate held, where the next search starts."""
-
-    def __init__(self, A: QuotientRingSpec, I: IdealHandle):
-        self._powers = power_bases(A, I)
-        self._bases: list = []
-        self.known: int | None = None
-
-    def basis(self, n: int):
-        while len(self._bases) <= n:
-            self._bases.append(next(self._powers).groebner())
-        return self._bases[n]
-
-
 def is_reduction(
     A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = 8, *,
-    chain: _PowerChain | None = None, least: bool = True,
+    chain: PowerChain | None = None, least: bool = True,
 ) -> int | None:
     """Least n <= n_cap with I^{n+1} = Q I^n in A (reduction certificate),
     or None; with least False, any such n.  Requires Q contained in
@@ -387,7 +384,7 @@ def is_reduction(
     if n_cap < 0:
         return None
     if chain is None:
-        chain = _PowerChain(A, I)
+        chain = PowerChain(A, I)
     if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
 
@@ -413,7 +410,7 @@ def is_reduction(
 
 def sample_reductions(
     A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8, *,
-    chain: _PowerChain | None = None, least: bool = False,
+    chain: PowerChain | None = None, least: bool = False,
 ) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
     """Seeded random minimal reductions of I: d-tuples of random linear
     combinations of I's generators, kept when the reduction certificate
@@ -422,7 +419,7 @@ def sample_reductions(
     n_cap and least against one chain of a + I^n (the given one, or a new
     one)."""
     if chain is None:
-        chain = _PowerChain(A, I)
+        chain = PowerChain(A, I)
     warnings: list[str] = []
     F = A.ring.field
     if F.kind == "prime" and F.characteristic < SMALL_FIELD_BOUND:
@@ -495,7 +492,7 @@ def lambda_map(
     least reduction number up to n_cap."""
     warnings: list[str] = []
     candidates: list[tuple[str, ParameterIdealSpec, int]] = []
-    chain = _PowerChain(A, I)
+    chain = PowerChain(A, I)
     for name, q in named or []:
         cert = is_reduction(A, q, I, n_cap, chain=chain)
         if cert is None:

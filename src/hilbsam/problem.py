@@ -31,6 +31,7 @@ from .groebner import (
 )
 from .hilbert import (
     ParameterIdealSpec,
+    PowerChain,
     QuotientRingSpec,
     hs_function,
     hilbert_report,
@@ -38,7 +39,6 @@ from .hilbert import (
     is_reduction,
     lambda_map,
     parameter_ideal,
-    power_colengths,
     sample_reductions,
 )
 from .polyring import DEGREVLEX, LEX, MonomialOrder, Polynomial, RingSpec, elimination_order, parse_poly
@@ -149,6 +149,7 @@ _TEXT, _NUMBER = {"type": str}, {"type": int}
 _POLYNOMIAL = TaskKey("a polynomial", lambda p, v: _polynomials(p.ring, [v])[0], _TEXT)
 _INTEGER = TaskKey("an integer", lambda p, v: _checked(_is_int(v), v), _NUMBER)
 _COUNT = TaskKey("a non-negative integer", lambda p, v: _checked(_is_int(v) and v >= 0, v), _NUMBER)
+_POSITIVE = TaskKey("a positive integer", lambda p, v: _checked(_is_int(v) and v > 0, v), _NUMBER)
 _FLAG = TaskKey("true or false", lambda p, v: _checked(isinstance(v, bool), v), {"action": "store_true"})
 
 # every key a task block may carry besides its command, name and expectations
@@ -169,7 +170,7 @@ TASK_KEYS: dict[str, TaskKey] = {
     "order": TaskKey("degrevlex, lex or elim:b", lambda p, v: parse_order(v), _TEXT),
     "e0": _INTEGER,
     "nmax": _COUNT,
-    "cutoff": _INTEGER,
+    "cutoff": _POSITIVE,
     "seed": _INTEGER,
     "count": _COUNT,
     "ncap": _COUNT,
@@ -208,8 +209,8 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
     tasks = doc.get("tasks") or []
     _require(isinstance(tasks, list), "'tasks' must be a list")
     problem = Problem(ring, {}, {}, {}, {}, tasks,
-                      default_order=parse_order(ring_doc.get("order", "degrevlex")),
-                      cutoffs=(4, cutoff) if cutoff else (4, 64))
+                      default_order=parse_order(ring_doc.get("order", "degrevlex")))
+    problem.cutoffs = (4, problem.read({} if cutoff is None else {"cutoff": cutoff}, "cutoff", 64))
     problem.seed = problem.read(doc, "seed", 0) if seed is None else seed
     ideals = problem.ideals
 
@@ -442,8 +443,8 @@ class TaskRunner:
 
     def cmd_ideal_hilb(self, read):
         A = read("quotient")
-        H = power_colengths(A, read("ideal"), read("nmax", A.dim + 6))
-        values = [H[n] for n in sorted(H)]
+        chain = PowerChain(A, read("ideal"))
+        values = [chain.colength(n + 1) for n in range(read("nmax", A.dim + 6) + 1)]
         return {"samples": values, "from": 0}, values, []
 
     def cmd_ideal_coeffs(self, read):

@@ -16,7 +16,7 @@ so fitting the binomial basis to e_0 * binom(n+2,2) + l(T_n) recovers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, pairwise, permutations
+from itertools import count, islice, permutations
 from math import comb, inf
 
 from .errors import BoundViolation
@@ -36,16 +36,14 @@ from .groebner import (
 from .hilbert import (
     HilbertReport,
     ParameterIdealSpec,
+    PowerChain,
     QuotientRingSpec,
     extract_coeffs,
     hilbert_report,
     ideal_hilbert_report,
     is_reduction,
-    power_bases,
-    power_colengths,
     _chart_of,
     _normalized,
-    _PowerChain,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
 
@@ -180,11 +178,11 @@ def annihilator_length(C: ArtinAlgebra, f: Polynomial) -> int:
 
 def e1_via_slice(A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial) -> int:
     """-l(H^0_m(A/(a))), valid for d = 2 when a is superficial for Q and a
-    nonzerodivisor; the caller asserts (or pre-checks) superficiality."""
+    nonzerodivisor; the caller asserts (or pre-checks) superficiality.
+    The length is read in A: it does not depend on coordinates."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
-    A2, _, move, _ = _chart_of(A, Q)
-    return -sat_quotient_length(A2.plus(IdealHandle(A.ring, move([a]))))
+    return -sat_quotient_length(A.plus(IdealHandle(A.ring, [a])))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +231,9 @@ def is_superficial(
     A2, lifts, move, _ = _chart_of(A, Q)
     (a,) = move([a])
     zero_colon = colon(A2.defining, a)  # (0 :_A a), as an ideal of R
-    bases = pairwise(power_bases(A2, IdealHandle(A.ring, lifts)))  # (a + Q^n, a + Q^{n+1})
-    for n, (power, nxt) in zip(range(last + 1), bases):
-        if n in window and not ideal_equal(colon(nxt, a), ideal_sum(power, zero_colon)):
+    powers = PowerChain(A2, IdealHandle(A.ring, lifts)).ideal  # n -> a + Q^n
+    for n in range(last + 1):
+        if n in window and not ideal_equal(colon(powers(n + 1), a), ideal_sum(powers(n), zero_colon)):
             return False
     return True
 
@@ -247,16 +245,15 @@ def sally_lengths(
     A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int = 4
 ) -> dict[int, int]:
     """l(I^{n+1}/Q^n I) = l(A/Q^n I) - l(A/I^{n+1}) for n = 1..n_max, with
-    n_max >= 1.  Q must be a reduction of I (verified)."""
+    n_max >= 1, from two chains in A: the chain of (A, I), which also
+    certifies that Q is a reduction of I, and the chain of Q started at I."""
     if n_max < 1:
         raise ValueError(f"Sally lengths start at n = 1; n_max {n_max} checks nothing")
-    if is_reduction(A, Q, I) is None:
+    chain = PowerChain(A, I)
+    if is_reduction(A, Q, I, chain=chain) is None:
         raise ValueError("Q is not a reduction of I")
-    A2, lifts, move, _ = _chart_of(A, Q)
-    I2 = IdealHandle(A.ring, move(I.generators))
-    qn_i = power_colengths(A2, IdealHandle(A.ring, lifts), n_max, start=I2)
-    i_n1 = power_colengths(A2, I2, n_max)
-    out = {n: qn_i[n] - i_n1[n] for n in range(1, n_max + 1)}
+    qn_i = PowerChain(A, IdealHandle(A.ring, Q.lifts), start=I)
+    out = {n: qn_i.colength(n) - chain.colength(n + 1) for n in range(1, n_max + 1)}
     if any(v < 0 for v in out.values()):
         raise AssertionError("negative Sally length; engine bug")
     return out
@@ -276,10 +273,12 @@ def sally_rank(
 ) -> SallyRankReport:
     """Localized Sally-module length through the bookkeeping identity
     rank = e1_I - e0_I - e1_Q + l(A/I); reports the inputs alongside.
-    Q must be a reduction of I (verified)."""
-    if is_reduction(A, Q, I) is None:
+    Q must be a reduction of I (verified against the chain of (A, I) that
+    gives the report of I)."""
+    chain = PowerChain(A, I)
+    if is_reduction(A, Q, I, chain=chain) is None:
         raise ValueError("Q is not a reduction of I")
-    return _sally_rank(A, ideal_hilbert_report(A, I, n_max), Q, n_max)
+    return _sally_rank(A, ideal_hilbert_report(A, I, n_max, chain=chain), Q, n_max)
 
 
 def _sally_rank(
@@ -330,7 +329,8 @@ def k_plus_j_analysis(
     samples_max = d + 7 if n_max is None else n_max
     if samples_max < 2 * (d + 1) + 1:
         raise ValueError("n_max too small to fit the n >= 1 tail")
-    lengths = power_colengths(B, J, samples_max)
+    chain = PowerChain(B, J)  # lengths[n] = l(B/J^{n+1}); also certifies each q
+    lengths = [chain.colength(n + 1) for n in range(samples_max + 1)]
     samples = {0: 1} | {n: lengths[n] - lengths[0] + 1 for n in range(1, samples_max + 1)}
     rep = extract_coeffs(samples, d)
     identity = rep.coeffs[1] - rep.coeffs[0] + 1
@@ -338,7 +338,6 @@ def k_plus_j_analysis(
     fit_max = d + 6 if n_max is None else n_max
     rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, d) if named else None
     entries = []
-    chain = _PowerChain(B, J)
     for name, q in named:
         if is_reduction(B, q, J, chain=chain, least=False) is None:
             raise ValueError(f"{name} is not a reduction of J")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hilbsam.exactalg import GF32003, FieldConfig
 from hilbsam.groebner import IdealHandle, ideal, ideal_power, ideal_sum, intersect, poly_exact_div
-from hilbsam.hilbert import QuotientRingSpec
+from hilbsam.hilbert import PowerChain, QuotientRingSpec
 from hilbsam.polyring import Polynomial, RingSpec, elimination_order
 
 XYZW = ("X", "Y", "Z", "W")
@@ -44,6 +44,19 @@ def big_i(A: QuotientRingSpec, n: int) -> IdealHandle:
 def regular2(field: FieldConfig = GF32003) -> QuotientRingSpec:
     R = RingSpec(("x", "y"), field)
     return QuotientRingSpec(R, IdealHandle(R, []), 2)
+
+
+def spy_power_chains(monkeypatch) -> list:
+    """Every PowerChain built from now on, in the order built."""
+    chains = []
+    real = PowerChain.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        chains.append(self)
+
+    monkeypatch.setattr(PowerChain, "__init__", init)
+    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 import sys
-from itertools import islice
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import big_i, fat_point, regular2, two_planes
+from helpers import big_i, fat_point, regular2, spy_power_chains, two_planes
 from hilbsam import groebner, hilbert
 from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
@@ -22,6 +21,7 @@ from hilbsam.groebner import (
 )
 from hilbsam.hilbert import (
     ParameterIdealSpec,
+    PowerChain,
     QuotientRingSpec,
     SplitMix64,
     extract_coeffs,
@@ -32,8 +32,6 @@ from hilbsam.hilbert import (
     is_reduction,
     lambda_map,
     parameter_ideal,
-    power_bases,
-    power_colengths,
     sample_reductions,
     _normalized,
 )
@@ -156,8 +154,9 @@ def test_chart_and_direct_paths_agree():
 
 
 def _assert_powers_match_raw(A, I, n_max):
-    """Colengths of a + I^{n+1} from power_bases against a + ideal_power(I, n+1)."""
-    iterated = [local_colength(J) for J in islice(power_bases(A, I, start=I), n_max + 1)]
+    """Colengths of a + I^{n+1} from a PowerChain against a + ideal_power(I, n+1)."""
+    chain = PowerChain(A, I)
+    iterated = [local_colength(chain.ideal(n + 1)) for n in range(n_max + 1)]
     raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(n_max + 1)]
     assert iterated == raw
 
@@ -182,14 +181,15 @@ def test_power_bases_match_raw_powers_over_qq():
 def test_power_bases_start_and_budget_fallback(monkeypatch):
     A = two_planes(2)
     I = big_i(A, 2)
-    assert next(power_bases(A, I)).groebner().contains_one()  # a + (1)
+    assert PowerChain(A, I).ideal(0).groebner().contains_one()  # a + (1)
     # with no pair budget no basis of a non-monomial ideal can be built (a
     # monomial one needs no pair): the step multiplies the previous
     # generators, and the ideals stay the same
     I = ideal(A.ring, ["X*Y-Z", "X^2+Y^2-W"])
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
     monkeypatch.setattr(groebner, "_GB_MEMO", {})
-    handles = list(islice(power_bases(A, I, start=I), 3))
+    chain = PowerChain(A, I, start=I)
+    handles = [chain.ideal(n) for n in range(3)]
     with pytest.raises(ResourceLimit):
         handles[0].groebner()
     monkeypatch.undo()
@@ -197,18 +197,24 @@ def test_power_bases_start_and_budget_fallback(monkeypatch):
     assert [local_colength(J) for J in handles] == raw
 
 
+def _power_colengths(A, I, n_max):
+    """l(A/I^{n+1}) for n = 0..n_max from one PowerChain."""
+    chain = PowerChain(A, I)
+    return {n: chain.colength(n + 1) for n in range(n_max + 1)}
+
+
 def _chain_against_raw(A, I, n_max):
-    """power_colengths against an independent local_colength_info of each
-    a + I^{n+1}; returns the infos of the raw powers."""
+    """PowerChain colengths against an independent local_colength_info of
+    each a + I^{n+1}; returns the infos of the raw powers."""
     infos = [local_colength_info(A.plus(ideal_power(I, n + 1))) for n in range(n_max + 1)]
-    assert power_colengths(A, I, n_max) == {n: info.value for n, info in enumerate(infos)}
+    assert _power_colengths(A, I, n_max) == {n: info.value for n, info in enumerate(infos)}
     return infos
 
 
 def test_power_colengths_reuse_the_support_certificate(monkeypatch):
-    # a + Q is supported at the origin alone: n = 0 takes the global path,
-    # and only its nilpotency walk calls normal_form; every power is still
-    # checked against the truncation ladder
+    # a + Q is supported at the origin alone: the first proper ideal of the
+    # chain takes the global path, and only its nilpotency walk calls
+    # normal_form; every power is still checked against the truncation ladder
     monkeypatch.setattr(groebner, "VERIFY_EXTRA_STEPS", 1)
     A = two_planes(2)
     Q = ideal(A.ring, ["X-Z", "Y-W"])
@@ -221,7 +227,7 @@ def test_power_colengths_reuse_the_support_certificate(monkeypatch):
     walk = len(calls)
     assert walk > 0
     calls.clear()
-    power_colengths(A, Q, 3)
+    _power_colengths(A, Q, 3)
     assert len(calls) == walk
 
 
@@ -518,23 +524,23 @@ def test_local_basis_samples_match_the_power_colengths(case):
         H = hilbert._chart_colengths(local, n_max)
     except NotLocallyFinite:
         assume(False)  # a + Q is not finite at the origin: no samples to compare
-    assert H == power_colengths(A2, IdealHandle(A.ring, lifts2), n_max)
+    assert H == _power_colengths(A2, IdealHandle(A.ring, lifts2), n_max)
 
 
 def test_local_basis_samples_are_cross_checked_in_verify_mode(verify_mode, monkeypatch):
     A = two_planes(2)
     Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
     assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 3 * (l + 1) for l in range(5)}
-    monkeypatch.setattr(hilbert, "power_colengths", lambda A, I, n_max: {n: 0 for n in range(n_max + 1)})
+    monkeypatch.setattr(PowerChain, "colength", lambda self, n: 0)
     with pytest.raises(AssertionError, match="local standard basis"):
         hs_function(A, Q, 4)
 
 
 def test_hs_function_on_a_chart_never_samples_the_powers(monkeypatch):
     def refuse(*args):
-        raise AssertionError("power_colengths called")
+        raise AssertionError("a power chain was built")
 
-    monkeypatch.setattr(hilbert, "power_colengths", refuse)
+    monkeypatch.setattr(PowerChain, "__init__", refuse)
     for n in (2, 3):
         A = two_planes(n)
         Q = parameter_ideal(A, [f"X^{n}-Z", f"Y^{n}-W"])
@@ -544,20 +550,13 @@ def test_hs_function_on_a_chart_never_samples_the_powers(monkeypatch):
     assert extract_coeffs(hs_function(A, Q, 5), 2).coeffs == (5, -2, 0)
 
 
-def _spy_power_colengths(monkeypatch):
-    calls = []
-    real = hilbert.power_colengths
-    monkeypatch.setattr(hilbert, "power_colengths", lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
 def test_hs_function_falls_back_without_a_chart(monkeypatch):
     A = regular2()
     lifts = [parse_poly(A.ring, "x^2"), parse_poly(A.ring, "y^2")]
     assert hilbert._local_basis(A, lifts) is None
-    calls = _spy_power_colengths(monkeypatch)
+    calls = spy_power_chains(monkeypatch)
     assert hs_function(A, parameter_ideal(A, lifts), 3) == {n: 4 * comb(n + 2, 2) for n in range(4)}
-    assert calls == [1]
+    assert len(calls) == 1
 
 
 def test_hs_function_falls_back_at_sixteen_variables(monkeypatch):
@@ -566,9 +565,9 @@ def test_hs_function_falls_back_at_sixteen_variables(monkeypatch):
     A = QuotientRingSpec(R, IdealHandle(R, [R.variable(i) for i in range(2, 16)]), 2)
     Q = parameter_ideal(A, ["v0", "v1"])
     assert hilbert._local_basis(A, Q.lifts) is None
-    calls = _spy_power_colengths(monkeypatch)
+    calls = spy_power_chains(monkeypatch)
     assert hs_function(A, Q, 3) == {n: comb(n + 2, 2) for n in range(4)}
-    assert calls == [1]
+    assert len(calls) == 1
 
 
 def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
@@ -588,25 +587,22 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
     A2, lifts, _ = _normalized(A, Q.lifts)
     with pytest.raises(ResourceLimit):
         tiny_budget(A2.defining, (0, 0, 1, 1))
-    calls = _spy_power_colengths(monkeypatch)
+    calls = spy_power_chains(monkeypatch)
     assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
-    assert calls == [1]
+    assert len(calls) == 1
 
 
 def test_lambda_map_builds_the_power_chain_once(monkeypatch):
     # every certificate, named and sampled, is taken against one chain of
     # a + I^n, not one chain per candidate
-    starts = []
-    real = hilbert.power_bases
-    monkeypatch.setattr(
-        hilbert, "power_bases", lambda A, I, start=None: starts.append(start) or real(A, I, start)
-    )
+    chains = spy_power_chains(monkeypatch)
     A = two_planes(2)
+    I = big_i(A, 2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     Qp = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
-    rep = lambda_map(A, big_i(A, 2), count=3, seed=3, n_max=5, named=[("Q", Q), ("Qp", Qp)])
+    rep = lambda_map(A, I, count=3, seed=3, n_max=5, named=[("Q", Q), ("Qp", Qp)])
     assert len(rep.entries) == 5
-    assert starts == [None]
+    assert [(c.A is A, c.I is I) for c in chains] == [(True, True)]
 
 
 def test_power_step_from_a_basis_multiplies_packed_terms(monkeypatch):
@@ -615,8 +611,8 @@ def test_power_step_from_a_basis_multiplies_packed_terms(monkeypatch):
     monkeypatch.setattr(groebner, "_GB_MEMO", {})
     A = two_planes(2)
     I = big_i(A, 2)
-    steps = power_bases(A, I, start=I)
-    handles = [next(steps)]
+    chain = PowerChain(A, I, start=I)
+    handles = [chain.ideal(0)]
     handles[0].groebner()
 
     def refuse(*args, **kwargs):
@@ -624,7 +620,7 @@ def test_power_step_from_a_basis_multiplies_packed_terms(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", refuse)
     monkeypatch.setattr(groebner, "autoreduce", refuse)
-    handles += [next(steps), next(steps)]
+    handles += [chain.ideal(1), chain.ideal(2)]
     monkeypatch.undo()
     raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
     assert [local_colength(J) for J in handles] == raw
@@ -636,7 +632,7 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
     A = two_planes(2)
     I = big_i(A, 2)
     Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
-    chain = hilbert._PowerChain(A, I)
+    chain = PowerChain(A, I)
     cert = is_reduction(A, Q, I, chain=chain)
     assert cert is not None
     chain.basis(cert + 1)
@@ -649,7 +645,7 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
     monkeypatch.undo()
     not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     m = maximal_ideal(A.ring)
-    chain = hilbert._PowerChain(A, m)
+    chain = PowerChain(A, m)
     for n in range(4):
         chain.basis(n)
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
@@ -677,7 +673,7 @@ def test_certificate_search_from_any_known_n(case):
     A, I, lifts, n_cap = _certificate_cases()[case]
     Q = parameter_ideal(A, lifts)
     least = is_reduction(A, Q, I, n_cap)
-    chain = hilbert._PowerChain(A, I)
+    chain = PowerChain(A, I)
     for known in [None, *range(n_cap + 2)]:
         chain.known = known
         assert is_reduction(A, Q, I, n_cap, chain=chain) == least, known
@@ -743,7 +739,7 @@ def test_certificate_search_disagreement_is_caught_in_verify_mode(verify_mode, m
     A = two_planes(2)
     Q = parameter_ideal(A, ["X+Z", "Y+W"])
     m = maximal_ideal(A.ring)
-    chain = hilbert._PowerChain(A, m)
+    chain = PowerChain(A, m)
     chain.known = 2
     monkeypatch.setattr(
         hilbert, "product_equals", lambda a, F, H, K: any(F is chain.basis(n) for n in (0, 2))

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import hilbsam
@@ -39,3 +42,25 @@ def test_the_package_never_forks():
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(), str(path))) if _forks(node)]
     assert found == []
+
+
+def test_the_benchmark_hooks_resolve():
+    # every name the benchmark's tracer wraps, and every name its pass
+    # runner reads or rebinds, exists: deleting one fails here, not only in
+    # the benchmark's own tests (the tracer imports only the standard library)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(name):
+        return importlib.import_module(f"hilbsam.{name}")
+
+    missing = [f"{m}.{attr}" for m, attr, *_ in tracer.FUNCTION_SPANS if not hasattr(module(m), attr)]
+    missing += [f"{m}.{cls}.{attr}" for m, cls, attr, *_ in tracer.METHOD_SPANS
+                if not hasattr(getattr(module(m), cls, None), attr)]
+    rebound = ("colength_at_cutoff", "colon_ideal", "truncation_colength_oracle", "_GB_MEMO")
+    missing += [f"groebner.{attr}" for attr in rebound if not hasattr(module("groebner"), attr)]
+    assert missing == []
+    assert callable(module("problem").TaskRunner.run_task)
+    assert "threads" in inspect.signature(module("problem").load_problem).parameters

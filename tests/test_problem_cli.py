@@ -282,6 +282,18 @@ def test_run_cutoff_caps_every_colength(tmp_path, capsys, task, value):
     assert "NotLocallyFinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_cutoffs_below_one_are_input_errors(tmp_path, capsys, cutoff):
+    # a cap below 1 is refused as --cutoff and as a task's cutoff alike,
+    # neither read as the default cap nor run into a budget failure
+    path = tmp_path / "problem.json"
+    task = {"command": "colength", "ideal": "J"}
+    for argv, tasks in ([["--cutoff", str(cutoff)], [task]], [[], [{**task, "cutoff": cutoff}]]):
+        path.write_text(json.dumps({**_OFF_ORIGIN_DOC, "tasks": tasks}))
+        assert main(["run", str(path), *argv]) == 2
+        assert f"'cutoff' must be a positive integer, got {cutoff}" in capsys.readouterr().err
+
+
 def test_every_subcommand_is_a_task_command():
     import argparse
 

@@ -1,10 +1,13 @@
-from itertools import pairwise, permutations
+from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import big_i, colon_by_elimination, fat_point, regular2, ring4, staged, two_planes
+from helpers import (
+    big_i, colon_by_elimination, fat_point, regular2, ring4, spy_power_chains, staged, two_planes,
+)
 from hilbsam import exactalg, groebner, hilbert, secmethods
 from hilbsam.exactalg import GF32003, QQ, ExactMatrix, nullspace, rank
 from hilbsam.groebner import (
@@ -20,13 +23,13 @@ from hilbsam.groebner import (
     normal_form,
 )
 from hilbsam.hilbert import (
+    PowerChain,
     hilbert_report,
     is_reduction,
     parameter_ideal,
-    power_bases,
     sample_reductions,
 )
-from hilbsam.polyring import parse_poly
+from hilbsam.polyring import Polynomial, parse_poly
 from hilbsam.secmethods import (
     ActionPair,
     action_pair,
@@ -324,9 +327,9 @@ def _superficial_by_elimination(A, Q, a, window):
     """The windowed criterion of is_superficial on the raw lifts with the
     elimination colon."""
     zero_colon = colon_by_elimination(A.defining, a)
-    bases = pairwise(power_bases(A, IdealHandle(A.ring, Q.lifts)))
-    for n, (power, nxt) in zip(range(max(window) + 1), bases):
-        if n in window and not ideal_equal(colon_by_elimination(nxt, a), ideal_sum(power, zero_colon)):
+    powers = PowerChain(A, IdealHandle(A.ring, Q.lifts)).ideal
+    for n in window:
+        if not ideal_equal(colon_by_elimination(powers(n + 1), a), ideal_sum(powers(n), zero_colon)):
             return False
     return True
 
@@ -370,8 +373,9 @@ def test_sally_lengths_examples():
 
 
 def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
-    # a + Q^n I and a + I^{n+1} keep the radical of their n = 0 ideal: once
-    # that took the global path, the later ones skip the nilpotency walk
+    # a + Q^n I and a + I^{n+1} keep the radical of a + I: the two chains
+    # are read in turn from n = 1, and once a chain's first ideal took the
+    # global path, its later ones skip the nilpotency walk
     walks = []
     real = groebner._global_zero_dim_colength
     monkeypatch.setattr(groebner, "_global_zero_dim_colength",
@@ -383,12 +387,52 @@ def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
         Q = parameter_ideal(A, lifts)
         walks.clear()
         assert sally_lengths(A, I, Q, n_max) == lengths
-        assert walks == ([False] + [True] * n_max) * 2
+        assert walks == [False, False] + [True] * (2 * (n_max - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sally_lengths_beyond_the_suite(n):
+    # l(I^{k+1}/Q^k I) = C(n, 2)(k + 1) on the counterexample family, k = 1..2n;
+    # at n = 3 each length is checked against raw products and powers
+    A = two_planes(n)
+    I = big_i(A, n)
+    Q = parameter_ideal(A, [f"X^{n}-Z", f"Y^{n}-W"])
+    lengths = sally_lengths(A, I, Q, 2 * n)
+    assert lengths == {k: comb(n, 2) * (k + 1) for k in range(1, 2 * n + 1)}
+    if n == 3:
+        Qh = IdealHandle(A.ring, Q.lifts)
+        for k, length in lengths.items():
+            qk_i = local_colength(A.plus(ideal_product(ideal_power(Qh, k), I)))
+            assert length == qk_i - local_colength(A.plus(ideal_power(I, k + 1))), k
+
+
+def test_one_power_chain_per_call_in_the_coordinates_of_a(monkeypatch):
+    # Sally lengths read two chains, both in A; the Sally rank and k + J
+    # read one chain of (A, I) for the certificates and the colengths; the
+    # slice substitutes into no chart
+    A = two_planes(2)
+    I = big_i(A, 2)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    chains = spy_power_chains(monkeypatch)
+    assert sally_lengths(A, I, Q, 3) == {1: 2, 2: 3, 3: 4}
+    assert [c.A is A for c in chains] == [True, True]
+    assert chains[0].I is I and chains[1].I.generators == Q.lifts
+    for run in (lambda: sally_rank(A, I, Q), lambda: k_plus_j_analysis(A, I, [("Q", Q)])):
+        chains.clear()
+        run()
+        assert [(c.A is A, c.I is I) for c in chains] == [(True, True)]
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was substituted into a chart")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    assert e1_via_slice(A, Q, parse_poly(A.ring, "X^2-Z")) == -4
 
 
 def test_charted_checkers_reuse_the_chart_of_the_spec(monkeypatch):
-    # parameter_ideal charts Q once; the slice, superficiality and Sally
-    # methods read that chart for the same A instead of charting again
+    # parameter_ideal charts Q once; the superficiality check reads that
+    # chart for the same A instead of charting again, and the slice and
+    # Sally methods chart nothing
     A = two_planes(2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     charts = []
@@ -433,16 +477,9 @@ def test_k_plus_j_analysis(monkeypatch):
     J = big_i(B, 2)
     Q = parameter_ideal(B, ["X^2-Z", "Y^2-W"])
     Qp = parameter_ideal(B, ["X*Y-Z", "X^2+Y^2-W"])
-    sampled = []
-
-    def recording(real):
-        return lambda A, I, n_max, **kw: sampled.append(I.generators) or real(A, I, n_max, **kw)
-
-    # k_plus_j_analysis samples through secmethods, the reports through hilbert
-    for module in (hilbert, secmethods):
-        monkeypatch.setattr(module, "power_colengths", recording(module.power_colengths))
+    chains = spy_power_chains(monkeypatch)
     rep = k_plus_j_analysis(B, J, [("Q", Q), ("Qp", Qp)])
-    assert sampled.count(J.generators) == 1  # the lengths l(B/J^{n+1}) are sampled once
+    assert [c.I is J for c in chains] == [True]  # the lengths l(B/J^{n+1}) are sampled once
     assert rep.coeffs == (8, 2, -6)
     assert rep.identity_value == -5
     ranks = {e.name: e.rank for e in rep.entries}
