@@ -52,11 +52,13 @@ from .polyring import (
 
 PAIR_BUDGET = 200_000
 
-# test-mode knobs: extra stabilization steps to confirm, and the maximal
-# truncated-monomial count for which every colength is cross-checked
-# against the brute-force rank oracle.
-VERIFY_EXTRA_STEPS = 0
-VERIFY_ORACLE_LIMIT = 0
+# verify mode: every hook checks its value against an independent path
+# (AssertionError on a difference).  In it, each truncated colength over at
+# most _ORACLE_LIMIT monomials is checked against the rank oracle, and the
+# ladder confirms a stabilized colength _CONFIRM_STEPS more steps.
+VERIFY = False
+_ORACLE_LIMIT = 400
+_CONFIRM_STEPS = 3
 
 _GB_MEMO: dict = {}
 
@@ -730,8 +732,8 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
     autoreduced before the run.  The basis keeps the engine's packed
     elements, so it can be the next call's F.
 
-    With VERIFY_EXTRA_STEPS set, the basis is checked against
-    _autoreduced_product_basis (AssertionError on a difference)."""
+    In verify mode, the basis is checked against _autoreduced_product_basis
+    (AssertionError on a difference)."""
     ring = a.ring
     pk = _packing(ring.nvars, DEGREVLEX)
 
@@ -743,7 +745,7 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
 
     memo_key = ("product", _memo_key(ring, DEGREVLEX, a.generators, None), _gens_sig(F.elements), _gens_sig(H))
     gb = _memoized(memo_key, build)
-    if VERIFY_EXTRA_STEPS and gb.elements != _autoreduced_product_basis(a, F, H).elements:
+    if VERIFY and gb.elements != _autoreduced_product_basis(a, F, H).elements:
         raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
 
@@ -756,14 +758,13 @@ def product_equals(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial], K:
     as the partial leading monomials cover L(K): J ⊆ K and L(J) ⊇ L(K) give
     J = K.  A run that ends without covering L(K) has found L(J), so J ≠ K.
 
-    With VERIFY_EXTRA_STEPS set, the verdict is checked against reducing
-    K's elements modulo _autoreduced_product_basis (AssertionError on a
-    difference)."""
+    In verify mode, the verdict is checked against reducing K's elements
+    modulo _autoreduced_product_basis (AssertionError on a difference)."""
     pk = _packing(a.ring.nvars, DEGREVLEX)
     lts = [e.lt for e in K._raw_elems(pk)]
     minimal = _engine(pk, a.ring.field, _product_gens(pk, a, F, H), reduce_tails=False, cover=lts)
     equal = all(any(pk.divides(e.lt, t) for e in minimal) for t in lts)
-    if VERIFY_EXTRA_STEPS:
+    if VERIFY:
         full = _autoreduced_product_basis(a, F, H)
         if equal != all(normal_form(g, full).is_zero() for g in K.elements):
             raise AssertionError("the product equality disagrees with the basis of the autoreduced products")
@@ -1001,13 +1002,13 @@ def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
     generated by its reduced degrevlex basis; otherwise by
     _colon_by_intersection or by _saturation_by_elimination.
 
-    With VERIFY_EXTRA_STEPS set, a monomial part is checked against the
-    other way (AssertionError on a difference)."""
+    In verify mode, a monomial part is checked against the other way
+    (AssertionError on a difference)."""
     other = _saturation_by_elimination if saturate else _colon_by_intersection
     if len(f.terms) > 1:
         return other(I, f)
     part = IdealHandle.of_basis(_by_monomial(I, next(iter(f.terms)), saturate))
-    if VERIFY_EXTRA_STEPS and list(part.generators) != list(other(I, f).groebner().elements):
+    if VERIFY and list(part.generators) != list(other(I, f).groebner().elements):
         what = "saturation" if saturate else "colon"
         raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
     return part
@@ -1104,13 +1105,17 @@ class ColengthInfo:
 
 def colength_at_cutoff(J: IdealHandle, cutoff: int) -> int:
     """dim_k R/(J + m^cutoff) as the number of standard monomials of the
-    truncated degrevlex basis."""
+    truncated degrevlex basis; in verify mode checked against the rank
+    oracle when at most _ORACLE_LIMIT monomials lie below the cutoff."""
     gb = J.truncated_groebner(cutoff)
     if gb.contains_one():
         return 0
-    n = _staircase_counts(gb.leading_monomials, J.ring.nvars, cutoff).total()
-    if VERIFY_ORACLE_LIMIT:
-        _oracle_check(J, cutoff, n)
+    nv = J.ring.nvars
+    n = _staircase_counts(gb.leading_monomials, nv, cutoff).total()
+    if VERIFY and math.comb(cutoff + nv - 1, nv) <= _ORACLE_LIMIT:
+        got = truncation_colength_oracle(J, cutoff)
+        if got != n:
+            raise AssertionError(f"oracle disagrees with truncated basis at cutoff {cutoff}: {got} != {n}")
     return n
 
 
@@ -1177,20 +1182,36 @@ def local_colength_info(
     J: IdealHandle, cutoffs: tuple[int, int] = (4, 64), support_at_origin: bool = False
 ) -> ColengthInfo:
     """The stabilized colength with its certificate; support_at_origin is
-    passed on to the global zero-dimensional path."""
+    passed on to the global zero-dimensional path.  In verify mode the value
+    is checked against _colength_reference (AssertionError on a
+    difference)."""
     try:
         fast = _global_zero_dim_colength(J, support_at_origin)
     except PackedRangeExceeded as refusal:
-        return _ladder_colength_info(J, cutoffs, refusal)
-    if fast is not None:
-        if VERIFY_EXTRA_STEPS:
-            ladder_value = _ladder_colength_info(J, cutoffs).value
-            if ladder_value != fast:
-                raise AssertionError(
-                    f"global path {fast} disagrees with truncation ladder {ladder_value}"
-                )
-        return ColengthInfo(fast, None)
-    return _ladder_colength_info(J, cutoffs)
+        info = _ladder_colength_info(J, cutoffs, refusal)
+    else:
+        info = _ladder_colength_info(J, cutoffs) if fast is None else ColengthInfo(fast, None)
+    if VERIFY and (reference := _colength_reference(J, info, cutoffs)) != info.value:
+        raise AssertionError(f"colength {info.value} disagrees with its reference {reference}")
+    return info
+
+
+def _colength_reference(J: IdealHandle, info: ColengthInfo, cutoffs: tuple[int, int]) -> int:
+    """Verify mode's reference for info.value: the number of standard
+    monomials of the weight-0 local standard basis of J (the local degree
+    order; an infinite staircase is an AssertionError).  Where that basis
+    cannot be built (16 variables, the pair budget, the packed range), the
+    ladder's value for a global-path value, and info.value for a ladder
+    value."""
+    nv = J.ring.nvars
+    try:
+        lts = local_standard_basis(J, (0,) * nv)[1]
+    except (ResourceLimit, ValueError):
+        return _ladder_colength_info(J, cutoffs).value if info.window is None else info.value
+    try:
+        return _staircase_counts(lts, nv, 1, (0,) * nv).total()
+    except NotLocallyFinite as exc:
+        raise AssertionError("the weight-0 local standard basis finds the colength infinite") from exc
 
 
 def _ladder_colength_info(
@@ -1210,9 +1231,8 @@ def _ladder_colength_info(
             if pd > d:
                 raise AssertionError("truncated colength decreased; engine bug")
             if pd == d:
-                for extra in range(1, VERIFY_EXTRA_STEPS + 1):
-                    if colength_at_cutoff(J, n + extra) != d:
-                        raise AssertionError("stabilized colength moved; engine bug")
+                if VERIFY and any(colength_at_cutoff(J, n + k) != d for k in range(1, _CONFIRM_STEPS + 1)):
+                    raise AssertionError("stabilized colength moved; engine bug")
                 return ColengthInfo(d, (pn, n), samples)
         prev = (n, d)
     if refusal is not None:
@@ -1260,18 +1280,6 @@ def truncation_colength_oracle(J: IdealHandle, cutoff: int) -> int:
     return len(monos) - rank(ExactMatrix(ring.field, rows, len(monos)))
 
 
-def _oracle_check(J: IdealHandle, cutoff: int, value: int) -> None:
-    from math import comb
-
-    if comb(cutoff + J.ring.nvars - 1, J.ring.nvars) > VERIFY_ORACLE_LIMIT:
-        return
-    got = truncation_colength_oracle(J, cutoff)
-    if got != value:
-        raise AssertionError(
-            f"oracle disagrees with truncated basis at cutoff {cutoff}: {got} != {value}"
-        )
-
-
 def sat_quotient_length(J: IdealHandle) -> int:
     """Length of (J : m^inf)/J (the zeroth local cohomology of R/J at the
     origin).  J ⊆ sat = J : m^inf and sat/J is killed by a power of m, so
@@ -1279,16 +1287,16 @@ def sat_quotient_length(J: IdealHandle) -> int:
     in L(J) under degrevlex.  They are counted by one walk up from the
     generators of L(sat) outside L(J), through monomials outside L(J).
 
-    With VERIFY_EXTRA_STEPS set, the count is checked against the first
-    repeated difference of truncated colengths on the ladder (AssertionError
-    on a difference)."""
+    In verify mode, the count is checked against the first repeated
+    difference of truncated colengths on the ladder (AssertionError on a
+    difference)."""
     sat = saturate(J, maximal_ideal(J.ring))
     if ideal_equal(sat, J):
         return 0
     inner = J.groebner().leading_monomials
     starts = [g for g in sat.groebner().leading_monomials if not any(mono_divides(lt, g) for lt in inner)]
     count = _staircase_counts(inner, J.ring.nvars, math.inf, starts=starts).total()
-    if VERIFY_EXTRA_STEPS:
+    if VERIFY:
         ladder = _ladder_sat_quotient_length(J, sat)
         if ladder != count:
             raise AssertionError(f"saturation quotient length {count} disagrees with truncation ladder {ladder}")

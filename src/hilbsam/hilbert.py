@@ -110,8 +110,8 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     (NotLocallyFinite otherwise).  In a parameter chart that holds iff every
     variable of weight 0 has a pure power in L(a), read off the local
     standard basis hs_function samples from; without a chart, or over a
-    resource limit, the colength path decides.  With
-    groebner.VERIFY_EXTRA_STEPS set, both run and must agree."""
+    resource limit, the colength path decides.  With groebner.VERIFY set,
+    both run and must agree."""
     polys = _as_polys(A, lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
@@ -121,7 +121,7 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
         verdict = _chart_colengths(local, 0)  # None: no chart verdict
     except NotLocallyFinite as exc:
         verdict = exc
-    if verdict is None or groebner.VERIFY_EXTRA_STEPS:
+    if verdict is None or groebner.VERIFY:
         try:
             local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cutoffs)
             finite = True
@@ -260,15 +260,15 @@ def _chart_colengths(local: tuple | None, n_max: int) -> dict[int, int] | None:
 def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> dict[int, int]:
     """Sampled Hilbert-Samuel function n -> l_A(A/Q^{n+1}), n = 0..n_max:
     from one local standard basis in the parameter chart, or else from the
-    colengths of the powers.  With groebner.VERIFY_EXTRA_STEPS set, both
-    run and must agree."""
+    colengths of the powers.  With groebner.VERIFY set, both run and must
+    agree."""
     if n_max is None:
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
     A2, lifts, _, local = _chart_of(A, Q)
     H = _chart_colengths(local, n_max)
-    if H is None or groebner.VERIFY_EXTRA_STEPS:
+    if H is None or groebner.VERIFY:
         chain = PowerChain(A2, IdealHandle(A.ring, lifts))
         by_powers = {n: chain.colength(n + 1) for n in range(n_max + 1)}
         if H is not None and H != by_powers:
@@ -287,14 +287,6 @@ class HilbertReport:
     coeffs: tuple[int, ...]
     window: tuple[int, int]
     polynomial_from: int
-
-    @property
-    def e0(self) -> int:
-        return self.coeffs[0]
-
-    @property
-    def e1(self) -> int:
-        return self.coeffs[1]
 
 
 def hilbert_value(coeffs: tuple[int, ...], d: int, n: int) -> int:
@@ -379,8 +371,8 @@ def is_reduction(
 
     Equality at n gives it at n + 1, so the search starts at chain.known:
     if it holds there, it walks down while it holds (least) or stops;
-    if not, it walks up.  With groebner.VERIFY_EXTRA_STEPS set, the plain
-    search up from 0 runs too and must agree."""
+    if not, it walks up.  With groebner.VERIFY set, the plain search up
+    from 0 runs too and must agree."""
     if n_cap < 0:
         return None
     if chain is None:
@@ -398,7 +390,7 @@ def is_reduction(
             found -= 1
     else:
         found = next((n for n in range(start + 1, n_cap + 1) if holds(n)), None)
-    if groebner.VERIFY_EXTRA_STEPS:
+    if groebner.VERIFY:
         plain = next((n for n in range(n_cap + 1) if holds(n)), None)
         agree = found == plain if least else (found is None) == (plain is None)
         if not agree or (found is not None and not holds(found)):

@@ -279,6 +279,11 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
             for key in task:
                 if key in TASK_KEYS:
                     problem.read(task, key)
+            qname = task.get("quotient")
+            for pname in ([task["params"]] if "params" in task else []) + list(task.get("named", [])):
+                over = problem.parameters[pname][0]
+                _require(qname in (None, over),
+                         f"parameter ideal {pname!r} is declared over {over!r}, not {qname!r}")
             least = task.get("expect_min_distinct", 0)
             _require(_is_int(least) and least >= 0,
                      f"'expect_min_distinct' must be {_COUNT.what}, got {least!r}")
@@ -479,7 +484,7 @@ class TaskRunner:
         return {"value": value, "algebra_length": C.dim}, value, []
 
     def cmd_slice_e1(self, read):
-        value = e1_via_slice(read("quotient"), read("params"), read("a"))
+        value = e1_via_slice(read("quotient"), read("a"))
         return {"value": value}, value, ["conditional on superficiality of the slice element"]
 
     def cmd_dseq(self, read):

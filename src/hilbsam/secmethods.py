@@ -176,10 +176,11 @@ def annihilator_length(C: ArtinAlgebra, f: Polynomial) -> int:
 # ---------------------------------------------------------------------------
 # slice method for e_1 (d = 2, superficial nonzerodivisor slice)
 
-def e1_via_slice(A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial) -> int:
-    """-l(H^0_m(A/(a))), valid for d = 2 when a is superficial for Q and a
-    nonzerodivisor; the caller asserts (or pre-checks) superficiality.
-    The length is read in A: it does not depend on coordinates."""
+def e1_via_slice(A: QuotientRingSpec, a: Polynomial) -> int:
+    """-l(H^0_m(A/(a))): e_1 of a parameter ideal Q for d = 2 when a is a
+    nonzerodivisor superficial for Q; the caller asserts (or pre-checks)
+    superficiality.  The length is read in A: it does not depend on
+    coordinates."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
     return -sat_quotient_length(A.plus(IdealHandle(A.ring, [a])))
@@ -269,22 +270,18 @@ class SallyRankReport:
 
 
 def sally_rank(
-    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None
+    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None, *,
+    chain: PowerChain | None = None,
 ) -> SallyRankReport:
     """Localized Sally-module length through the bookkeeping identity
     rank = e1_I - e0_I - e1_Q + l(A/I); reports the inputs alongside.
-    Q must be a reduction of I (verified against the chain of (A, I) that
-    gives the report of I)."""
-    chain = PowerChain(A, I)
-    if is_reduction(A, Q, I, chain=chain) is None:
+    Q must be a reduction of I, certified against chain, the chain of
+    (A, I) that also gives the report of I (default: a new one)."""
+    if chain is None:
+        chain = PowerChain(A, I)
+    if is_reduction(A, Q, I, chain=chain, least=False) is None:
         raise ValueError("Q is not a reduction of I")
-    return _sally_rank(A, ideal_hilbert_report(A, I, n_max, chain=chain), Q, n_max)
-
-
-def _sally_rank(
-    A: QuotientRingSpec, rep_i: HilbertReport, Q: ParameterIdealSpec, n_max: int | None
-) -> SallyRankReport:
-    """sally_rank from the Hilbert report of I, whose n = 0 sample is l(A/I)."""
+    rep_i = ideal_hilbert_report(A, I, n_max, chain=chain)
     rep_q = hilbert_report(A, Q, n_max)
     col_i = rep_i.samples[0]
     rank_value = rep_i.coeffs[1] - rep_i.coeffs[0] - rep_q.coeffs[1] + col_i
@@ -334,13 +331,11 @@ def k_plus_j_analysis(
     samples = {0: 1} | {n: lengths[n] - lengths[0] + 1 for n in range(1, samples_max + 1)}
     rep = extract_coeffs(samples, d)
     identity = rep.coeffs[1] - rep.coeffs[0] + 1
-    # the Sally ranks fit l(B/J^{n+1}) over sally_rank's window, n <= dim + 6
-    fit_max = d + 6 if n_max is None else n_max
-    rep_j = extract_coeffs({n: lengths[n] for n in range(fit_max + 1)}, d) if named else None
     entries = []
     for name, q in named:
-        if is_reduction(B, q, J, chain=chain, least=False) is None:
-            raise ValueError(f"{name} is not a reduction of J")
-        r = _sally_rank(B, rep_j, q, n_max)
+        try:
+            r = sally_rank(B, J, q, n_max, chain=chain)
+        except ValueError as exc:
+            raise ValueError(f"named ideal {name!r}: {exc}") from exc
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))
     return KPlusJReport(rep.coeffs, identity, entries, rep)

@@ -5,9 +5,11 @@ from hilbsam import groebner
 
 @pytest.fixture
 def verify_mode():
-    """Cross-check colengths against extra stabilization steps, the oracle,
-    and the truncation ladder while the fixture is active."""
-    old = (groebner.VERIFY_EXTRA_STEPS, groebner.VERIFY_ORACLE_LIMIT)
-    groebner.VERIFY_EXTRA_STEPS, groebner.VERIFY_ORACLE_LIMIT = 3, 400
+    """Turn on groebner.VERIFY while the fixture is active: every colength
+    is checked against the weight-0 local standard basis (a global-path one
+    against the ladder where that basis cannot be built), truncated
+    colengths against the rank oracle, and every other hook against its
+    second path."""
+    old, groebner.VERIFY = groebner.VERIFY, True
     yield
-    groebner.VERIFY_EXTRA_STEPS, groebner.VERIFY_ORACLE_LIMIT = old
+    groebner.VERIFY = old

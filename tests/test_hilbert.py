@@ -214,8 +214,8 @@ def _chain_against_raw(A, I, n_max):
 def test_power_colengths_reuse_the_support_certificate(monkeypatch):
     # a + Q is supported at the origin alone: the first proper ideal of the
     # chain takes the global path, and only its nilpotency walk calls
-    # normal_form; every power is still checked against the truncation ladder
-    monkeypatch.setattr(groebner, "VERIFY_EXTRA_STEPS", 1)
+    # normal_form; verify mode still checks every power against its reference
+    monkeypatch.setattr(groebner, "VERIFY", True)
     A = two_planes(2)
     Q = ideal(A.ring, ["X-Z", "Y-W"])
     infos = _chain_against_raw(A, Q, 3)

@@ -354,6 +354,14 @@ _MALFORMED = {
     "intersect": (_doc_shape(lambda d: d["ideals"].update(bad={"intersect": 5})), "intersect"),
     "lifts": (_doc_shape(lambda d: d["parameters"]["Q"].update(lifts=5)), "'lifts'"),
     "seed": (_doc_shape(lambda d: d.update(seed="x")), "'seed'"),
+    "params-quotient": (_doc_shape(lambda d: (
+        d["quotients"].update(A2={"defining": "two_planes", "dim": 2}),
+        d["tasks"].append({"command": "coeffs", "quotient": "A2", "params": "Q"}))),
+        "'Q' is declared over 'A', not 'A2'"),
+    "named-quotient": (_doc_shape(lambda d: (
+        d["quotients"].update(A2={"defining": "two_planes", "dim": 2}),
+        d["tasks"].append({"command": "lambda", "quotient": "A2", "ideal": "c", "named": ["Q"]}))),
+        "'Q' is declared over 'A', not 'A2'"),
 }
 
 
@@ -436,6 +444,7 @@ def test_local_commands_run_through_the_cli(tmp_path, capsys):
     path.write_text(json.dumps(_doc(
         {"name": "slice", "command": "slice-e1", "quotient": "A", "params": "Qdiag", "a": "X-Z",
          "expect": -2},
+        {"name": "bare-slice", "command": "slice-e1", "quotient": "A", "a": "X-Z", "expect": -2},
         {"name": "satq", "command": "sat-quotient-length", "quotient": "A", "ideal": ["X^2-Z"],
          "expect": 4},
         {"name": "unmixed", "command": "unmixed", "quotient": "A", "a": "X-Z", "b": "Y-W",
@@ -443,8 +452,8 @@ def test_local_commands_run_through_the_cli(tmp_path, capsys):
     )))
     assert main(["run", str(path), "--json"]) == 0
     tasks = json.loads(capsys.readouterr().out)["tasks"]
-    assert [(t["primary"], t["pass"]) for t in tasks] == [(-2, True), (4, True), (2, True)]
-    assert tasks[2]["result"]["generators"] == ["X - Z", "Z^2", "Y^2*W", "Y^2*Z"]
+    assert [(t["primary"], t["pass"]) for t in tasks] == [(-2, True), (-2, True), (4, True), (2, True)]
+    assert tasks[3]["result"]["generators"] == ["X - Z", "Z^2", "Y^2*W", "Y^2*Z"]
 
 
 def test_sally_nmax_zero_is_an_input_error(tmp_path, capsys):
