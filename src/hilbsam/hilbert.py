@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import comb
+from math import comb, inf
 
 from .errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from . import groebner
@@ -33,6 +33,7 @@ from .polyring import Polynomial, RingSpec
 from .transform import parameter_chart
 
 SMALL_FIELD_BOUND = 1000  # warn below this: generic choices may misbehave
+CERTIFICATE_CAP = 8  # default n_cap of a reduction certificate I^{n+1} = Q I^n
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +69,15 @@ class QuotientRingSpec:
 
     The declared dimension is validated a posteriori: coefficient
     extraction fails unless the (d+1)-st finite differences of the sampled
-    Hilbert function vanish on the stabilization window.
+    Hilbert function vanish on the stabilization window.  _chains: see
+    chain.
     """
 
     ring: RingSpec
     defining: IdealHandle
     dim: int
     cutoffs: tuple[int, int] = (4, 64)
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -85,6 +88,16 @@ class QuotientRingSpec:
 
     def plus(self, I: IdealHandle) -> IdealHandle:
         return ideal_sum(self.defining, I)
+
+    def chain(self, I: IdealHandle, start: IdealHandle | None = None) -> PowerChain:
+        """The PowerChain of (self, I, start), one per generators of I and
+        of start for the life of this object: every call on this quotient
+        reads the bases, colengths and known certificate of the calls
+        before it."""
+        key = (I.generators, None if start is None else start.generators)
+        if key not in self._chains:
+            self._chains[key] = PowerChain(self, I, start)
+        return self._chains[key]
 
 
 @dataclass
@@ -168,9 +181,12 @@ class PowerChain:
     """The ideals a + S * I^n of R, n = 0, 1, ..., with a the defining ideal
     and S = start (default: the unit ideal), each built once on demand with
     its reduced degrevlex basis and, when asked, its colength l_A(A/S * I^n).
-    One chain serves every question a call asks about the same (A, I).
-    known is an n at which a candidate's certificate held, where the next
-    certificate search starts.
+    A.chain(I, start) keeps one chain per (A, I, start) for the life of A,
+    and every caller that asks again on (A, I) reads that one; the
+    constructor builds a fresh chain, as hs_function's fallback and
+    is_superficial do for their charts' chains of a + Q^n, which no later
+    call reads.  known is an n at which a candidate's certificate held, where the
+    next certificate search starts.
 
     A step is a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
     multiplies the previous basis (usually built by its colength) by the
@@ -339,44 +355,80 @@ def extract_coeffs(samples: dict[int, int], d: int) -> HilbertReport:
 
 
 def hilbert_report(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> HilbertReport:
-    """hs_function + extract_coeffs for a parameter ideal."""
-    return extract_coeffs(hs_function(A, Q, n_max), A.dim)
+    """hs_function + extract_coeffs for a parameter ideal, checked against
+    two theorems on parameter ideals: e_1(Q) <= 0 (Mandal, Singh and Verma,
+    J. Algebra 325, 2011) and l(A/Q) >= e_0(Q) (Serre)."""
+    rep = extract_coeffs(hs_function(A, Q, n_max), A.dim)
+    if rep.coeffs[1] > 0:
+        raise AssertionError(f"e_1(Q) = {rep.coeffs[1]} > 0 for a parameter ideal; engine bug")
+    if rep.samples[0] < rep.coeffs[0]:
+        raise AssertionError(f"l(A/Q) = {rep.samples[0]} < e_0(Q) = {rep.coeffs[0]}; engine bug")
+    return rep
 
 
-def ideal_hilbert_report(
-    A: QuotientRingSpec, I: IdealHandle, n_max: int | None = None, *, chain: PowerChain | None = None
-) -> HilbertReport:
+def ideal_hilbert_report(A: QuotientRingSpec, I: IdealHandle, n_max: int | None = None) -> HilbertReport:
     """Hilbert coefficients of an arbitrary m-primary ideal of A, from the
-    colengths of chain (default: a new PowerChain of (A, I))."""
+    colengths of A.chain(I)."""
     if n_max is None:
         n_max = A.dim + 6
-    if chain is None:
-        chain = PowerChain(A, I)
+    chain = A.chain(I)
     return extract_coeffs({n: chain.colength(n + 1) for n in range(n_max + 1)}, A.dim)
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
+def _top_degree(A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle) -> float | None:
+    """The top degree of A/QA (inf when A/QA is not Artinian) when a is
+    homogeneous, I is generated by linear forms with the variables as its
+    reduced basis (cached on I) and Q's lifts are linear forms; None
+    otherwise.  Then A is standard graded, I = m and Q m^n = Q_1 A_{>=n}, so
+    m^{n+1} = Q m^n iff [A/QA]_{n+1} = 0: the least certificate is the
+    largest degree of a standard monomial of a + Q."""
+    ring = A.ring
+
+    def degrees(f: Polynomial) -> set[int]:
+        return {sum(m) for m in f.terms}
+
+    if any(len(degrees(g)) != 1 for g in A.defining.generators) or any(
+        degrees(f) != {1} for f in (*Q.lifts, *I.generators)
+    ):
+        return None
+    if set(I.groebner().elements) != {ring.variable(i) for i in range(ring.nvars)}:
+        return None
+    lts = A.plus(IdealHandle(ring, Q.lifts)).groebner().leading_monomials
+    if not all(any(lt[i] == sum(lt) for lt in lts) for i in range(ring.nvars)):
+        return inf
+    return max(_staircase_counts(lts, ring.nvars, inf))
+
+
 def is_reduction(
-    A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = 8, *,
-    chain: PowerChain | None = None, least: bool = True,
+    A: QuotientRingSpec, Q: ParameterIdealSpec, I: IdealHandle, n_cap: int = CERTIFICATE_CAP, *,
+    least: bool = True,
 ) -> int | None:
     """Least n <= n_cap with I^{n+1} = Q I^n in A (reduction certificate),
     or None; with least False, any such n.  Requires Q contained in
-    I + defining.  chain is the chain of a + I^n to search against (default:
-    a new one); callers that try several candidates share one.  Q is in
-    a + I, so a + Q G_n lies in a + I^{n+1}, so product_equals decides their
-    equality against the known basis G_{n+1}.
+    I + defining.
 
+    Where _top_degree applies (a homogeneous, I = m, Q generated by linear
+    forms), the answer is the top degree of A/QA when it is at most n_cap,
+    read off one basis of a + Q, for least True or False.  Otherwise the
+    certificate is searched against chain = A.chain(I), the chain of
+    a + I^n that every call on (A, I) shares: Q is in a + I, so a + Q G_n
+    lies in a + I^{n+1}, so product_equals decides their equality against
+    the known basis G_{n+1}.
     Equality at n gives it at n + 1, so the search starts at chain.known:
     if it holds there, it walks down while it holds (least) or stops;
-    if not, it walks up.  With groebner.VERIFY set, the plain search up
-    from 0 runs too and must agree."""
+    if not, it walks up.  With groebner.VERIFY set, the search runs on the
+    graded inputs too and must agree, and the plain search up from 0 runs
+    and must agree with the search from chain.known."""
     if n_cap < 0:
         return None
-    if chain is None:
-        chain = PowerChain(A, I)
+    top = _top_degree(A, Q, I)
+    graded = top if top is not None and top <= n_cap else None
+    if top is not None and not groebner.VERIFY:
+        return graded
+    chain = A.chain(I)
     if any(not normal_form(f, chain.basis(1)).is_zero() for f in Q.lifts):
         raise ValueError("Q is not contained in I (mod the defining ideal)")
 
@@ -397,21 +449,22 @@ def is_reduction(
             raise AssertionError(f"the certificate search from {start} gives {found}, from 0 {plain}")
     if found is not None:
         chain.known = found
-    return found
+    if top is None:
+        return found
+    if found != graded if least else (found is None) != (graded is None):
+        raise AssertionError(f"the top degree of A/QA gives {graded}, the certificate search {found}")
+    return graded
 
 
 def sample_reductions(
-    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = 8, *,
-    chain: PowerChain | None = None, least: bool = False,
+    A: QuotientRingSpec, I: IdealHandle, count: int, seed: int, n_cap: int = CERTIFICATE_CAP, *,
+    least: bool = False,
 ) -> tuple[list[tuple[ParameterIdealSpec, int]], list[str]]:
     """Seeded random minimal reductions of I: d-tuples of random linear
     combinations of I's generators, kept when the reduction certificate
     passes.  Deterministic for a fixed seed.  Returns ([(reduction,
     certificate)], warnings), every certificate taken by is_reduction with
-    n_cap and least against one chain of a + I^n (the given one, or a new
-    one)."""
-    if chain is None:
-        chain = PowerChain(A, I)
+    n_cap and least."""
     warnings: list[str] = []
     F = A.ring.field
     if F.kind == "prime" and F.characteristic < SMALL_FIELD_BOUND:
@@ -439,7 +492,7 @@ def sample_reductions(
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):
             continue
-        cert = is_reduction(A, Q, I, n_cap, chain=chain, least=least)
+        cert = is_reduction(A, Q, I, n_cap, least=least)
         if cert is not None:
             found.append((Q, cert))
     if len(found) < count:
@@ -478,21 +531,20 @@ def lambda_map(
     seed: int,
     n_max: int | None = None,
     named: list[tuple[str, ParameterIdealSpec]] | None = None,
-    n_cap: int = 8,
+    n_cap: int = CERTIFICATE_CAP,
 ) -> LambdaReport:
     """e_1 over sampled (and named) minimal reductions of I, each with its
     least reduction number up to n_cap."""
     warnings: list[str] = []
     candidates: list[tuple[str, ParameterIdealSpec, int]] = []
-    chain = PowerChain(A, I)
     for name, q in named or []:
-        cert = is_reduction(A, q, I, n_cap, chain=chain)
+        cert = is_reduction(A, q, I, n_cap)
         if cert is None:
-            warnings.append(f"named ideal {name} is not a reduction of I; skipped")
+            warnings.append(f"named ideal {name}: no certificate I^{{n+1}} = Q I^n with n <= {n_cap}; skipped")
             continue
         candidates.append((name, q, cert))
     if count:
-        sampled, w = sample_reductions(A, I, count, seed, n_cap, chain=chain, least=True)
+        sampled, w = sample_reductions(A, I, count, seed, n_cap, least=True)
         warnings.extend(w)
         candidates.extend((f"sample{i}", q, cert) for i, (q, cert) in enumerate(sampled))
     entries = [

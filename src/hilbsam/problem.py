@@ -30,8 +30,8 @@ from .groebner import (
     sat_quotient_length,
 )
 from .hilbert import (
+    CERTIFICATE_CAP,
     ParameterIdealSpec,
-    PowerChain,
     QuotientRingSpec,
     hs_function,
     hilbert_report,
@@ -448,7 +448,7 @@ class TaskRunner:
 
     def cmd_ideal_hilb(self, read):
         A = read("quotient")
-        chain = PowerChain(A, read("ideal"))
+        chain = A.chain(read("ideal"))
         values = [chain.colength(n + 1) for n in range(read("nmax", A.dim + 6) + 1)]
         return {"samples": values, "from": 0}, values, []
 
@@ -509,13 +509,13 @@ class TaskRunner:
         )
 
     def cmd_reduction(self, read):
-        cert = is_reduction(read("quotient"), read("params"), read("ideal"), read("ncap", 8))
+        cert = is_reduction(read("quotient"), read("params"), read("ideal"), read("ncap", CERTIFICATE_CAP))
         return {"certificate": cert, "is_reduction": cert is not None}, cert, []
 
     def _sampled(self, read):
         A = read("quotient")
         found, warnings = sample_reductions(
-            A, read("ideal"), read("count", 5), read("seed", self.p.seed), read("ncap", 8))
+            A, read("ideal"), read("count", 5), read("seed", self.p.seed), read("ncap", CERTIFICATE_CAP))
         return A, [q for q, _ in found], warnings
 
     def cmd_sample_reductions(self, read):
@@ -541,7 +541,7 @@ class TaskRunner:
             read("seed", self.p.seed),
             read("nmax", None),
             named=read("named", []),
-            n_cap=read("ncap", 8),
+            n_cap=read("ncap", CERTIFICATE_CAP),
         )
         entries = {
             e.name: {"coeffs": list(e.coeffs), "certificate": e.certificate} for e in rep.entries

@@ -34,6 +34,7 @@ from .groebner import (
     _standard_monomials,
 )
 from .hilbert import (
+    CERTIFICATE_CAP,
     HilbertReport,
     ParameterIdealSpec,
     PowerChain,
@@ -180,9 +181,11 @@ def e1_via_slice(A: QuotientRingSpec, a: Polynomial) -> int:
     """-l(H^0_m(A/(a))): e_1 of a parameter ideal Q for d = 2 when a is a
     nonzerodivisor superficial for Q; the caller asserts (or pre-checks)
     superficiality.  The length is read in A: it does not depend on
-    coordinates."""
+    coordinates.  a must be a nonzero element of the maximal ideal."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
+    if a.is_zero() or a.constant_term():
+        raise ValueError(f"slice element {a} is not a nonzero element of the maximal ideal")
     return -sat_quotient_length(A.plus(IdealHandle(A.ring, [a])))
 
 
@@ -246,14 +249,15 @@ def sally_lengths(
     A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int = 4
 ) -> dict[int, int]:
     """l(I^{n+1}/Q^n I) = l(A/Q^n I) - l(A/I^{n+1}) for n = 1..n_max, with
-    n_max >= 1, from two chains in A: the chain of (A, I), which also
-    certifies that Q is a reduction of I, and the chain of Q started at I."""
+    n_max >= 1, from two chains of A: the chain of (A, I), after
+    is_reduction certified that Q is a reduction of I, and the chain of Q
+    started at I."""
     if n_max < 1:
         raise ValueError(f"Sally lengths start at n = 1; n_max {n_max} checks nothing")
-    chain = PowerChain(A, I)
-    if is_reduction(A, Q, I, chain=chain) is None:
-        raise ValueError("Q is not a reduction of I")
-    qn_i = PowerChain(A, IdealHandle(A.ring, Q.lifts), start=I)
+    if is_reduction(A, Q, I) is None:
+        raise ValueError(f"no certificate I^{{n+1}} = Q I^n with n <= {CERTIFICATE_CAP}")
+    chain = A.chain(I)
+    qn_i = A.chain(IdealHandle(A.ring, Q.lifts), start=I)
     out = {n: qn_i.colength(n) - chain.colength(n + 1) for n in range(1, n_max + 1)}
     if any(v < 0 for v in out.values()):
         raise AssertionError("negative Sally length; engine bug")
@@ -270,18 +274,15 @@ class SallyRankReport:
 
 
 def sally_rank(
-    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None, *,
-    chain: PowerChain | None = None,
+    A: QuotientRingSpec, I: IdealHandle, Q: ParameterIdealSpec, n_max: int | None = None
 ) -> SallyRankReport:
     """Localized Sally-module length through the bookkeeping identity
     rank = e1_I - e0_I - e1_Q + l(A/I); reports the inputs alongside.
-    Q must be a reduction of I, certified against chain, the chain of
-    (A, I) that also gives the report of I (default: a new one)."""
-    if chain is None:
-        chain = PowerChain(A, I)
-    if is_reduction(A, Q, I, chain=chain, least=False) is None:
-        raise ValueError("Q is not a reduction of I")
-    rep_i = ideal_hilbert_report(A, I, n_max, chain=chain)
+    Q must be a reduction of I, certified by is_reduction; the report of I
+    reads A.chain(I)."""
+    if is_reduction(A, Q, I, least=False) is None:
+        raise ValueError(f"no certificate I^{{n+1}} = Q I^n with n <= {CERTIFICATE_CAP}")
+    rep_i = ideal_hilbert_report(A, I, n_max)
     rep_q = hilbert_report(A, Q, n_max)
     col_i = rep_i.samples[0]
     rank_value = rep_i.coeffs[1] - rep_i.coeffs[0] - rep_q.coeffs[1] + col_i
@@ -326,7 +327,7 @@ def k_plus_j_analysis(
     samples_max = d + 7 if n_max is None else n_max
     if samples_max < 2 * (d + 1) + 1:
         raise ValueError("n_max too small to fit the n >= 1 tail")
-    chain = PowerChain(B, J)  # lengths[n] = l(B/J^{n+1}); also certifies each q
+    chain = B.chain(J)  # lengths[n] = l(B/J^{n+1}); also certifies each q
     lengths = [chain.colength(n + 1) for n in range(samples_max + 1)]
     samples = {0: 1} | {n: lengths[n] - lengths[0] + 1 for n in range(1, samples_max + 1)}
     rep = extract_coeffs(samples, d)
@@ -334,7 +335,7 @@ def k_plus_j_analysis(
     entries = []
     for name, q in named:
         try:
-            r = sally_rank(B, J, q, n_max, chain=chain)
+            r = sally_rank(B, J, q, n_max)
         except ValueError as exc:
             raise ValueError(f"named ideal {name!r}: {exc}") from exc
         entries.append(KPlusJEntry(name, r.rank, identity - r.rank))

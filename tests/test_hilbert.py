@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import big_i, fat_point, regular2, spy_power_chains, two_planes
+from helpers import big_i, fat_point, regular2, spy_power_chains, staged, two_planes
 from hilbsam import groebner, hilbert
 from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
@@ -229,6 +229,14 @@ def test_power_colengths_reuse_the_support_certificate(monkeypatch):
     calls.clear()
     _power_colengths(A, Q, 3)
     assert len(calls) == walk
+    # the chain A keeps for (A, Q) walks once on its first read, and a
+    # second call on the same (A, Q) reads its colengths and walks nothing
+    calls.clear()
+    colengths = [A.chain(Q).colength(n + 1) for n in range(4)]
+    assert len(calls) == walk
+    calls.clear()
+    assert [A.chain(Q).colength(n + 1) for n in range(4)] == colengths
+    assert calls == []
 
 
 def test_power_colengths_off_the_origin_keep_the_ladder():
@@ -373,10 +381,11 @@ def test_lambda_map_values():
 def test_lambda_map_rejects_non_reduction():
     A = two_planes(2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    # Q is not a reduction of m, so a lambda run over m must skip it
-    rep = lambda_map(A, maximal_ideal(A.ring), count=2, seed=3, n_max=5, named=[("Q", Q)])
+    # Q is not a reduction of m, so a lambda run over m must skip it; the
+    # warning says what was searched
+    rep = lambda_map(A, maximal_ideal(A.ring), count=2, seed=3, n_max=5, named=[("Q", Q)], n_cap=3)
     assert all(e.name != "Q" for e in rep.entries)
-    assert any("not a reduction" in w for w in rep.warnings)
+    assert "named ideal Q: no certificate I^{n+1} = Q I^n with n <= 3; skipped" in rep.warnings
     assert rep.values == [-2]
 
 
@@ -632,24 +641,22 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
     A = two_planes(2)
     I = big_i(A, 2)
     Q = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
-    chain = PowerChain(A, I)
-    cert = is_reduction(A, Q, I, chain=chain)
+    cert = is_reduction(A, Q, I)
     assert cert is not None
-    chain.basis(cert + 1)
+    A.chain(I).basis(cert + 1)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a basis was built for {self}")
 
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
-    assert is_reduction(A, Q, I, chain=chain) == cert
+    assert is_reduction(A, Q, I) == cert
     monkeypatch.undo()
     not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     m = maximal_ideal(A.ring)
-    chain = PowerChain(A, m)
     for n in range(4):
-        chain.basis(n)
+        A.chain(m).basis(n)
     monkeypatch.setattr(IdealHandle, "groebner", refuse)
-    assert is_reduction(A, not_a_reduction, m, n_cap=2, chain=chain) is None
+    assert is_reduction(A, not_a_reduction, m, n_cap=2) is None
 
 
 def _certificate_cases():
@@ -665,20 +672,27 @@ def _certificate_cases():
     ]
 
 
+def _search_only(monkeypatch) -> None:
+    """Certify by the product_equals search on every input, the graded
+    ones included (the cases of m with linear lifts)."""
+    monkeypatch.setattr(hilbert, "_top_degree", lambda A, Q, I: None)
+
+
 @pytest.mark.parametrize("case", range(6))
-def test_certificate_search_from_any_known_n(case):
+def test_certificate_search_from_any_known_n(case, monkeypatch):
     # the search from chain.known finds the least n (least mode) or some n
     # where equality holds (acceptance mode), exactly when the plain search
-    # from 0 on a fresh chain finds one
+    # from 0 (the first search on a fresh quotient's chain) finds one
+    _search_only(monkeypatch)
     A, I, lifts, n_cap = _certificate_cases()[case]
     Q = parameter_ideal(A, lifts)
     least = is_reduction(A, Q, I, n_cap)
-    chain = PowerChain(A, I)
+    chain = A.chain(I)
     for known in [None, *range(n_cap + 2)]:
         chain.known = known
-        assert is_reduction(A, Q, I, n_cap, chain=chain) == least, known
+        assert is_reduction(A, Q, I, n_cap) == least, known
         chain.known = known
-        n = is_reduction(A, Q, I, n_cap, chain=chain, least=False)
+        n = is_reduction(A, Q, I, n_cap, least=False)
         assert (n is None) == (least is None), known
         if n is not None:
             assert n <= n_cap
@@ -701,6 +715,7 @@ def test_certificates_after_the_first_start_at_the_known_n(monkeypatch):
     # every reduction of m in two_planes(2) has certificate 2: the first
     # candidate searches n = 0, 1, 2, each later one accepts at n = 2 with
     # one run, or checks n = 2 and n = 1 for its least certificate
+    _search_only(monkeypatch)
     A = two_planes(2)
     m = maximal_ideal(A.ring)
     runs = _count_product_equals(monkeypatch)
@@ -736,16 +751,17 @@ def test_lambda_map_certificates_in_verify_mode(verify_mode):
 def test_certificate_search_disagreement_is_caught_in_verify_mode(verify_mode, monkeypatch):
     # an equality that held at n = 0 and n = 2 but not at n = 1 would break
     # the walk down from a known n = 2; the plain search from 0 catches it
+    _search_only(monkeypatch)
     A = two_planes(2)
     Q = parameter_ideal(A, ["X+Z", "Y+W"])
     m = maximal_ideal(A.ring)
-    chain = PowerChain(A, m)
+    chain = A.chain(m)
     chain.known = 2
     monkeypatch.setattr(
         hilbert, "product_equals", lambda a, F, H, K: any(F is chain.basis(n) for n in (0, 2))
     )
     with pytest.raises(AssertionError, match="certificate search"):
-        is_reduction(A, Q, m, 3, chain=chain)
+        is_reduction(A, Q, m, 3)
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -784,3 +800,123 @@ def test_every_certificate_search_is_one_is_reduction_call(monkeypatch):
     Qp = real_parameter_ideal(B, ["X*Y-Z", "X^2+Y^2-W"])
     k_plus_j_analysis(B, big_i(B, 2), [("Q", Q), ("Qp", Qp)])
     assert list(map(id, searched)) == [id(Q), id(Qp)]
+
+
+# ---------------------------------------------------------------------------
+# certificates of reductions of m from the top degree of A/QA
+
+
+def _suite_quotients(field):
+    """The quotients of the paper suite, by name."""
+    return {
+        **{f"A_pp{l}": two_planes(l, field) for l in (1, 2, 3)},
+        **{f"A_fat{l}": fat_point(l, field) for l in (2, 3)},
+        **{f"A_stage{n}": staged(n, field) for n in (2, 3)},
+    }
+
+
+def _linear_candidates(A, count, seed):
+    """Parameter ideals of A generated by seeded linear forms with
+    coefficients in {-1, 0, 1, 2}, so that special forms (X + Z, Y, ...)
+    come up as well as generic ones."""
+    R, rng = A.ring, SplitMix64(seed)
+    out = []
+    while len(out) < count:
+        lifts = [sum((R.variable(i).scale(R.field.of_int(rng.next_u64() % 4 - 1)) for i in range(R.nvars)),
+                     R.zero()) for _ in range(A.dim)]
+        try:
+            out.append(parameter_ideal(A, lifts))
+        except (NotLocallyFinite, ValueError):
+            continue
+    return out
+
+
+@pytest.mark.parametrize("field", [GF32003, QQ], ids=["fp", "qq"])
+def test_the_top_degree_of_a_mod_q_is_the_least_certificate(field, monkeypatch):
+    # on every suite quotient, for seeded linear reductions of m, the graded
+    # certificate equals the plain search up from 0 (known reset), also
+    # where it exceeds n_cap; (X, Y) on A_pp2 leaves k[Z, W], so neither
+    # finds one
+    n_cap = 3
+    graded, searched = [], []
+    for seed, (name, A) in enumerate(sorted(_suite_quotients(field).items())):
+        m = maximal_ideal(A.ring)
+        for Q in _linear_candidates(A, 3, seed):
+            assert hilbert._top_degree(A, Q, m) is not None, name
+            graded.append((name, is_reduction(A, Q, m, n_cap)))
+            with monkeypatch.context() as patch:
+                _search_only(patch)
+                A.chain(m).known = None
+                searched.append((name, is_reduction(A, Q, m, n_cap)))
+    assert graded == searched
+    assert {cert for _, cert in graded} == {1, 2, 3, None}
+    A = two_planes(2, field)
+    m = maximal_ideal(A.ring)
+    Q = ParameterIdealSpec(tuple(parse_poly(A.ring, f) for f in ("X", "Y")))
+    assert hilbert._top_degree(A, Q, m) == float("inf")
+    assert is_reduction(A, Q, m, n_cap) is None
+    _search_only(monkeypatch)
+    assert is_reduction(A, Q, m, n_cap) is None
+
+
+def test_a_non_linear_reduction_candidate_of_m_takes_the_search(monkeypatch):
+    A = two_planes(2)
+    m = maximal_ideal(A.ring)
+    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    assert hilbert._top_degree(A, Q, m) is None
+    runs = _count_product_equals(monkeypatch)
+    assert is_reduction(A, Q, m, 3) is None
+    assert len(runs) == 4 and not any(runs)
+
+
+def test_the_graded_certificate_is_checked_in_verify_mode(verify_mode, monkeypatch):
+    A = two_planes(2)
+    m = maximal_ideal(A.ring)
+    Q = parameter_ideal(A, ["X+Z", "Y+W"])
+    assert is_reduction(A, Q, m, 3) == 2
+    monkeypatch.setattr(hilbert, "_staircase_counts", lambda *args: {1: 1})
+    with pytest.raises(AssertionError, match="top degree of A/QA gives 1"):
+        is_reduction(A, Q, m, 3)
+
+
+def test_the_seed0_suite_certifies_from_one_chain_per_quotient(monkeypatch):
+    # the suite's reductions of m are certified by their top degree: 30
+    # product_equals runs over the suite, 76 with a search per reduction of
+    # m and a chain per call; the run builds one chain per (A, I, start),
+    # and every chain but those of the superficiality checks (read by no
+    # later call) is A.chain's one
+    from hilbsam import problem
+    from hilbsam.suite import run_paper_suite
+
+    command = []
+    real_run = problem.TaskRunner.run_task
+    monkeypatch.setattr(problem.TaskRunner, "run_task",
+                        lambda self, task: command.append(task["command"]) or real_run(self, task))
+    runs = []
+    real_product_equals = hilbert.product_equals
+    monkeypatch.setattr(hilbert, "product_equals", lambda *a: runs.append(command[-1]) or real_product_equals(*a))
+    built = []
+    real_init = PowerChain.__init__
+    monkeypatch.setattr(PowerChain, "__init__",
+                        lambda self, *a: built.append((command[-1], self)) or real_init(self, *a))
+    run_paper_suite(field="fp:32003", seed=0)
+    assert len(runs) == 30
+    assert "sampled-coeffs" not in runs
+    keys = {(id(c.A), c.I.generators, c.ideal(0).generators) for _, c in built}
+    assert len(keys) == len(built)
+    kept = {id(k) for _, c in built for k in c.A._chains.values()}
+    assert [cmd for cmd, c in built if id(c) not in kept] == ["superficial", "superficial"]
+
+
+@pytest.mark.parametrize("values, message", [
+    # (2, 1, 0): H(n) = (n+1)^2 from n = 1 on, with l(A/Q) = 2
+    ([2, 4, 9, 16, 25, 36, 49, 64, 81], r"e_1\(Q\) = 1 > 0"),
+    # (4, -2, 0): H(n) = 4 binom(n+2, 2) + 2(n+1) from n = 1 on, with l(A/Q) = 3
+    ([3, 16, 30, 48, 70, 96, 126, 160, 198], r"l\(A/Q\) = 3 < e_0\(Q\) = 4"),
+], ids=["e1-positive", "colength-below-e0"])
+def test_hilbert_reports_that_break_a_theorem_are_engine_bugs(monkeypatch, values, message):
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    monkeypatch.setattr(hilbert, "hs_function", lambda A, Q, n_max=None: dict(enumerate(values)))
+    with pytest.raises(AssertionError, match=message):
+        hilbert_report(A, Q)

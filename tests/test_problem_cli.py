@@ -337,6 +337,10 @@ _MALFORMED = {
     "integer-text": (_task_shape(command="hilb", nmax="5"), "'nmax' must be"),
     "named-entry": (_task_shape(command="lambda", named=["Q", "nope"]), "'named' must be"),
     "polynomial-syntax": (_task_shape(command="slice-e1", a="X+"), "'a' must be a polynomial"),
+    # a slice element outside the maximal ideal
+    "slice-zero": (_task_shape(command="slice-e1", quotient="A", a="0"), "not a nonzero element"),
+    "slice-unit": (_task_shape(command="slice-e1", quotient="A", a="1"), "not a nonzero element"),
+    "slice-unit-plus": (_task_shape(command="slice-e1", quotient="A", a="1+X"), "not a nonzero element"),
     "window-reversed": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",
                                     window=[5, 2]), "'window' must be"),
     "window-negative": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",

@@ -375,19 +375,24 @@ def test_sally_lengths_examples():
 def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
     # a + Q^n I and a + I^{n+1} keep the radical of a + I: the two chains
     # are read in turn from n = 1, and once a chain's first ideal took the
-    # global path, its later ones skip the nilpotency walk
+    # global path, its later ones skip the nilpotency walk; a second call
+    # on the same quotient object reads both chains of the first and walks
+    # nothing
     walks = []
     real = groebner._global_zero_dim_colength
     monkeypatch.setattr(groebner, "_global_zero_dim_colength",
                         lambda J, support_at_origin=False: walks.append(support_at_origin) or real(J, support_at_origin))
-    A = two_planes(2)
-    I = big_i(A, 2)
     for lifts, n_max, lengths in [(["X^2-Z", "Y^2-W"], 4, {1: 2, 2: 3, 3: 4, 4: 5}),
                                   (["X*Y-Z", "X^2+Y^2-W"], 3, {1: 1, 2: 1, 3: 1})]:
+        A = two_planes(2)
+        I = big_i(A, 2)
         Q = parameter_ideal(A, lifts)
         walks.clear()
         assert sally_lengths(A, I, Q, n_max) == lengths
         assert walks == [False, False] + [True] * (2 * (n_max - 1))
+        walks.clear()
+        assert sally_lengths(A, I, Q, n_max) == lengths
+        assert walks == []
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -408,8 +413,8 @@ def test_sally_lengths_beyond_the_suite(n):
 
 def test_one_power_chain_per_call_in_the_coordinates_of_a(monkeypatch):
     # Sally lengths read two chains, both in A; the Sally rank and k + J
-    # read one chain of (A, I) for the certificates and the colengths; the
-    # slice substitutes into no chart
+    # read the chain of (A, I) that the Sally lengths built, for the
+    # certificates and the colengths; the slice substitutes into no chart
     A = two_planes(2)
     I = big_i(A, 2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
@@ -417,10 +422,10 @@ def test_one_power_chain_per_call_in_the_coordinates_of_a(monkeypatch):
     assert sally_lengths(A, I, Q, 3) == {1: 2, 2: 3, 3: 4}
     assert [c.A is A for c in chains] == [True, True]
     assert chains[0].I is I and chains[1].I.generators == Q.lifts
+    assert list(A._chains.values()) == chains
     for run in (lambda: sally_rank(A, I, Q), lambda: k_plus_j_analysis(A, I, [("Q", Q)])):
-        chains.clear()
         run()
-        assert [(c.A is A, c.I is I) for c in chains] == [(True, True)]
+        assert len(chains) == 2
 
     def refuse(*args):
         raise AssertionError("a polynomial was substituted into a chart")
@@ -488,5 +493,5 @@ def test_k_plus_j_analysis(monkeypatch):
     assert e1s == {"Q": -6, "Qp": -5}
     for e in rep.entries:
         assert e1s[e.name] + ranks[e.name] == rep.identity_value
-    with pytest.raises(ValueError, match="named ideal 'Q': Q is not a reduction of I"):
+    with pytest.raises(ValueError, match=r"named ideal 'Q': no certificate I\^\{n\+1\} = Q I\^n with n <= 8"):
         k_plus_j_analysis(B, maximal_ideal(B.ring), [("Q", Q)])
