@@ -13,7 +13,7 @@ parentheses; ^ binds tightest, then *, then + and -; unary minus is
 allowed; implicit multiplication is forbidden.
 
 Exit codes: 0 success, 1 expectation failure, 2 input error, 3 resource
-limit (including non-stabilizing colengths).
+limit (including colengths that are not finite at the origin).
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ class ZeroDivisor(HilbsamError):
 class ResourceLimit(HilbsamError):
     """A computational budget was exhausted: the Groebner pair budget
     (which also bounds every basis that intersect, colon and saturate build),
-    the packed monomial range (PackedRangeExceeded), or a stabilization
-    that never came (NotLocallyFinite)."""
+    the packed monomial range (PackedRangeExceeded), or a local colength
+    that is not finite, or not certified below the cutoff cap
+    (NotLocallyFinite)."""
 
 
 class PackedRangeExceeded(ResourceLimit):
@@ -47,9 +48,10 @@ class PackedRangeExceeded(ResourceLimit):
 
 
 class NotLocallyFinite(ResourceLimit):
-    """Truncated colengths did not stabilize: the ideal is not primary to
-    the irrelevant maximal ideal locally at the origin, or the cutoff cap
-    is too small."""
+    """No finite colength at the origin: the weight-0 local standard basis
+    has an infinite staircase (the ideal is not primary to the irrelevant
+    maximal ideal locally at the origin), or its top degree t breaks
+    t + 2 <= cap, the cutoff cap too small to certify the value."""
 
 
 class NoPolynomialTail(HilbsamError):

@@ -5,8 +5,9 @@ used for local colengths), bases of a + (F)(H) from packed products and
 their equality with a known larger ideal (a run stopped once that is
 decided), normal forms, ideal sum/product/power, intersection, colon and
 saturation (by monomials from degrevlex bases of the homogenization,
-otherwise by elimination), membership/equality, the truncated local
-colength with its stabilization loop, and the saturation-quotient length.
+otherwise by elimination), membership/equality, the local colength (the
+global zero-dimensional count, else the weight-0 local standard basis
+certified by one truncated colength), and the saturation-quotient length.
 
 Truncation mode: for a degree-compatible order and cutoff T, the engine
 computes a basis of J + m^T where m is the irrelevant maximal ideal.  All
@@ -23,7 +24,7 @@ import heapq
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import Iterable, Sequence
 
@@ -54,11 +55,9 @@ PAIR_BUDGET = 200_000
 
 # verify mode: every hook checks its value against an independent path
 # (AssertionError on a difference).  In it, each truncated colength over at
-# most _ORACLE_LIMIT monomials is checked against the rank oracle, and the
-# ladder confirms a stabilized colength _CONFIRM_STEPS more steps.
+# most _ORACLE_LIMIT monomials is checked against the rank oracle.
 VERIFY = False
 _ORACLE_LIMIT = 400
-_CONFIRM_STEPS = 3
 
 _GB_MEMO: dict = {}
 
@@ -784,7 +783,7 @@ def local_standard_basis(J: IdealHandle, weights) -> tuple[list[Polynomial], lis
     generated by the homogenized generators of J, under lazard_order, has
     homogeneous elements, and setting h = 1 in them gives the standard
     basis.  Raises ResourceLimit when the basis exceeds the pair budget or
-    the packed range, and ValueError when R[h] would exceed the ring size."""
+    the packed range."""
     ring = J.ring
     ring_h, gens = _homogenized(ring, J.generators)
     gb = IdealHandle(ring_h, gens).groebner(lazard_order(weights))
@@ -793,8 +792,7 @@ def local_standard_basis(J: IdealHandle, weights) -> tuple[list[Polynomial], lis
 
 
 def _homogenized(ring: RingSpec, polys: Iterable[Polynomial]) -> tuple[RingSpec, list[Polynomial]]:
-    """R[h], with h a new last variable, and the polys homogenized in it;
-    ValueError when R[h] would exceed the ring size."""
+    """R[h], with h a new last variable, and the polys homogenized in it."""
     name = "h"
     while name in ring.variables:
         name += "_"
@@ -1093,14 +1091,14 @@ def _saturation_by_elimination(I: IdealHandle, g: Polynomial) -> IdealHandle:
 
 
 # ---------------------------------------------------------------------------
-# local colength by m-adic truncation
+# local colength: the global zero-dimensional count, else the weight-0 local
+# standard basis certified by one truncated colength
 
 @dataclass
 class ColengthInfo:
     value: int
-    window: tuple[int, int] | None  # (N, M): D(N) = D(M) certified the value;
-    # None when the global zero-dimensional path applied (no truncation)
-    samples: dict = field(default_factory=dict)  # N -> D(N) evaluated
+    window: int | None  # the cutoff t + 1 whose truncated colength certified
+    # a local-path value; None when the global zero-dimensional path applied
 
 
 def colength_at_cutoff(J: IdealHandle, cutoff: int) -> int:
@@ -1119,29 +1117,18 @@ def colength_at_cutoff(J: IdealHandle, cutoff: int) -> int:
     return n
 
 
-def _ladder(n0: int, nmax: int):
-    n = n0
-    while True:
-        yield min(n, nmax)
-        if n >= nmax:
-            return
-        n = max(n + 2, (3 * n) // 2)
-
-
 def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -> int | None:
     """Colength at the origin through the untruncated basis: applies when
     the staircase is finite and every variable is nilpotent mod J (support
     is the origin alone, so the global and local colengths agree).  Returns
-    None when the path does not apply.  An infinite staircase decides
-    finiteness exactly: R/J has finite length at the origin iff
-    (J : m^inf) is not inside m; NotLocallyFinite is raised otherwise.
+    None when the path does not apply or the basis exceeds the pair budget.
 
     support_at_origin: the caller has certified that J has the radical of
     an ideal whose support is the origin alone, so the nilpotency walk is
     skipped.
 
-    PackedRangeExceeded propagates: the truncation ladder works below the
-    range and may still certify the value, so callers try it next."""
+    PackedRangeExceeded propagates: the local path drops the terms past its
+    cap and may still certify the value, so callers try it next."""
     try:
         gb = J.groebner()
     except PackedRangeExceeded:
@@ -1152,18 +1139,9 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
         return 0
     nv = J.ring.nvars
     lts = gb.leading_monomials
-    for i in range(nv):
-        if not any(sum(lt) == lt[i] for lt in lts):
-            try:
-                sat = saturate(J, maximal_ideal(J.ring))
-            except PackedRangeExceeded:
-                raise
-            except ResourceLimit:
-                return None  # left to the truncation ladder
-            if not any(g.constant_term() for g in sat.generators):
-                raise NotLocallyFinite("a positive-dimensional component passes through the origin")
-            return None  # the infinite part misses the origin: truncate
-    count = _staircase_counts(lts, nv, math.inf).total()  # finite: every variable has a pure power
+    if not all(any(sum(lt) == lt[i] for lt in lts) for i in range(nv)):
+        return None  # an infinite staircase
+    count = _staircase_counts(lts, nv, math.inf).total()
     if support_at_origin:
         return count
     for i in range(nv):
@@ -1178,74 +1156,83 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
     return count
 
 
-def local_colength_info(
-    J: IdealHandle, cutoffs: tuple[int, int] = (4, 64), support_at_origin: bool = False
-) -> ColengthInfo:
-    """The stabilized colength with its certificate; support_at_origin is
-    passed on to the global zero-dimensional path.  In verify mode the value
-    is checked against _colength_reference (AssertionError on a
-    difference)."""
+def local_colength_info(J: IdealHandle, cap: int = 64, support_at_origin: bool = False) -> ColengthInfo:
+    """The colength of J at the origin with its certificate: by the global
+    zero-dimensional path (support_at_origin is passed on to it), else by
+    _local_colength_info under the cutoff cap.  In verify mode a
+    global-path value is checked against _colength_reference
+    (AssertionError on a difference)."""
     try:
         fast = _global_zero_dim_colength(J, support_at_origin)
     except PackedRangeExceeded as refusal:
-        info = _ladder_colength_info(J, cutoffs, refusal)
-    else:
-        info = _ladder_colength_info(J, cutoffs) if fast is None else ColengthInfo(fast, None)
-    if VERIFY and (reference := _colength_reference(J, info, cutoffs)) != info.value:
-        raise AssertionError(f"colength {info.value} disagrees with its reference {reference}")
-    return info
+        return _local_colength_info(J, cap, refusal)
+    if fast is None:
+        return _local_colength_info(J, cap)
+    if VERIFY and (reference := _colength_reference(J, fast)) != fast:
+        raise AssertionError(f"colength {fast} disagrees with its reference {reference}")
+    return ColengthInfo(fast, None)
 
 
-def _colength_reference(J: IdealHandle, info: ColengthInfo, cutoffs: tuple[int, int]) -> int:
-    """Verify mode's reference for info.value: the number of standard
-    monomials of the weight-0 local standard basis of J (the local degree
-    order; an infinite staircase is an AssertionError).  Where that basis
-    cannot be built (16 variables, the pair budget, the packed range), the
-    ladder's value for a global-path value, and info.value for a ladder
-    value."""
+def _local_colength_info(J: IdealHandle, cap: int, refusal: PackedRangeExceeded | None = None) -> ColengthInfo:
+    """The number of standard monomials of the weight-0 local standard
+    basis (the local degree order) of J with its terms of degree >= cap
+    dropped, which leaves J + m^cap unchanged.
+
+    With t the top degree of that staircase, m^{t+1} lies in the trimmed
+    ideal locally, so D(N) = dim_k R/(J + m^N) is the count for
+    t + 1 <= N <= cap.  The value stands when t + 2 <= cap: then
+    D(t + 1) = D(t + 2) gives m^{t+1} ⊆ J R_m (Nakayama), and the value is
+    the colength of J.  It must also equal colength_at_cutoff(J, t + 1),
+    a second engine's count (AssertionError otherwise); the window is
+    t + 1.  An infinite staircase, or one past the cap, raises
+    NotLocallyFinite, or refusal (the global path's packed-range refusal of
+    J) when given."""
+    nv = J.ring.nvars
+    trimmed = IdealHandle(J.ring, [
+        Polynomial(J.ring, {m: c for m, c in g.terms.items() if sum(m) < cap}, _canonical=True)
+        for g in J.generators
+    ])
+    try:
+        staircase = _standard_monomials(local_standard_basis(trimmed, (0,) * nv)[1], nv, 1, (0,) * nv)
+    except NotLocallyFinite:
+        if refusal is not None:
+            raise refusal
+        raise NotLocallyFinite(
+            f"the local staircase below cutoff cap {cap} is infinite: a positive-dimensional component"
+            " passes through the origin, or the cap is too small"
+        ) from None
+    t = max(map(sum, staircase), default=0)
+    if t + 2 > cap:
+        if refusal is not None:
+            raise refusal
+        raise NotLocallyFinite(f"the local staircase reaches degree {t}: cutoff cap {cap} is too small")
+    value = len(staircase)
+    truncated = colength_at_cutoff(J, t + 1)
+    if truncated != value:
+        raise AssertionError(f"colength {value} disagrees with its truncated colength {truncated} at cutoff {t + 1}")
+    return ColengthInfo(value, t + 1)
+
+
+def _colength_reference(J: IdealHandle, value: int) -> int:
+    """Verify mode's reference for a global-path value: the number of
+    standard monomials of the weight-0 local standard basis of J (an
+    infinite staircase is an AssertionError).  Where that basis cannot be
+    built (the pair budget, the packed range), D(value) (D(1) for 0): a
+    local Artinian ring of length v has m^v ⊆ J, so D(v) = v."""
     nv = J.ring.nvars
     try:
         lts = local_standard_basis(J, (0,) * nv)[1]
-    except (ResourceLimit, ValueError):
-        return _ladder_colength_info(J, cutoffs).value if info.window is None else info.value
+    except ResourceLimit:
+        return colength_at_cutoff(J, max(value, 1))
     try:
         return _staircase_counts(lts, nv, 1, (0,) * nv).total()
     except NotLocallyFinite as exc:
         raise AssertionError("the weight-0 local standard basis finds the colength infinite") from exc
 
 
-def _ladder_colength_info(
-    J: IdealHandle, cutoffs: tuple[int, int], refusal: PackedRangeExceeded | None = None
-) -> ColengthInfo:
-    """The colength certified by two equal truncated colengths on the
-    ladder.  refusal: the global path's packed-range refusal of J, raised in
-    place of NotLocallyFinite when the ladder does not stabilize either."""
-    n0, nmax = cutoffs
-    samples: dict[int, int] = {}
-    prev = None
-    for n in _ladder(max(2, n0), nmax):
-        d = colength_at_cutoff(J, n)
-        samples[n] = d
-        if prev is not None:
-            pn, pd = prev
-            if pd > d:
-                raise AssertionError("truncated colength decreased; engine bug")
-            if pd == d:
-                if VERIFY and any(colength_at_cutoff(J, n + k) != d for k in range(1, _CONFIRM_STEPS + 1)):
-                    raise AssertionError("stabilized colength moved; engine bug")
-                return ColengthInfo(d, (pn, n), samples)
-        prev = (n, d)
-    if refusal is not None:
-        raise refusal
-    raise NotLocallyFinite(
-        f"no stabilization up to cutoff {nmax}: ideal not m-primary locally, or cap too small"
-    )
-
-
-def local_colength(J: IdealHandle, cutoffs: tuple[int, int] = (4, 64)) -> int:
-    """Stabilized value of D(N) = dim_k R/(J + m^N); equals the colength of
-    J in the local ring at the origin when finite."""
-    return local_colength_info(J, cutoffs).value
+def local_colength(J: IdealHandle, cap: int = 64) -> int:
+    """The colength of J in the local ring at the origin (local_colength_info)."""
+    return local_colength_info(J, cap).value
 
 
 def truncation_colength_oracle(J: IdealHandle, cutoff: int) -> int:
@@ -1287,29 +1274,25 @@ def sat_quotient_length(J: IdealHandle) -> int:
     in L(J) under degrevlex.  They are counted by one walk up from the
     generators of L(sat) outside L(J), through monomials outside L(J).
 
-    In verify mode, the count is checked against the first repeated
-    difference of truncated colengths on the ladder (AssertionError on a
-    difference)."""
+    In verify mode, the count is checked against the same count over the
+    weight-0 local standard bases (AssertionError on a difference)."""
     sat = saturate(J, maximal_ideal(J.ring))
     if ideal_equal(sat, J):
         return 0
     inner = J.groebner().leading_monomials
     starts = [g for g in sat.groebner().leading_monomials if not any(mono_divides(lt, g) for lt in inner)]
     count = _staircase_counts(inner, J.ring.nvars, math.inf, starts=starts).total()
-    if VERIFY:
-        ladder = _ladder_sat_quotient_length(J, sat)
-        if ladder != count:
-            raise AssertionError(f"saturation quotient length {count} disagrees with truncation ladder {ladder}")
+    if VERIFY and (local := _local_sat_quotient_length(J, sat)) != count:
+        raise AssertionError(f"saturation quotient length {count} disagrees with the local bases' {local}")
     return count
 
 
-def _ladder_sat_quotient_length(J: IdealHandle, sat: IdealHandle) -> int | None:
-    """The first repeated difference of truncated colengths of J and sat on
-    the ladder up to cutoff 64, or None."""
-    prev = None
-    for n in _ladder(4, 64):
-        d = colength_at_cutoff(J, n) - colength_at_cutoff(sat, n)
-        if d == prev:
-            return d
-        prev = d
-    return None
+def _local_sat_quotient_length(J: IdealHandle, sat: IdealHandle) -> int:
+    """#(L0(sat) \\ L0(J)) for the leading ideals L0 of the weight-0 local
+    standard bases, walked by _standard_monomials up from the generators of
+    L0(sat) outside L0(J).  sat/J is killed by a power of m, so it equals
+    its localization, whose length that is."""
+    nv, zero = J.ring.nvars, (0,) * J.ring.nvars
+    inner = local_standard_basis(J, zero)[1]
+    starts = [g for g in local_standard_basis(sat, zero)[1] if not any(mono_divides(lt, g) for lt in inner)]
+    return len(_standard_monomials(inner, nv, math.inf, starts=starts))

@@ -76,7 +76,7 @@ class QuotientRingSpec:
     ring: RingSpec
     defining: IdealHandle
     dim: int
-    cutoffs: tuple[int, int] = (4, 64)
+    cap: int = 64  # every colength's cutoff cap
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,7 +136,7 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
         verdict = exc
     if verdict is None or groebner.VERIFY:
         try:
-            local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cutoffs)
+            local_colength_info(A2.plus(IdealHandle(A.ring, lifts)), A2.cap)
             finite = True
         except NotLocallyFinite:
             if verdict is None:
@@ -161,7 +161,7 @@ def _normalized(A: QuotientRingSpec, lifts) -> tuple:
     if chart is None:
         return A, tuple(lifts), list
     defining2 = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
-    A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cutoffs)
+    A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cap)
     return A2, tuple(chart.lift_polys()), chart.transform_polys
 
 
@@ -196,8 +196,7 @@ class PowerChain:
     S must lie in the radical of a + I, as I does, or as I does over a
     reduction Q of it.  Then every proper ideal of the chain has the radical
     of a + S: once one took the global zero-dimensional path (no window), the
-    later colengths skip its nilpotency walk; a + (1) certifies nothing.  Each
-    colength passes the previous window's start forward as the ladder hint."""
+    later colengths skip its nilpotency walk; a + (1) certifies nothing."""
 
     def __init__(self, A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
         self.A, self.I = A, I
@@ -205,7 +204,7 @@ class PowerChain:
         self._ideals = [A.plus(IdealHandle(A.ring, self._gens))]
         self._bases: list = []
         self._colengths: dict[int, int] = {}
-        self._hint, self._certified = A.cutoffs[0], False
+        self._certified = False
         self.known: int | None = None
 
     def ideal(self, n: int) -> IdealHandle:
@@ -227,10 +226,8 @@ class PowerChain:
 
     def colength(self, n: int) -> int:
         if n not in self._colengths:
-            info = local_colength_info(self.ideal(n), (self._hint, self.A.cutoffs[1]), self._certified)
-            if info.window is not None:
-                self._hint = max(info.window[0], self.A.cutoffs[0])
-            elif info.value:  # a proper ideal supported at the origin alone
+            info = local_colength_info(self.ideal(n), self.A.cap, self._certified)
+            if info.window is None and info.value:  # a proper ideal supported at the origin alone
                 self._certified = True
             self._colengths[n] = info.value
         return self._colengths[n]
@@ -243,12 +240,11 @@ def _local_basis(A: QuotientRingSpec, lifts) -> tuple | None:
     """(weights, lts): weight 1 on the lifts, 0 elsewhere, and the leading
     monomials of the local standard basis of the defining ideal a for that
     weighted local order, when the lifts are distinct variables (a chart);
-    None when they are not, when R[h] would exceed the ring size, or when
-    the basis exceeds a resource limit."""
+    None when they are not, or when the basis exceeds a resource limit."""
     ring = A.ring
     variables = {ring.variable(i): i for i in range(ring.nvars)}
     pivots = {variables.get(f) for f in lifts}
-    if None in pivots or len(pivots) != len(lifts) or ring.nvars >= 16:
+    if None in pivots or len(pivots) != len(lifts):
         return None
     weights = tuple(int(i in pivots) for i in range(ring.nvars))
     try:

@@ -117,8 +117,8 @@ class RingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if not (1 <= len(self.variables) <= 16):
-            raise ValueError("need between 1 and 16 variables")
+        if not self.variables:
+            raise ValueError("need at least one variable")
         seen = set()
         for name in self.variables:
             if not _NAME_RE.fullmatch(name):

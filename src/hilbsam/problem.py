@@ -4,8 +4,7 @@ A problem file is a single JSON document declaring a ring, named ideals
 (possibly via ideal operations), named quotient rings, parameter ideals
 and Artinian presentations, followed by task blocks with optional integer
 or integer-tuple expectations.  Tasks run in order; the report carries
-results, stabilization data and warnings (warnings are data, never
-stdout-only prose).
+results and warnings (warnings are data, never stdout-only prose).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .groebner import (
     ideal_product,
     ideal_sum,
     intersect,
-    local_colength_info,
+    local_colength,
     saturate,
     sat_quotient_length,
 )
@@ -93,7 +92,7 @@ class Problem:
     tasks: list[dict]
     seed: int = 0
     default_order: MonomialOrder = DEGREVLEX
-    cutoffs: tuple[int, int] = (4, 64)  # (start, cap) of every colength's truncation ladder
+    cap: int = 64  # every colength's cutoff cap
 
     def read(self, task: dict, key: str, default: Any = _REQUIRED) -> Any:
         """task[key] read by its TASK_KEYS kind, or default when the key is
@@ -201,6 +200,7 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
     _require(isinstance(ring_doc, dict), "missing 'ring' object")
     variables = ring_doc.get("variables", [])
     _require(isinstance(variables, list), f"ring 'variables' must be a list of names, got {variables!r}")
+    _require(1 <= len(variables) <= 16, f"bad ring spec: need between 1 and 16 variables, got {len(variables)}")
     field_text = field_override or ring_doc.get("field", "fp:32003")
     try:
         ring = RingSpec(tuple(variables), parse_field(field_text))
@@ -210,7 +210,7 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
     _require(isinstance(tasks, list), "'tasks' must be a list")
     problem = Problem(ring, {}, {}, {}, {}, tasks,
                       default_order=parse_order(ring_doc.get("order", "degrevlex")))
-    problem.cutoffs = (4, problem.read({} if cutoff is None else {"cutoff": cutoff}, "cutoff", 64))
+    problem.cap = problem.read({} if cutoff is None else {"cutoff": cutoff}, "cutoff", 64)
     problem.seed = problem.read(doc, "seed", 0) if seed is None else seed
     ideals = problem.ideals
 
@@ -253,7 +253,7 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
                  f"quotient {name!r} needs 'defining' and 'dim'")
         try:
             problem.quotients[name] = QuotientRingSpec(
-                ring, resolve_ideal(q["defining"]), int(q["dim"]), problem.cutoffs
+                ring, resolve_ideal(q["defining"]), int(q["dim"]), problem.cap
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad quotient {name!r}: {exc}") from exc
@@ -400,12 +400,8 @@ class TaskRunner:
     def __init__(self, problem: Problem):
         self.p = problem
 
-    def _cutoffs(self, read) -> tuple[int, int]:
-        cutoff = read("cutoff", None)
-        return self.p.cutoffs if cutoff is None else (4, cutoff)
-
     def _artin(self, read):
-        return artin_algebra(self.p.ring, read("artinian"), self._cutoffs(read))
+        return artin_algebra(self.p.ring, read("artinian"), read("cutoff", self.p.cap))
 
     def _in_quotient(self, read) -> IdealHandle:
         J, A = read("ideal"), read("quotient", None)
@@ -421,11 +417,8 @@ class TaskRunner:
         return {"elements": elements, "size": len(elements)}, len(elements), []
 
     def cmd_colength(self, read):
-        info = local_colength_info(self._in_quotient(read), self._cutoffs(read))
-        result = {"value": info.value}
-        if info.window is not None:
-            result["stabilization_window"] = list(info.window)
-        return result, info.value, []
+        value = local_colength(self._in_quotient(read), read("cutoff", self.p.cap))
+        return {"value": value}, value, []
 
     def cmd_sat_quotient_length(self, read):
         value = sat_quotient_length(self._in_quotient(read))

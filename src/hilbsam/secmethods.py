@@ -84,12 +84,13 @@ class ArtinAlgebra:
         return ExactMatrix(self.ring.field, data, self.dim)
 
 
-def artin_algebra(ring: RingSpec, c: IdealHandle, cutoffs: tuple[int, int] = (4, 64)) -> ArtinAlgebra:
+def artin_algebra(ring: RingSpec, c: IdealHandle, cap: int = 64) -> ArtinAlgebra:
     """Build C = R/c (locally at the origin) with exact multiplication data:
-    the standard monomials of the basis local_colength_info counted, the
-    untruncated one or the truncated one at the end of its window."""
-    info = local_colength_info(c, cutoffs)  # raises if no stabilization
-    gb = c.groebner() if info.window is None else c.truncated_groebner(info.window[1])
+    the standard monomials of the untruncated basis of a global-path
+    colength, or of the truncated basis at a local-path colength's
+    certifying cutoff (local_colength_info)."""
+    info = local_colength_info(c, cap)  # raises if the colength is not finite
+    gb = c.groebner() if info.window is None else c.truncated_groebner(info.window)
     basis = _standard_monomials(gb.leading_monomials, ring.nvars, gb.trunc_degree or inf)
     basis.sort(key=DEGREVLEX.key)
     return ArtinAlgebra(ring, c, basis, gb)
@@ -254,7 +255,7 @@ def sally_lengths(
     started at I."""
     if n_max < 1:
         raise ValueError(f"Sally lengths start at n = 1; n_max {n_max} checks nothing")
-    if is_reduction(A, Q, I) is None:
+    if is_reduction(A, Q, I, least=False) is None:
         raise ValueError(f"no certificate I^{{n+1}} = Q I^n with n <= {CERTIFICATE_CAP}")
     chain = A.chain(I)
     qn_i = A.chain(IdealHandle(A.ring, Q.lifts), start=I)

@@ -16,9 +16,11 @@ from helpers import fat_point, regular2, ring4, staged, two_planes
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
     IdealHandle,
-    _ladder_colength_info,
+    _standard_monomials,
+    colength_at_cutoff,
     ideal,
     local_colength,
+    local_standard_basis,
     maximal_ideal,
     truncation_colength_oracle,
 )
@@ -198,8 +200,9 @@ def test_criterion_9c_cohen_macaulay_sanity():
 
 def test_criterion_9d_oracle_equivalence():
     # 50 randomized m-primary monomial+binomial ideals in <= 4 variables:
-    # the stabilized truncated-basis colength, the public value, and the
-    # brute-force rank oracle agree
+    # with t the top degree of the weight-0 local staircase, m^{t+1} lies in
+    # J locally, so the public value, the truncated-basis colength and the
+    # brute-force rank oracle agree at the cutoffs t + 1 and t + 2
     rng = random.Random(2024)
     for trial in range(50):
         nv = rng.choice([2, 3, 4])
@@ -218,10 +221,11 @@ def test_criterion_9d_oracle_equivalence():
             if sum(e1) and sum(e2) and e1 != e2:
                 gens.append(R.monomial(e1) - R.monomial(e2).scale(R.field.of_int(rng.randint(1, 7))))
         J = IdealHandle(R, gens)
-        info = _ladder_colength_info(J, (4, 64))
-        assert local_colength(J) == info.value, trial
-        for cutoff in info.window:
-            assert truncation_colength_oracle(J, cutoff) == info.samples[cutoff], trial
+        zero = (0,) * nv
+        t = max(map(sum, _standard_monomials(local_standard_basis(J, zero)[1], nv, 1, zero)))
+        value = local_colength(J)
+        for cutoff in (t + 1, t + 2):
+            assert colength_at_cutoff(J, cutoff) == truncation_colength_oracle(J, cutoff) == value, trial
     print("PASS criterion 9d: oracle equivalence [50 randomized ideals]")
 
 

@@ -230,27 +230,52 @@ def test_local_colength_off_origin_component():
 def test_curve_through_origin_is_decided_without_the_ladder(monkeypatch):
     # a + Q for a sampled candidate on R/[(X^3, Y^3) cap (Z, W)]: the linear
     # parts of the lifts are proportional, so a curve through the origin
-    # survives and the untruncated staircase is infinite
+    # survives and the untruncated staircase is infinite; the weight-0 local
+    # staircase is infinite too, which decides it with no truncated colength
+    # and no saturation
     A = two_planes(3)
     lifts = [
         "40*X^3 - 44*X^2*Y + 50*X*Y^2 - 45*Y^3 + 22*Z + 11*W",
         "-34*X^3 - 18*X^2*Y - 27*X*Y^2 + 9*Y^3 - 40*Z - 20*W",
     ]
 
-    def no_ladder(*args):
-        raise AssertionError("the truncation ladder ran")
+    def refuse(*args):
+        raise AssertionError("a truncated colength or a saturation ran")
 
-    monkeypatch.setattr(groebner, "_ladder_colength_info", no_ladder)
+    monkeypatch.setattr(groebner, "colength_at_cutoff", refuse)
+    monkeypatch.setattr(groebner, "saturate", refuse)
     with pytest.raises(NotLocallyFinite):
         local_colength(ideal_sum(A.defining, ideal(A.ring, lifts)))
 
 
 def test_infinite_staircase_off_the_origin_uses_the_ladder():
-    # the hypersurface Z = 1 misses the origin: locally the ideal is m
+    # the hypersurface Z = 1 misses the origin: locally the ideal is m, so
+    # the local path counts one standard monomial of top degree 0, certified
+    # by the truncated colength at cutoff 1
     R = ring4()
     info = local_colength_info(intersect(maximal_ideal(R), ideal(R, ["Z - 1"])))
-    assert info.value == 1
-    assert info.window is not None
+    assert (info.value, info.window) == (1, 1)
+
+
+def test_an_off_origin_colength_runs_one_truncated_colength(monkeypatch):
+    # (x^2 - x^3, y^5): a second point at x = 1; the local staircase has top
+    # degree 5, and one truncated colength, at cutoff 6, certifies 10
+    cutoffs = []
+    real = groebner.colength_at_cutoff
+    monkeypatch.setattr(groebner, "colength_at_cutoff", lambda J, n: cutoffs.append(n) or real(J, n))
+    info = local_colength_info(ideal(R2, ["x^2 - x^3", "y^5"]))
+    assert (info.value, info.window) == (10, 6)
+    assert cutoffs == [6]
+
+
+def test_sixteen_variables_off_the_origin(verify_mode):
+    # R[h] takes a seventeenth variable: (v0^3 (v0 - 1), v1^2, v2, ..., v15)
+    # has a second point at v0 = 1 and colength 3 * 2 at the origin
+    R = RingSpec(tuple(f"v{i}" for i in range(16)), GF32003)
+    J = ideal(R, ["v0^3*(v0 - 1)", "v1^2"] + [f"v{i}" for i in range(2, 16)])
+    assert groebner._global_zero_dim_colength(J) is None
+    info = local_colength_info(J)
+    assert (info.value, info.window) == (6, 4)
 
 
 def test_reduced_basis_unique_under_permutation():
@@ -493,8 +518,8 @@ def test_degrees_outside_the_packed_range_raise_resource_limit(tmp_path, capsys)
         normal_form(P("x^2"), ideal(R2, ["x - y^20000"]).groebner(LEX))
     with pytest.raises(ResourceLimit):
         ideal_power(ideal(R2, ["x^20000 + y"]), 2)
-    # a problem file ends in exit 3: the basis refuses the degree, and the
-    # truncation ladder cannot certify a colength of 40000 below its cap
+    # a problem file ends in exit 3: the basis refuses the degree, and with
+    # x^40000 dropped past the cap the local staircase of (y) is infinite
     for command in ("gb", "colength"):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps({
@@ -507,10 +532,12 @@ def test_degrees_outside_the_packed_range_raise_resource_limit(tmp_path, capsys)
 
 
 def test_packed_range_refusal_is_raised_when_the_ladder_fails(tmp_path, capsys):
-    # the ladder truncates below the range, so it still certifies this value
+    # the local path drops the terms past its cap, so it still certifies
+    # this value (the local basis of (x^3, y), checked at cutoff 3)
     assert local_colength(ideal(R2, ["x^40000 + x^3", "y"])) == 3
     assert artin_algebra(R2, ideal(R2, ["x^40000 + x^3", "y"])).dim == 3
-    # here it cannot, and the caller sees the refusal, not a finiteness verdict
+    # here the local staircase of (y) is infinite, and the caller sees the
+    # refusal, not a finiteness verdict
     with pytest.raises(ResourceLimit, match="packed range") as refused:
         local_colength(ideal(R2, ["x^40000", "y"]))
     assert not isinstance(refused.value, NotLocallyFinite)
@@ -575,12 +602,12 @@ def test_truncated_colengths_match_the_rank_oracle(J):
 @given(_small_ideals())
 @settings(max_examples=60, deadline=5000)
 def test_global_path_matches_the_truncation_ladder(J):
-    try:
-        fast = groebner._global_zero_dim_colength(J)
-    except NotLocallyFinite:
-        return
+    # a global-path value v is the local path's value, and D(v) = v: a local
+    # Artinian ring of length v has m^v inside J
+    fast = groebner._global_zero_dim_colength(J)
     if fast is not None:
-        assert groebner._ladder_colength_info(J, (4, 64)).value == fast
+        assert groebner._local_colength_info(J, 64).value == fast
+        assert colength_at_cutoff(J, max(fast, 1)) == fast
 
 
 def _saturate_by_colons(I, J):
@@ -663,7 +690,7 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
         colon(I, P("y"))
     with pytest.raises(AssertionError, match="saturation by a monomial"):
         saturate(I, ideal(R2, ["y"]))
-    # and so is a count the truncation ladder does not reproduce
+    # and so is a count the weight-0 local bases do not reproduce
     monkeypatch.undo()
     real = groebner._staircase_counts
 
@@ -671,7 +698,7 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
         return real(lts, nvars, bound, weights, starts) + Counter({0: 1} if starts else {})
 
     monkeypatch.setattr(groebner, "_staircase_counts", one_too_many)
-    with pytest.raises(AssertionError, match="truncation ladder"):
+    with pytest.raises(AssertionError, match="the local bases"):
         sat_quotient_length(ideal(R2, ["x^3", "x*y"]))
 
 

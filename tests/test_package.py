@@ -62,5 +62,10 @@ def test_the_benchmark_hooks_resolve():
     rebound = ("colength_at_cutoff", "colon_ideal", "truncation_colength_oracle", "_GB_MEMO")
     missing += [f"groebner.{attr}" for attr in rebound if not hasattr(module("groebner"), attr)]
     assert missing == []
+    # the colength hook reads the certifying cutoff, None on the global path
+    groebner = module("groebner")
+    R = module("polyring").RingSpec(("x", "y"), module("exactalg").GF32003)
+    assert groebner.local_colength_info(groebner.ideal(R, ["x^2", "y"])).window is None
+    assert groebner.local_colength_info(groebner.ideal(R, ["x^2 - x", "y"])).window == 1
     assert callable(module("problem").TaskRunner.run_task)
     assert "threads" in inspect.signature(module("problem").load_problem).parameters

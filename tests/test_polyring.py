@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbsam.cli import main
 from hilbsam.errors import MixedRings, PolySyntaxError, UnknownVariable
 from hilbsam.exactalg import GF32003, QQ, prime_field
 from hilbsam.polyring import (
@@ -22,15 +25,19 @@ def P(text, ring=R2):
     return parse_poly(ring, text)
 
 
-def test_ring_spec_validation():
+def test_ring_spec_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         RingSpec((), GF32003)
     with pytest.raises(ValueError):
         RingSpec(("x", "x"), GF32003)
     with pytest.raises(ValueError):
         RingSpec(("2bad",), GF32003)
-    with pytest.raises(ValueError):
-        RingSpec(tuple(f"v{i}" for i in range(17)), GF32003)
+    # a problem file takes at most 16 variables; the engine's R[h] takes a
+    # seventeenth internally
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"ring": {"variables": [f"v{i}" for i in range(17)]}, "tasks": []}))
+    assert main(["run", str(path)]) == 2
+    assert "need between 1 and 16 variables" in capsys.readouterr().err
 
 
 def test_parse_examples():

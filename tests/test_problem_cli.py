@@ -176,13 +176,13 @@ def test_suite_passes_the_cutoff_to_every_quotient(monkeypatch, capsys):
     caps = []
 
     def record(problem):
-        caps.append({A.cutoffs for A in problem.quotients.values()})
+        caps.append({A.cap for A in problem.quotients.values()})
         return run_problem(load_problem(_doc()))
 
     monkeypatch.setattr(suite, "run_problem", record)
     assert main(["suite", "paper", "--cutoff", "7", "--json"]) == 0
     assert main(["suite", "paper", "--json"]) == 0
-    assert caps == [{(4, 7)}, {(4, 64)}]
+    assert caps == [{7}, {64}]
 
 
 def test_nmax_is_refused_outside_single_operations(tmp_path, capsys):
@@ -259,7 +259,8 @@ def test_sampled_coeffs_builds_one_local_basis_per_candidate(monkeypatch):
 
 _OFF_ORIGIN_DOC = {
     # (x^2 - x^3, y^5) has a second point at x = 1: its colength at the
-    # origin, 10, comes from the truncation ladder
+    # origin, 10, comes from the weight-0 local standard basis, whose
+    # staircase has top degree 5
     "ring": {"variables": ["x", "y"], "field": "fp:32003"},
     "ideals": {"J": ["x^2 - x^3", "y^5"]},
     "artinian": {"C": {"ideal": "J"}},
@@ -280,6 +281,16 @@ def test_run_cutoff_caps_every_colength(tmp_path, capsys, task, value):
     # a cap of 3 certifies no value
     assert main(["run", str(path), "--cutoff", "3"]) == 3
     assert "NotLocallyFinite" in capsys.readouterr().err
+
+
+def test_the_cap_must_reach_two_past_the_local_staircase(tmp_path, capsys):
+    # the staircase's top degree t = 5 needs t + 2 <= cap
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_OFF_ORIGIN_DOC, "tasks": [{"command": "colength", "ideal": "J"}]}))
+    assert main(["run", str(path), "--cutoff", "6"]) == 3
+    assert "NotLocallyFinite" in capsys.readouterr().err
+    assert main(["run", str(path), "--cutoff", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"] == {"value": 10}
 
 
 @pytest.mark.parametrize("cutoff", [0, -1])

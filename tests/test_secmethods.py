@@ -67,8 +67,9 @@ def test_artin_algebra_examples():
     (["X^2", "Y^3", "Z - X*Y", "W^2"], None,
      [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1),
       (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 1, 1, 1), (0, 2, 0, 1)]),
-    # a second point at X = 1: the truncated basis at the ladder's window end
-    (["X^2*(X-1)", "Y^2", "Z", "W"], (4, 6), [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]),
+    # a second point at X = 1: the truncated basis at the local path's
+    # certifying cutoff, one past the staircase's top degree 2
+    (["X^2*(X-1)", "Y^2", "Z", "W"], 3, [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]),
 ], ids=["global", "ladder"])
 def test_artin_algebra_takes_its_colength_from_the_colength_layer(monkeypatch, gens, window, basis):
     infos = []
@@ -78,7 +79,7 @@ def test_artin_algebra_takes_its_colength_from_the_colength_layer(monkeypatch, g
     C = artin_algebra(R, ideal(R, gens))
     assert [info.window for info in infos] == [window]
     assert C.basis == basis and C.dim == infos[0].value
-    assert C.gb.trunc_degree == (window and window[1])
+    assert C.gb.trunc_degree == window
 
 
 def test_mult_ops_commute_and_kill_relations():
@@ -370,6 +371,21 @@ def test_sally_lengths_examples():
     assert sally_lengths(A, I, Q, 4) == {1: 2, 2: 3, 3: 4, 4: 5}
     Qp = parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"])
     assert sally_lengths(A, I, Qp, 4) == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_sally_lengths_accept_the_known_certificate(monkeypatch):
+    # the lengths need Q to be a reduction, not its least certificate: once
+    # the chain of (A, I) knows the certificate 2, a second Sally task
+    # accepts it with one product_equals run instead of also trying n = 1
+    A = two_planes(2)
+    I = big_i(A, 2)
+    assert sally_lengths(A, I, parameter_ideal(A, ["X*Y-Z", "X^2+Y^2-W"]), 4) == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert A.chain(I).known == 2
+    runs = []
+    real = hilbert.product_equals
+    monkeypatch.setattr(hilbert, "product_equals", lambda *a: runs.append(a) or real(*a))
+    assert sally_lengths(A, I, parameter_ideal(A, ["X^2-Z", "Y^2-W"]), 4) == {1: 2, 2: 3, 3: 4, 4: 5}
+    assert len(runs) == 1
 
 
 def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
