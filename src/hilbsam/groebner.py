@@ -86,6 +86,8 @@ _GB_MEMO: dict = {}
 #     the first b fields), the head fields flipped, the tail degree, then the
 #     tail fields flipped: degrevlex on the head block, then on the rest.  A
 #     block >= nvars has an empty tail and is degrevlex.
+#   - the lex key is the fields in big-endian order, the first variable
+#     most significant, with no degree.
 
 _FIELD_BITS = 16
 _DEG_LIMIT = 1 << (_FIELD_BITS - 1)
@@ -98,11 +100,10 @@ def _out_of_range(degree: int) -> PackedRangeExceeded:
 class _Packing:
     """Packed monomials of an nvars-variable ring under one monomial order.
 
-    key(m) is an int that grows with the order; heap(m) = ~key(m), so heapq
-    pops the order-largest monomial first, and unheap inverts heap.  Lex
-    keys come from MonomialOrder.key on the unpacked tuple, cached for the
-    life of the object; degrevlex, elimination and lazard keys are computed
-    from the packed int."""
+    key(m) is an int that grows with the order, computed from the packed
+    int for every order; heap(m) = ~key(m), so heapq pops the order-largest
+    monomial first, and unheap inverts heap.  One packing per (nvars,
+    order) is shared (_packing)."""
 
     __slots__ = ("nvars", "shift", "guard", "low", "limit", "key", "heap", "unheap", "_struct")
 
@@ -123,26 +124,30 @@ class _Packing:
         if order.kind == "lazard":
             self._lazard_keys(order.weights)
             return
-        cache: dict = {}
-        back: dict = {}
-        order_key, unpack = order.key, self.unpack
+        self._lex_keys()
+
+    def _lex_keys(self) -> None:
+        # swapping the two bytes of every field, then reading the
+        # little-endian bytes as big-endian, puts the fields in big-endian
+        # order with variable 0 most significant (the degree is masked off)
+        shift, nbytes = self.shift, 2 * self.nvars
+        low_bytes = sum(0xFF << (_FIELD_BITS * i) for i in range(self.nvars))
 
         def key(m):
-            k = cache.get(m)
-            if k is None:
-                k = 0  # the key's entries, 17 bits each: |x| < 2^16, lcms included
-                for part in order_key(unpack(m)):
-                    for x in part if isinstance(part, tuple) else (part,):
-                        k = k << 17 | (x + 0x10000)
-                cache[m] = k
-                back[~k] = m
-            return k
+            swapped = (m & low_bytes) << 8 | (m >> 8) & low_bytes
+            return int.from_bytes(swapped.to_bytes(nbytes, "little"), "big")
 
         def heap(m):
-            k = cache.get(m)
-            return ~(key(m) if k is None else k)
+            return ~key(m)
 
-        self.key, self.heap, self.unheap = key, heap, back.__getitem__
+        def unheap(k):
+            swapped = int.from_bytes((~k).to_bytes(nbytes, "big"), "little")
+            m = (swapped & low_bytes) << 8 | (swapped >> 8) & low_bytes
+            # x % 0xFFFF sums the 16-bit fields of x; deg(m) < 0xFFFF, lcms
+            # of pairs included, so no range check (pack would refuse them)
+            return (m % 0xFFFF) << shift | m
+
+        self.key, self.heap, self.unheap = key, heap, unheap
 
     def _elim_keys(self, block: int) -> None:
         shift, head_bits = self.shift, _FIELD_BITS * block
@@ -239,16 +244,9 @@ class _Packing:
 
 
 @lru_cache(maxsize=64)
-def _shared_packing(nvars: int, order: MonomialOrder) -> _Packing:
-    return _Packing(nvars, order)
-
-
 def _packing(nvars: int, order: MonomialOrder) -> _Packing:
-    """Packings with a packed key (every order but lex) are shared; a lex
-    packing carries a per-call key cache."""
-    if order.kind == "lex":
-        return _Packing(nvars, order)
-    return _shared_packing(nvars, order)
+    """The shared packing of (nvars, order)."""
+    return _Packing(nvars, order)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +541,9 @@ def _staircase(
 ) -> tuple[_Packing, list[int]]:
     """The monomials of degree < bound divisible by no lt, breadth first
     from 1 (or from starts, monomials no lt divides); with 0/1 weights, of
-    weighted degree < bound.  Packed, with the (weighted) degree in the
-    degree field, which the guard-bit divisor test does not read.
+    weighted degree < bound; a bound <= 0 walks nothing.  Packed, with the
+    (weighted) degree in the degree field, which the guard-bit divisor test
+    does not read.
 
     The walk tests m + e_i only for standard m.  No lt divides m, so an lt
     dividing m + e_i exceeds m in variable i alone: its i-th exponent is
@@ -553,7 +552,7 @@ def _staircase(
     the lts; NotLocallyFinite is raised before walking otherwise.  A finite
     bound past the packed range raises PackedRangeExceeded."""
     pk = _packing(nvars, DEGREVLEX)
-    if any(sum(lt) == 0 for lt in lts):
+    if bound <= 0 or any(sum(lt) == 0 for lt in lts):
         return pk, []
     if weights is None:
         weights = (1,) * nvars
@@ -1159,13 +1158,17 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
 def local_colength_info(J: IdealHandle, cap: int = 64, support_at_origin: bool = False) -> ColengthInfo:
     """The colength of J at the origin with its certificate: by the global
     zero-dimensional path (support_at_origin is passed on to it), else by
-    _local_colength_info under the cutoff cap.  In verify mode a
-    global-path value is checked against _colength_reference
-    (AssertionError on a difference)."""
+    _local_colength_info under the cutoff cap.  When the global path
+    refused J for the packed range and the local path gives up too, that
+    PackedRangeExceeded is raised.  In verify mode a global-path value is
+    checked against _colength_reference (AssertionError on a difference)."""
     try:
         fast = _global_zero_dim_colength(J, support_at_origin)
     except PackedRangeExceeded as refusal:
-        return _local_colength_info(J, cap, refusal)
+        try:
+            return _local_colength_info(J, cap)
+        except NotLocallyFinite:
+            raise refusal from None
     if fast is None:
         return _local_colength_info(J, cap)
     if VERIFY and (reference := _colength_reference(J, fast)) != fast:
@@ -1173,7 +1176,7 @@ def local_colength_info(J: IdealHandle, cap: int = 64, support_at_origin: bool =
     return ColengthInfo(fast, None)
 
 
-def _local_colength_info(J: IdealHandle, cap: int, refusal: PackedRangeExceeded | None = None) -> ColengthInfo:
+def _local_colength_info(J: IdealHandle, cap: int) -> ColengthInfo:
     """The number of standard monomials of the weight-0 local standard
     basis (the local degree order) of J with its terms of degree >= cap
     dropped, which leaves J + m^cap unchanged.
@@ -1185,8 +1188,7 @@ def _local_colength_info(J: IdealHandle, cap: int, refusal: PackedRangeExceeded 
     the colength of J.  It must also equal colength_at_cutoff(J, t + 1),
     a second engine's count (AssertionError otherwise); the window is
     t + 1.  An infinite staircase, or one past the cap, raises
-    NotLocallyFinite, or refusal (the global path's packed-range refusal of
-    J) when given."""
+    NotLocallyFinite."""
     nv = J.ring.nvars
     trimmed = IdealHandle(J.ring, [
         Polynomial(J.ring, {m: c for m, c in g.terms.items() if sum(m) < cap}, _canonical=True)
@@ -1195,16 +1197,12 @@ def _local_colength_info(J: IdealHandle, cap: int, refusal: PackedRangeExceeded 
     try:
         staircase = _standard_monomials(local_standard_basis(trimmed, (0,) * nv)[1], nv, 1, (0,) * nv)
     except NotLocallyFinite:
-        if refusal is not None:
-            raise refusal
         raise NotLocallyFinite(
             f"the local staircase below cutoff cap {cap} is infinite: a positive-dimensional component"
             " passes through the origin, or the cap is too small"
         ) from None
     t = max(map(sum, staircase), default=0)
     if t + 2 > cap:
-        if refusal is not None:
-            raise refusal
         raise NotLocallyFinite(f"the local staircase reaches degree {t}: cutoff cap {cap} is too small")
     value = len(staircase)
     truncated = colength_at_cutoff(J, t + 1)

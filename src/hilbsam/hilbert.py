@@ -12,6 +12,7 @@ so e_0 is the multiplicity and the report stores (e_0, ..., e_d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from math import comb, inf
 
@@ -29,7 +30,7 @@ from .groebner import (
     product_equals,
     _staircase_counts,
 )
-from .polyring import Polynomial, RingSpec
+from .polyring import Polynomial, RingSpec, parse_poly
 from .transform import parameter_chart
 
 SMALL_FIELD_BOUND = 1000  # warn below this: generic choices may misbehave
@@ -109,15 +110,6 @@ class ParameterIdealSpec:
     _chart: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _as_polys(A: QuotientRingSpec, lifts) -> tuple[Polynomial, ...]:
-    from .polyring import parse_poly
-
-    out = []
-    for f in lifts:
-        out.append(parse_poly(A.ring, f) if isinstance(f, str) else f)
-    return tuple(out)
-
-
 def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     """Checked constructor: defining + (lifts) must have finite colength
     (NotLocallyFinite otherwise).  In a parameter chart that holds iff every
@@ -125,7 +117,7 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     standard basis hs_function samples from; without a chart, or over a
     resource limit, the colength path decides.  With groebner.VERIFY set,
     both run and must agree."""
-    polys = _as_polys(A, lifts)
+    polys = tuple(parse_poly(A.ring, f) if isinstance(f, str) else f for f in lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
     Q = ParameterIdealSpec(polys)
@@ -152,25 +144,35 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
 # ---------------------------------------------------------------------------
 # coordinate normalization plumbing
 
+def _substituted(substitution: dict[int, Polynomial], polys) -> list[Polynomial]:
+    return [f.substitute(substitution) for f in polys]
+
+
 def _normalized(A: QuotientRingSpec, lifts) -> tuple:
-    """(A2, lifts2, move): A and the parameter lifts rewritten through a
-    parameter chart when one applies (the lifts become plain variables),
-    and move, which rewrites further polynomials the same way (list when no
-    chart applies).  Colengths and ideal equalities are invariant."""
+    """(A2, lifts2, move, weights): A and the parameter lifts rewritten
+    through the parameter chart (pivots, substitution) when one applies, so
+    the lifts become the pivot variables; move, which rewrites further
+    polynomials the same way (a picklable partial; list when no chart
+    applies); and the chart's weights, 1 on the pivots and 0 elsewhere
+    (None when no chart applies).  Colengths and ideal equalities are
+    invariant."""
     chart = parameter_chart(A.ring, lifts)
     if chart is None:
-        return A, tuple(lifts), list
-    defining2 = IdealHandle(A.ring, chart.transform_polys(A.defining.generators))
-    A2 = QuotientRingSpec(A.ring, defining2, A.dim, A.cap)
-    return A2, tuple(chart.lift_polys()), chart.transform_polys
+        return A, tuple(lifts), list, None
+    pivots, substitution = chart
+    move = partial(_substituted, substitution)
+    A2 = QuotientRingSpec(A.ring, IdealHandle(A.ring, move(A.defining.generators)), A.dim, A.cap)
+    weights = tuple(int(i in pivots) for i in range(A.ring.nvars))
+    return A2, tuple(A.ring.variable(i) for i in pivots), move, weights
 
 
 def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
-    """(A2, lifts, move, local): _normalized(A, Q.lifts) and the
-    _local_basis of its A2 and lifts, kept on Q for this A object."""
+    """(A2, lifts, move, local): A2, lifts and move of _normalized(A,
+    Q.lifts), and the _local_basis of A2 under its weights, kept on Q for
+    this A object."""
     if Q._chart is None or Q._chart[0] is not A:
-        A2, lifts, move = _normalized(A, Q.lifts)
-        Q._chart = (A, A2, lifts, move, _local_basis(A2, lifts))
+        A2, lifts, move, weights = _normalized(A, Q.lifts)
+        Q._chart = (A, A2, lifts, move, _local_basis(A2, weights))
     return Q._chart[1:]
 
 
@@ -202,7 +204,6 @@ class PowerChain:
         self.A, self.I = A, I
         self._gens = start.generators if start is not None else (A.ring.one(),)
         self._ideals = [A.plus(IdealHandle(A.ring, self._gens))]
-        self._bases: list = []
         self._colengths: dict[int, int] = {}
         self._certified = False
         self.known: int | None = None
@@ -220,9 +221,7 @@ class PowerChain:
         return self._ideals[n]
 
     def basis(self, n: int):
-        while len(self._bases) <= n:
-            self._bases.append(self.ideal(len(self._bases)).groebner())
-        return self._bases[n]
+        return self.ideal(n).groebner()
 
     def colength(self, n: int) -> int:
         if n not in self._colengths:
@@ -236,17 +235,13 @@ class PowerChain:
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel sampling and coefficient extraction
 
-def _local_basis(A: QuotientRingSpec, lifts) -> tuple | None:
-    """(weights, lts): weight 1 on the lifts, 0 elsewhere, and the leading
+def _local_basis(A: QuotientRingSpec, weights: tuple[int, ...] | None) -> tuple | None:
+    """(weights, lts): a chart's weights from _normalized and the leading
     monomials of the local standard basis of the defining ideal a for that
-    weighted local order, when the lifts are distinct variables (a chart);
-    None when they are not, or when the basis exceeds a resource limit."""
-    ring = A.ring
-    variables = {ring.variable(i): i for i in range(ring.nvars)}
-    pivots = {variables.get(f) for f in lifts}
-    if None in pivots or len(pivots) != len(lifts):
+    weighted local order; None without a chart (weights None), or when the
+    basis exceeds a resource limit."""
+    if weights is None:
         return None
-    weights = tuple(int(i in pivots) for i in range(ring.nvars))
     try:
         _, lts = local_standard_basis(A.defining, weights)
     except ResourceLimit:

@@ -197,7 +197,7 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
     """Colon criterion ((e_1..e_{i-1}) : e_i e_j) = ((e_1..e_{i-1}) : e_j)
     for all i <= j, computed in R with the defining ideal added.  With
     all_orders, every permutation of the given sequence is checked."""
-    A2, elems, _ = _normalized(A, elems)
+    A2, elems, *_ = _normalized(A, elems)
     defining = A2.defining
     gb = defining.groebner()
     if any(normal_form(e, gb).is_zero() for e in elems):

@@ -7,38 +7,14 @@ substitution v -> v - h is a ring automorphism fixing the maximal ideal
 that maps the lift to the coordinate v.  Powers of the transformed ideal
 are then monomial, which makes Hilbert sampling, reduction certificates
 and colon-based checks far cheaper.  Colengths and ideal equalities are
-invariant under such automorphisms, so results are unchanged.
+invariant under such automorphisms, so results are unchanged.  A chart
+is plain data: its pivot variables and that substitution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactalg import field_ops
 from .polyring import Polynomial, RingSpec
-
-
-@dataclass
-class ParameterChart:
-    """Normalized coordinates for a parameter system.
-
-    pivot_vars[k] is the variable index the k-th (recombined) lift maps to;
-    substitution sends old coordinates to their expressions in the new ones.
-    """
-
-    ring: RingSpec
-    pivot_vars: tuple[int, ...]
-    substitution: dict[int, Polynomial]
-
-    def transform_poly(self, f: Polynomial) -> Polynomial:
-        return f.substitute(self.substitution)
-
-    def transform_polys(self, polys) -> list[Polynomial]:
-        return [self.transform_poly(f) for f in polys]
-
-    def lift_polys(self) -> list[Polynomial]:
-        """Images of the parameter ideal's generators: plain variables."""
-        return [self.ring.variable(i) for i in self.pivot_vars]
 
 
 def _linear_coefficient(f: Polynomial, var: int):
@@ -54,8 +30,11 @@ def _occurs_nonlinearly(f: Polynomial, var: int) -> bool:
     return False
 
 
-def parameter_chart(ring: RingSpec, lifts) -> ParameterChart | None:
-    """Build a chart for the lifts, or None when the shape does not apply."""
+def parameter_chart(ring: RingSpec, lifts) -> tuple[tuple[int, ...], dict[int, Polynomial]] | None:
+    """The chart of the lifts as (pivots, substitution), or None when the
+    shape does not apply: pivots[k] is the variable index the k-th
+    (recombined) lift maps to, and the substitution sends old coordinates
+    to their expressions in the new ones (Polynomial.substitute)."""
     lifts = list(lifts)
     d = len(lifts)
     inv = field_ops(ring.field)[4]
@@ -100,8 +79,7 @@ def parameter_chart(ring: RingSpec, lifts) -> ParameterChart | None:
         if h.constant_term():
             return None  # not a local automorphism
         substitution[v] = ring.variable(v) - h
-    chart = ParameterChart(ring, tuple(pivots), substitution)
     for k, v in enumerate(pivots):  # exactness check
-        if chart.transform_poly(work[k]) != ring.variable(v):
+        if work[k].substitute(substitution) != ring.variable(v):
             raise AssertionError("chart substitution failed verification")
-    return chart
+    return tuple(pivots), substitution

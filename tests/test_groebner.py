@@ -15,6 +15,7 @@ from hilbsam.errors import NotLocallyFinite, PackedRangeExceeded, ResourceLimit,
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
     IdealHandle,
+    autoreduce,
     colon,
     colon_ideal,
     colength_at_cutoff,
@@ -215,7 +216,7 @@ def test_truncated_colength_monotone():
 
 def test_oracle_matches_groebner_counts():
     J = ideal(R2, ["x^3", "x*y", "y^4 - x^2"])
-    for n in range(2, 9):
+    for n in range(9):
         assert truncation_colength_oracle(J, n) == colength_at_cutoff(J, n)
 
 
@@ -464,21 +465,29 @@ def test_packed_keys_follow_the_monomial_order(case):
 
 
 def test_elimination_runs_on_packed_keys(monkeypatch):
+    # lex too: no engine path takes a key from MonomialOrder.key
     tuple_key = MonomialOrder.key
 
-    def refuse_elim(order, exps):
-        if order.kind == "elim":
-            raise AssertionError("elimination key taken from the exponent tuple")
+    def refuse_elim_and_lex(order, exps):
+        if order.kind in ("elim", "lex"):
+            raise AssertionError(f"{order.kind} key taken from the exponent tuple")
         return tuple_key(order, exps)
 
     monkeypatch.setattr(groebner, "_GB_MEMO", {})
-    monkeypatch.setattr(MonomialOrder, "key", refuse_elim)
+    monkeypatch.setattr(MonomialOrder, "key", refuse_elim_and_lex)
     I, J = ideal(R2, ["x^2", "x*y"]), ideal(R2, ["y^2"])
     assert ideal_equal(intersect(I, J), ideal(R2, ["x*y^2"]))
     assert ideal_equal(colon(ideal(R2, ["x^2*y - y"]), P("y")), ideal(R2, ["x^2 - 1"]))
     I = ideal(R2, ["x^3*y", "x^2*y^2"])
     assert ideal_equal(saturate(I, ideal(R2, ["x", "y"])), ideal(R2, ["x^2*y"]))
     assert ideal_equal(saturate(I, ideal(R2, ["x"])), ideal(R2, ["y"]))
+    R = RingSpec(("t", "x", "y", "z"), GF32003)
+    gb = ideal(R, ["t - x", "t^2 - y", "t^3 - z"]).groebner(LEX)  # the twisted cubic
+    expected = ["t - x", "x^2 - y", "x*y - z", "x*z - y^2", "y^3 - z^2"]
+    assert set(gb.elements) == {P(g, R) for g in expected}
+    assert sorted(gb.leading_monomials) == [(0, 0, 3, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (1, 0, 0, 0)]
+    assert normal_form(P("t^5 + y*z", R), gb) == P("2*y*z", R)
+    assert autoreduce(R, [P("x^2 - y", R), P("x^3 - x*y + z", R)], LEX) == [P("x^2 - y", R), P("z", R)]
 
 
 @st.composite
@@ -595,7 +604,7 @@ def _small_ideals(draw):
 @given(_small_ideals())
 @settings(max_examples=60, deadline=5000)
 def test_truncated_colengths_match_the_rank_oracle(J):
-    for cutoff in range(1, 6):
+    for cutoff in range(6):
         assert colength_at_cutoff(J, cutoff) == truncation_colength_oracle(J, cutoff)
 
 

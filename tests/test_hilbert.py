@@ -163,8 +163,9 @@ def _assert_powers_match_raw(A, I, n_max):
 
 def test_power_bases_match_raw_powers_through_a_chart():
     A = two_planes(2)
-    A2, lifts, _ = _normalized(A, [parse_poly(A.ring, "X*Y-Z"), parse_poly(A.ring, "X^2+Y^2-W")])
+    A2, lifts, _, weights = _normalized(A, [parse_poly(A.ring, "X*Y-Z"), parse_poly(A.ring, "X^2+Y^2-W")])
     assert lifts == (A.ring.variable("Z"), A.ring.variable("W"))
+    assert weights == (0, 0, 1, 1)
     _assert_powers_match_raw(A2, IdealHandle(A.ring, lifts), 3)
 
 
@@ -484,7 +485,9 @@ def test_a_pickled_spec_keeps_its_chart(monkeypatch):
 
     A = two_planes(2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    assert Q._chart[2][0]._hash is not None  # the chart's lifts were hashed
+    for f in Q._chart[2]:
+        hash(f)  # caches the hash on each of the chart's lifts
+    assert all(f._hash is not None for f in Q._chart[2])
     A2, Q2, n_max = pickle.loads(pickle.dumps((A, Q, 5)))
     assert Q2._chart[0] is A2
     assert all(f._hash is None for f in Q2._chart[2])  # string hashes are per process
@@ -525,8 +528,8 @@ def _chart_systems(draw):
 @settings(max_examples=20, deadline=30000, derandomize=True)
 def test_local_basis_samples_match_the_power_colengths(case):
     A, lifts, n_max = case
-    A2, lifts2, _ = _normalized(A, lifts)
-    local = hilbert._local_basis(A2, lifts2)
+    A2, lifts2, _, weights = _normalized(A, lifts)
+    local = hilbert._local_basis(A2, weights)
     assert local is not None
     try:
         H = hilbert._chart_colengths(local, n_max)
@@ -561,7 +564,8 @@ def test_hs_function_on_a_chart_never_samples_the_powers(monkeypatch):
 def test_hs_function_falls_back_without_a_chart(monkeypatch):
     A = regular2()
     lifts = [parse_poly(A.ring, "x^2"), parse_poly(A.ring, "y^2")]
-    assert hilbert._local_basis(A, lifts) is None
+    assert _normalized(A, lifts)[3] is None
+    assert hilbert._local_basis(A, None) is None
     calls = spy_power_chains(monkeypatch)
     assert hs_function(A, parameter_ideal(A, lifts), 3) == {n: 4 * comb(n + 2, 2) for n in range(4)}
     assert len(calls) == 1
@@ -572,7 +576,7 @@ def test_hs_function_takes_the_chart_at_sixteen_variables(monkeypatch):
     R = RingSpec(tuple(f"v{i}" for i in range(16)), GF32003)
     A = QuotientRingSpec(R, IdealHandle(R, [R.variable(i) for i in range(2, 16)]), 2)
     Q = parameter_ideal(A, ["v0", "v1"])
-    assert hilbert._local_basis(A, Q.lifts) is not None
+    assert hilbert._chart_of(A, Q)[3] is not None
     calls = spy_power_chains(monkeypatch)
     assert hs_function(A, Q, 3) == {n: comb(n + 2, 2) for n in range(4)}
     assert calls == []
@@ -592,9 +596,10 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
     # the chart's local basis is built (and here refused) once, by
     # parameter_ideal, which then takes the colength path
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    A2, lifts, _ = _normalized(A, Q.lifts)
+    A2, _, _, weights = _normalized(A, Q.lifts)
+    assert hilbert._chart_of(A, Q)[3] is None
     with pytest.raises(ResourceLimit):
-        tiny_budget(A2.defining, (0, 0, 1, 1))
+        tiny_budget(A2.defining, weights)
     calls = spy_power_chains(monkeypatch)
     assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
     assert len(calls) == 1
@@ -644,17 +649,24 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
     assert cert is not None
     A.chain(I).basis(cert + 1)
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"a basis was built for {self}")
+    def refuse(*args):
+        raise AssertionError(f"a basis was built or a chain extended from {args}")
 
-    monkeypatch.setattr(IdealHandle, "groebner", refuse)
+    def refuse_bases_and_steps():
+        # a handle's cached basis is read without a call to _compute_basis;
+        # a chain step goes through product_basis or autoreduced_product
+        monkeypatch.setattr(groebner, "_compute_basis", refuse)
+        monkeypatch.setattr(hilbert, "product_basis", refuse)
+        monkeypatch.setattr(hilbert, "autoreduced_product", refuse)
+
+    refuse_bases_and_steps()
     assert is_reduction(A, Q, I) == cert
     monkeypatch.undo()
     not_a_reduction = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
     m = maximal_ideal(A.ring)
     for n in range(4):
         A.chain(m).basis(n)
-    monkeypatch.setattr(IdealHandle, "groebner", refuse)
+    refuse_bases_and_steps()
     assert is_reduction(A, not_a_reduction, m, n_cap=2) is None
 
 
