@@ -59,7 +59,7 @@ PAIR_BUDGET = 200_000
 VERIFY = False
 _ORACLE_LIMIT = 400
 
-_GB_MEMO: dict = {}
+_GB_MEMO: dict = {}  # stores nothing: the benchmark's pass runner still reads this name
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +519,7 @@ class GroebnerBasis:
 
     @property
     def leading_monomials(self) -> list[Monomial]:
-        if self._lts is None:
-            key = self.order.key
-            self._lts = [max(f.terms, key=key) for f in self.elements]
-        return list(self._lts)
+        return list(self._lts)  # set by _basis, the only builder
 
     def _raw_elems(self, pk: _Packing) -> list[_Elem]:
         """The elements as packed reducers (built once; pk packs this
@@ -609,7 +606,11 @@ def _standard_monomials(
 
 
 class IdealHandle:
-    """Generator list plus cached reduced Groebner bases per order."""
+    """Generator list plus what is computed from it, kept for the life of
+    the handle in _cache: reduced Groebner bases per (order, truncation),
+    the colon and saturation parts per divisor (_part), the colons and
+    saturations per divisor generators (_by_generators), and per variable
+    x_i the basis of I^h with x_i last (_by_monomial)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -651,22 +652,6 @@ class IdealHandle:
         return gb
 
 
-def _gens_sig(gens) -> tuple:
-    return tuple(tuple(sorted((m, str(c)) for m, c in g.terms.items())) for g in gens)
-
-
-def _memo_key(ring, order, gens, trunc):
-    return (str(ring.field), ring.variables, order.kind, order.block, order.weights, trunc, _gens_sig(gens))
-
-
-def _memoized(memo_key, build) -> GroebnerBasis:
-    """The basis under memo_key: from the process memo, or build()."""
-    gb = _GB_MEMO.get(memo_key)
-    if gb is None:
-        gb = _GB_MEMO[memo_key] = build()
-    return gb
-
-
 def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> GroebnerBasis:
     """The engine's minimal elements as a basis; known as in
     _Packing.polynomials."""
@@ -678,14 +663,10 @@ def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> Gro
 def _compute_basis(ring, order, gens, trunc, reduce_tails) -> GroebnerBasis:
     if trunc is not None and not order.degree_compatible:
         raise ValueError("truncated bases need a degree-compatible order")
-
-    def build():
-        pk = _packing(ring.nvars, order)
-        raw = [pk.sorted_terms(f.terms, trunc) for f in gens]
-        minimal = _engine(pk, ring.field, raw, trunc, reduce_tails)
-        return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
-
-    return _memoized(_memo_key(ring, order, gens, trunc), build)
+    pk = _packing(ring.nvars, order)
+    raw = [pk.sorted_terms(f.terms, trunc) for f in gens]
+    minimal = _engine(pk, ring.field, raw, trunc, reduce_tails)
+    return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +703,7 @@ def _autoreduced_product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Pol
 
 
 def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> GroebnerBasis:
-    """The reduced degrevlex basis of a + (F)·(H), memoized by the factors.
+    """The reduced degrevlex basis of a + (F)·(H).
 
     F is a reduced degrevlex basis, whose packed elements are multiplied as
     it holds them.  The products are formed on packed monomials and go to
@@ -734,15 +715,9 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
     (AssertionError on a difference)."""
     ring = a.ring
     pk = _packing(ring.nvars, DEGREVLEX)
-
-    def build():
-        minimal = _engine(pk, ring.field, _product_gens(pk, a, F, H))
-        gb = _basis(ring, DEGREVLEX, pk, minimal, None, (m for g in a.generators for m in g.terms))
-        gb._raw = minimal
-        return gb
-
-    memo_key = ("product", _memo_key(ring, DEGREVLEX, a.generators, None), _gens_sig(F.elements), _gens_sig(H))
-    gb = _memoized(memo_key, build)
+    minimal = _engine(pk, ring.field, _product_gens(pk, a, F, H))
+    gb = _basis(ring, DEGREVLEX, pk, minimal, None, (m for g in a.generators for m in g.terms))
+    gb._raw = minimal
     if VERIFY and gb.elements != _autoreduced_product_basis(a, F, H).elements:
         raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
@@ -995,19 +970,23 @@ def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
 
 
 def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
-    """I : f, or with saturate I : f^inf: by _by_monomial for a monomial f,
-    generated by its reduced degrevlex basis; otherwise by
-    _colon_by_intersection or by _saturation_by_elimination.
+    """I : f, or with saturate I : f^inf, kept on I per f: by _by_monomial
+    for a monomial f, generated by its reduced degrevlex basis; otherwise
+    by _colon_by_intersection or by _saturation_by_elimination.
 
     In verify mode, a monomial part is checked against the other way
     (AssertionError on a difference)."""
+    what = "saturation" if saturate else "colon"
+    if (what, f) in I._cache:
+        return I._cache[what, f]
     other = _saturation_by_elimination if saturate else _colon_by_intersection
     if len(f.terms) > 1:
-        return other(I, f)
-    part = IdealHandle.of_basis(_by_monomial(I, next(iter(f.terms)), saturate))
-    if VERIFY and list(part.generators) != list(other(I, f).groebner().elements):
-        what = "saturation" if saturate else "colon"
-        raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
+        part = other(I, f)
+    else:
+        part = IdealHandle.of_basis(_by_monomial(I, next(iter(f.terms)), saturate))
+        if VERIFY and list(part.generators) != list(other(I, f).groebner().elements):
+            raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
+    I._cache[what, f] = part
     return part
 
 
@@ -1039,7 +1018,10 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
         swap = list(range(h + 1))
         swap[i], swap[h] = h, i  # x_i last, h in its place
         ring_p = RingSpec(tuple(ring_h.variables[j] for j in swap), ring.field)
-        gb = IdealHandle(ring_p, [_permuted(ring_p, f, swap) for f in gens]).groebner()
+        step = IdealHandle(ring_p, [_permuted(ring_p, f, swap) for f in gens])
+        if not any(u[:i]):  # the first step, I^h with x_i last: kept on I
+            step = I._cache.setdefault(("homogenized", i), step)
+        gb = step.groebner()
         gens = []
         for f in gb.elements:
             k = min(m[-1] for m in f.terms)
@@ -1057,13 +1039,16 @@ def _permuted(ring: RingSpec, f: Polynomial, perm: list[int]) -> Polynomial:
 
 def _by_generators(I: IdealHandle, J: IdealHandle, what: str, part) -> IdealHandle:
     """∩_g part(g) over the autoreduced generators g of J, intersected in
-    turn; raises ZeroDivisor when J is zero."""
+    turn and kept on I per generators of J; raises ZeroDivisor when J is
+    zero."""
     if I.ring != J.ring:
         raise MixedRings("ideals from different rings")
-    gens = autoreduce(I.ring, list(J.generators))
-    if not gens:
-        raise ZeroDivisor(f"{what} by the zero ideal")
-    return reduce(intersect, map(part, gens))
+    if (what, J.generators) not in I._cache:
+        gens = autoreduce(I.ring, list(J.generators))
+        if not gens:
+            raise ZeroDivisor(f"{what} by the zero ideal")
+        I._cache[what, J.generators] = reduce(intersect, map(part, gens))
+    return I._cache[what, J.generators]
 
 
 def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:

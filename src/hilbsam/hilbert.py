@@ -70,14 +70,16 @@ class QuotientRingSpec:
 
     The declared dimension is validated a posteriori: coefficient
     extraction fails unless the (d+1)-st finite differences of the sampled
-    Hilbert function vanish on the stabilization window.  _chains: see
-    chain.
+    Hilbert function vanish on the stabilization window.  A keeps, for
+    its life, one handle of defining + I per generators of I (_sums: see
+    plus) and one PowerChain per (I, start) (_chains: see chain).
     """
 
     ring: RingSpec
     defining: IdealHandle
     dim: int
     cap: int = 64  # every colength's cutoff cap
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,7 +90,14 @@ class QuotientRingSpec:
                 raise ValueError("defining ideal has a generator with a unit constant term")
 
     def plus(self, I: IdealHandle) -> IdealHandle:
-        return ideal_sum(self.defining, I)
+        """The handle of defining + I, one per generators of I (defining
+        itself for none): every call reads the bases, colons and
+        saturations of the calls before it."""
+        if not I.generators:
+            return self.defining
+        if I.generators not in self._sums:
+            self._sums[I.generators] = ideal_sum(self.defining, I)
+        return self._sums[I.generators]
 
     def chain(self, I: IdealHandle, start: IdealHandle | None = None) -> PowerChain:
         """The PowerChain of (self, I, start), one per generators of I and
@@ -184,9 +193,9 @@ class PowerChain:
     and S = start (default: the unit ideal), each built once on demand with
     its reduced degrevlex basis and, when asked, its colength l_A(A/S * I^n).
     A.chain(I, start) keeps one chain per (A, I, start) for the life of A,
-    and every caller that asks again on (A, I) reads that one; the
-    constructor builds a fresh chain, as hs_function's fallback and
-    is_superficial do for their charts' chains of a + Q^n, which no later
+    and every caller that asks again on (A, I) reads that one (hs_function's
+    fallback asks its chart's A); the constructor builds a fresh chain, as
+    is_superficial does for its chart's chain of a + Q^n, which no later
     call reads.  known is an n at which a candidate's certificate held, where the
     next certificate search starts.
 
@@ -276,7 +285,7 @@ def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = 
     A2, lifts, _, local = _chart_of(A, Q)
     H = _chart_colengths(local, n_max)
     if H is None or groebner.VERIFY:
-        chain = PowerChain(A2, IdealHandle(A.ring, lifts))
+        chain = A2.chain(IdealHandle(A.ring, lifts))
         by_powers = {n: chain.colength(n + 1) for n in range(n_max + 1)}
         if H is not None and H != by_powers:
             raise AssertionError(f"local standard basis gives {H}, the powers give {by_powers}")

@@ -494,7 +494,7 @@ class TaskRunner:
     def cmd_unmixed(self, read):
         A, a = read("quotient"), read("a")
         U = unmixed_component(A, a, read("b"))
-        qlen = sat_quotient_length(ideal_sum(A.defining, IdealHandle(self.p.ring, [a])))
+        qlen = sat_quotient_length(A.plus(IdealHandle(self.p.ring, [a])))
         return (
             {"generators": [str(g) for g in U.generators], "quotient_length": qlen},
             qlen,

@@ -198,14 +198,13 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
     for all i <= j, computed in R with the defining ideal added.  With
     all_orders, every permutation of the given sequence is checked."""
     A2, elems, *_ = _normalized(A, elems)
-    defining = A2.defining
-    gb = defining.groebner()
+    gb = A2.defining.groebner()
     if any(normal_form(e, gb).is_zero() for e in elems):
         raise ValueError("sequence member vanishes in A")
     orders = permutations(elems) if all_orders else [tuple(elems)]
     for seq in orders:
         for i in range(1, len(seq) + 1):
-            prefix = ideal_sum(defining, IdealHandle(A.ring, seq[: i - 1]))
+            prefix = A2.plus(IdealHandle(A.ring, seq[: i - 1]))
             for j in range(i, len(seq) + 1):
                 lhs = colon(prefix, seq[i - 1] * seq[j - 1])
                 rhs = colon(prefix, seq[j - 1])
@@ -216,8 +215,7 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
 
 def unmixed_component(A: QuotientRingSpec, a: Polynomial, b: Polynomial) -> IdealHandle:
     """U(a) = union of (a) : b^n, as the saturation of defining + (a) by b."""
-    base = ideal_sum(A.defining, IdealHandle(A.ring, [a]))
-    out = saturate(base, IdealHandle(A.ring, [b]))
+    out = saturate(A.plus(IdealHandle(A.ring, [a])), IdealHandle(A.ring, [b]))
     gb = out.groebner()
     if not normal_form(a, gb).is_zero():
         raise AssertionError("U(a) does not contain (a); engine bug")

@@ -366,7 +366,6 @@ def test_resource_limit(monkeypatch):
     R = ring4()
     gens = ["X^3*Y + Z*W^2", "Y^3*Z + X*W^2", "Z^3 - X*Y*W"]
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     with pytest.raises(ResourceLimit):
         ideal(R, gens).groebner(LEX)
 
@@ -473,7 +472,6 @@ def test_elimination_runs_on_packed_keys(monkeypatch):
             raise AssertionError(f"{order.kind} key taken from the exponent tuple")
         return tuple_key(order, exps)
 
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     monkeypatch.setattr(MonomialOrder, "key", refuse_elim_and_lex)
     I, J = ideal(R2, ["x^2", "x*y"]), ideal(R2, ["y^2"])
     assert ideal_equal(intersect(I, J), ideal(R2, ["x*y^2"]))
@@ -560,8 +558,7 @@ def test_packed_range_refusal_is_raised_when_the_ladder_fails(tmp_path, capsys):
     assert "packed range" in capsys.readouterr().err
 
 
-def test_basis_and_autoreduce_share_exponent_tuples(monkeypatch):
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+def test_basis_and_autoreduce_share_exponent_tuples():
     R3 = RingSpec(("x", "y", "z"), GF32003)
     gens = [P(g, R3) for g in ("x^2 - y*z", "x*y - z^2", "y^2 - x*z", "x^2*y - z^3")]
     inputs = {m: m for g in gens for m in g.terms}
@@ -670,7 +667,6 @@ def test_monomial_colons_and_saturations_take_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("an elimination basis was built")
 
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     monkeypatch.setattr(groebner, "_eliminate", refuse)
     assert colon(I, P("3*x*y")).generators == tuple(expected_colon)
     assert saturate(I, ideal(R2, ["x"])).generators == expected_sat
@@ -683,7 +679,6 @@ def test_sat_quotient_length_builds_no_truncated_basis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a truncated basis was built")
 
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     monkeypatch.setattr(IdealHandle, "truncated_groebner", refuse)
     assert sat_quotient_length(J) == 4
 
@@ -694,7 +689,6 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
     assert sat_quotient_length(ideal(R2, ["x^3", "x*y"])) == 2
     # a wrong answer from the homogenized path is caught
     monkeypatch.setattr(groebner, "_by_monomial", lambda I, u, saturate: I.groebner())
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     with pytest.raises(AssertionError, match="colon by a monomial"):
         colon(I, P("y"))
     with pytest.raises(AssertionError, match="saturation by a monomial"):
@@ -965,7 +959,6 @@ def test_product_entries_are_checked_in_verify_mode(verify_mode, monkeypatch):
     assert product_equals(a, F, H, K) is False
     # a wrong answer from the packed run is caught
     monkeypatch.setattr(groebner, "_product_gens", lambda pk, a, F, H: [pk.sorted_terms(g.terms) for g in a.generators])
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     with pytest.raises(AssertionError, match="product basis"):
         product_basis(a, F, H)
     with pytest.raises(AssertionError, match="product equality"):
@@ -989,7 +982,6 @@ def test_product_equals_stops_once_the_target_is_covered(monkeypatch):
     assert product_equals(a, one, H, K)
     assert calls == [False, False]  # xy against x^2 - y, then one S-pair
     calls.clear()
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     assert product_basis(a, one, H).elements == K.elements
     assert calls.count(False) > 2
 
@@ -1065,13 +1057,11 @@ def test_monomial_ideals_are_based_by_their_minimal_generators(case):
     expected = _minimal_monomials(ring, [next(iter(g.terms)) for g in gens], order)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(groebner, "_gm_update", _refuse_pairs)
-        m.setattr(groebner, "_GB_MEMO", {})
         assert IdealHandle(ring, gens).groebner(order).elements == expected
 
 
 def test_monomial_runs_build_no_pair_set(monkeypatch):
     monkeypatch.setattr(groebner, "_gm_update", _refuse_pairs)
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     # truncated below 4, x*y + x^5 keeps one term and x^6 none
     J = ideal(R2, ["x*y + x^5", "y^3 - x^4", "x^6"])
     assert J.truncated_groebner(4).elements == _minimal_monomials(R2, [(1, 1), (0, 3)], DEGREVLEX)
@@ -1086,7 +1076,6 @@ def test_monomial_runs_build_no_pair_set(monkeypatch):
 def test_monomial_ideals_need_no_pair_budget(monkeypatch):
     # they spend no pairs, so a zero budget no longer refuses them (exit 3)
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     gb = ideal(R2, ["y^3", "2*x^2*y", "x*y", "x^2"]).groebner()
     assert [str(g) for g in gb.elements] == ["x*y", "x^2", "y^3"]
     with pytest.raises(ResourceLimit):

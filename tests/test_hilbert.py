@@ -107,7 +107,6 @@ def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeyp
     def tiny_budget(J, weights):
         with monkeypatch.context() as m:
             m.setattr(groebner, "PAIR_BUDGET", 1)
-            m.setattr(groebner, "_GB_MEMO", {})
             return real(J, weights)
 
     monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
@@ -188,7 +187,6 @@ def test_power_bases_start_and_budget_fallback(monkeypatch):
     # generators, and the ideals stay the same
     I = ideal(A.ring, ["X*Y-Z", "X^2+Y^2-W"])
     monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     chain = PowerChain(A, I, start=I)
     handles = [chain.ideal(n) for n in range(3)]
     with pytest.raises(ResourceLimit):
@@ -196,6 +194,17 @@ def test_power_bases_start_and_budget_fallback(monkeypatch):
     monkeypatch.undo()
     raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
     assert [local_colength(J) for J in handles] == raw
+
+
+def test_a_keeps_one_handle_of_a_plus_i_per_generators():
+    # what a + I computes (bases, colons, saturations) serves every later
+    # call on A with the same generators; a + (0) is a itself
+    A = two_planes(2)
+    J = A.plus(ideal(A.ring, ["X-Z"]))
+    assert A.plus(ideal(A.ring, ["X-Z"])) is J
+    assert J.generators == A.defining.generators + (parse_poly(A.ring, "X-Z"),)
+    assert A.plus(ideal(A.ring, ["Z-X"])) is not J
+    assert A.plus(IdealHandle(A.ring, [])) is A.defining
 
 
 def _power_colengths(A, I, n_max):
@@ -589,7 +598,6 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
     def tiny_budget(J, weights):
         with monkeypatch.context() as m:
             m.setattr(groebner, "PAIR_BUDGET", 1)
-            m.setattr(groebner, "_GB_MEMO", {})
             return real(J, weights)
 
     monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
@@ -621,7 +629,6 @@ def test_lambda_map_builds_the_power_chain_once(monkeypatch):
 def test_power_step_from_a_basis_multiplies_packed_terms(monkeypatch):
     # with the previous basis at hand, a step neither multiplies polynomials
     # nor autoreduces a product list
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     A = two_planes(2)
     I = big_i(A, 2)
     chain = PowerChain(A, I, start=I)
@@ -742,7 +749,6 @@ def test_certificates_after_the_first_start_at_the_known_n(monkeypatch):
 def test_certificate_with_a_negative_cap_makes_no_run(monkeypatch):
     A = two_planes(2)
     Q = parameter_ideal(A, ["X+Z", "Y+W"])
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     runs = _count_product_equals(monkeypatch)
     engine_runs = []
     real = groebner._engine

@@ -2,11 +2,17 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import hilbsam
+from hilbsam import groebner
+from hilbsam.suite import run_paper_suite
 
 _FORKING_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
+# the seed-0 suite runs over primes no other test uses, one per test: no
+# earlier test in the process has computed anything of them
+_FRESH_FIELDS = ("fp:10007", "fp:10009")
 
 
 def test_every_exported_name_resolves():
@@ -42,6 +48,43 @@ def test_the_package_never_forks():
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(), str(path))) if _forks(node)]
     assert found == []
+
+
+def _module_level(kind) -> dict:
+    """{name: value} of every module-level value of the package of the
+    given kind (dunder names aside)."""
+    return {f"{name}.{attr}": value for name, module in list(sys.modules.items())
+            if name == "hilbsam" or name.startswith("hilbsam.")
+            for attr, value in vars(module).items() if not attr.startswith("__") and isinstance(value, kind)}
+
+
+def test_no_module_level_container_grows_while_the_suite_runs():
+    # every basis, colon and chain lives on the ideal, quotient or
+    # parameter ideal that owns it, and goes with it: a module-level dict,
+    # list or set that grows is a process-wide cache.  The only
+    # process-wide caches are the packings per (number of variables,
+    # order) and the field operations per field, both lru-cached.
+    before = {name: len(value) for name, value in _module_level((dict, list, set)).items()}
+    assert run_paper_suite(field=_FRESH_FIELDS[0], seed=0).ok
+    grown = {name: (before[name], len(value)) for name, value in _module_level((dict, list, set)).items()
+             if len(value) > before.get(name, len(value))}
+    assert grown == {}
+    cached = {f"{f.__module__}.{f.__qualname__}" for f in _module_level(object).values() if hasattr(f, "cache_info")}
+    assert cached == {"hilbsam.exactalg.field_ops", "hilbsam.groebner._packing"}
+
+
+def test_the_suite_makes_the_same_engine_runs_every_time(monkeypatch):
+    # a second run in the same process computes everything again: nothing
+    # of the first outlives its problem
+    runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: runs.append(1) or real(*a, **k))
+    counts = []
+    for _ in range(2):
+        assert run_paper_suite(field=_FRESH_FIELDS[1], seed=0).ok
+        counts.append(len(runs))
+        runs.clear()
+    assert counts[0] == counts[1] > 0
 
 
 def test_the_benchmark_hooks_resolve():

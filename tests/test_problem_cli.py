@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hilbsam import groebner
 from hilbsam.cli import main
 from hilbsam.errors import InputError
 from hilbsam.problem import load_problem, parse_field, parse_order, run_problem
@@ -469,6 +470,23 @@ def test_local_commands_run_through_the_cli(tmp_path, capsys):
     tasks = json.loads(capsys.readouterr().out)["tasks"]
     assert [(t["primary"], t["pass"]) for t in tasks] == [(-2, True), (-2, True), (4, True), (2, True)]
     assert tasks[3]["result"]["generators"] == ["X - Z", "Z^2", "Y^2*W", "Y^2*Z"]
+
+
+def test_slice_then_unmixed_saturate_by_m_once(monkeypatch):
+    # both tasks read a + (a) from the one handle A keeps, so the slice's
+    # J : m^inf (one intersection per variable after the first) is the
+    # unmixed task's quotient length too; the saturation by Y - W is by
+    # elimination, which intersects nothing
+    problem = load_problem(_doc(
+        {"name": "slice", "command": "slice-e1", "quotient": "A", "a": "X-Z"},
+        {"name": "unmixed", "command": "unmixed", "quotient": "A", "a": "X-Z", "b": "Y-W"},
+    ))
+    calls = []
+    real = groebner.intersect
+    monkeypatch.setattr(groebner, "intersect", lambda I, J: calls.append(1) or real(I, J))
+    report = run_problem(problem)
+    assert [t.primary for t in report.tasks] == [-2, 2]
+    assert len(calls) == 3
 
 
 def test_sally_nmax_zero_is_an_input_error(tmp_path, capsys):

@@ -305,7 +305,6 @@ def test_chart_checkers_take_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("an elimination basis was built")
 
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
     monkeypatch.setattr(groebner, "_eliminate", refuse)
     assert not is_d_sequence(A, diag, all_orders=True)
     assert is_superficial(A, Q, diag[0])

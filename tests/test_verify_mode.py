@@ -16,9 +16,9 @@ DATA = Path(__file__).parent / "data"
 R2 = RingSpec(("x", "y"), GF32003)
 
 
-def test_the_seed0_suite_under_verify_mode_matches_the_golden_json(verify_mode, monkeypatch):
-    # an empty memo: every basis of the suite is built, and checked, here
-    monkeypatch.setattr(groebner, "_GB_MEMO", {})
+def test_the_seed0_suite_under_verify_mode_matches_the_golden_json(verify_mode):
+    # no basis outlives its problem: every basis of the suite is built, and
+    # checked, here
     text = json.dumps(run_paper_suite(field="fp:32003", seed=0).to_json(), sort_keys=True, indent=2)
     assert text + "\n" == (DATA / "suite_paper_fp_seed0.json").read_text(encoding="utf-8")
 
