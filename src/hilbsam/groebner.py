@@ -506,7 +506,8 @@ def _minimal(elems: list[_Elem], pk: _Packing) -> list[_Elem]:
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis; with trunc_degree set, a basis of J + m^T."""
+    """Reduced Groebner basis; with trunc_degree set, a basis of J + m^T.
+    The terms of each element run descending in the order."""
 
     ring: RingSpec
     order: MonomialOrder
@@ -515,11 +516,11 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._raw = None
-        self._lts = None
+        self._lts = [next(iter(f.terms)) for f in self.elements]
 
     @property
     def leading_monomials(self) -> list[Monomial]:
-        return list(self._lts)  # set by _basis, the only builder
+        return list(self._lts)
 
     def _raw_elems(self, pk: _Packing) -> list[_Elem]:
         """The elements as packed reducers (built once; pk packs this
@@ -609,8 +610,9 @@ class IdealHandle:
     """Generator list plus what is computed from it, kept for the life of
     the handle in _cache: reduced Groebner bases per (order, truncation),
     the colon and saturation parts per divisor (_part), the colons and
-    saturations per divisor generators (_by_generators), and per variable
-    x_i the basis of I^h with x_i last (_by_monomial)."""
+    saturations per divisor generators (_by_generators), per variable x_i
+    the basis of I^h with x_i last (_by_monomial), and per chart weights
+    the leading monomials of a local basis (hilbert._chart_colengths)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -655,9 +657,7 @@ class IdealHandle:
 def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> GroebnerBasis:
     """The engine's minimal elements as a basis; known as in
     _Packing.polynomials."""
-    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
-    gb._lts = [next(iter(f.terms)) for f in gb.elements]  # the terms run descending
-    return gb
+    return GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
 
 
 def _compute_basis(ring, order, gens, trunc, reduce_tails) -> GroebnerBasis:
@@ -896,15 +896,15 @@ def _lift(f: Polynomial, ring2: RingSpec) -> Polynomial:
 
 
 def _eliminate(ring: RingSpec, ring2: RingSpec, gens2: list[Polynomial]) -> IdealHandle:
-    """(gens2) ∩ R for gens2 in ring2 = R[t]: the t-free elements of the
-    elimination_order(1) basis, which are the reduced degrevlex basis of the
-    intersection."""
+    """(gens2) ∩ R for gens2 in ring2 = R[t], keeping its reduced degrevlex
+    basis: the t-free elements of the elimination_order(1) basis, in the
+    order a degrevlex run returns (verify mode checks them against one)."""
     gb = IdealHandle(ring2, gens2).groebner(elimination_order(1))
-    out = []
-    for f in gb.elements:
-        if all(m[0] == 0 for m in f.terms):
-            out.append(Polynomial(ring, {m[1:]: c for m, c in f.terms.items()}, _canonical=True))
-    return IdealHandle(ring, out)
+    out = [Polynomial(ring, {m[1:]: c for m, c in f.terms.items()}, _canonical=True)
+           for f in gb.elements if all(m[0] == 0 for m in f.terms)]
+    if VERIFY and out != _compute_basis(ring, DEGREVLEX, out, None, True).elements:
+        raise AssertionError("the elimination's t-free elements are not the reduced degrevlex basis")
+    return IdealHandle.of_basis(GroebnerBasis(ring, DEGREVLEX, out))
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:

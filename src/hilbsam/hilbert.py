@@ -72,7 +72,8 @@ class QuotientRingSpec:
     extraction fails unless the (d+1)-st finite differences of the sampled
     Hilbert function vanish on the stabilization window.  A keeps, for
     its life, one handle of defining + I per generators of I (_sums: see
-    plus) and one PowerChain per (I, start) (_chains: see chain).
+    plus), one PowerChain per (I, start) (_chains: see chain) and one
+    parameter chart per lifts (_charts: see chart).
     """
 
     ring: RingSpec
@@ -81,6 +82,7 @@ class QuotientRingSpec:
     cap: int = 64  # every colength's cutoff cap
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _charts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -109,14 +111,34 @@ class QuotientRingSpec:
             self._chains[key] = PowerChain(self, I, start)
         return self._chains[key]
 
+    def chart(self, lifts) -> tuple:
+        """(A2, lifts2, move, weights), kept per lifts for the life of this
+        object, so every check on them shares A2's bases, colons and local
+        bases: A and the lifts rewritten through their parameter chart
+        (pivots, substitution; colengths are invariant) when one applies,
+        the lifts becoming the pivot variables; move, rewriting other
+        polynomials alike (a picklable partial; list without a chart); the
+        weights, 1 on the pivots, 0 elsewhere (None without a chart)."""
+        key = tuple(lifts)
+        if key not in self._charts:
+            chart = parameter_chart(self.ring, key)
+            if chart is None:
+                self._charts[key] = self, key, list, None
+            else:
+                pivots, substitution = chart
+                move = partial(_substituted, substitution)
+                defining = IdealHandle(self.ring, move(self.defining.generators))
+                self._charts[key] = (QuotientRingSpec(self.ring, defining, self.dim, self.cap),
+                                     tuple(self.ring.variable(i) for i in pivots), move,
+                                     tuple(int(i in pivots) for i in range(self.ring.nvars)))
+        return self._charts[key]
+
 
 @dataclass
 class ParameterIdealSpec:
-    """Parameter ideal given by d lifts to R; construct via parameter_ideal.
-    _chart: see _chart_of."""
+    """Parameter ideal given by d lifts to R; construct via parameter_ideal."""
 
     lifts: tuple[Polynomial, ...]
-    _chart: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
@@ -130,9 +152,9 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
     Q = ParameterIdealSpec(polys)
-    A2, lifts, _, local = _chart_of(A, Q)
+    A2, lifts, _, weights = A.chart(polys)
     try:
-        verdict = _chart_colengths(local, 0)  # None: no chart verdict
+        verdict = _chart_colengths(A2.defining, weights, 0)  # None: no chart verdict
     except NotLocallyFinite as exc:
         verdict = exc
     if verdict is None or groebner.VERIFY:
@@ -157,34 +179,6 @@ def _substituted(substitution: dict[int, Polynomial], polys) -> list[Polynomial]
     return [f.substitute(substitution) for f in polys]
 
 
-def _normalized(A: QuotientRingSpec, lifts) -> tuple:
-    """(A2, lifts2, move, weights): A and the parameter lifts rewritten
-    through the parameter chart (pivots, substitution) when one applies, so
-    the lifts become the pivot variables; move, which rewrites further
-    polynomials the same way (a picklable partial; list when no chart
-    applies); and the chart's weights, 1 on the pivots and 0 elsewhere
-    (None when no chart applies).  Colengths and ideal equalities are
-    invariant."""
-    chart = parameter_chart(A.ring, lifts)
-    if chart is None:
-        return A, tuple(lifts), list, None
-    pivots, substitution = chart
-    move = partial(_substituted, substitution)
-    A2 = QuotientRingSpec(A.ring, IdealHandle(A.ring, move(A.defining.generators)), A.dim, A.cap)
-    weights = tuple(int(i in pivots) for i in range(A.ring.nvars))
-    return A2, tuple(A.ring.variable(i) for i in pivots), move, weights
-
-
-def _chart_of(A: QuotientRingSpec, Q: ParameterIdealSpec) -> tuple:
-    """(A2, lifts, move, local): A2, lifts and move of _normalized(A,
-    Q.lifts), and the _local_basis of A2 under its weights, kept on Q for
-    this A object."""
-    if Q._chart is None or Q._chart[0] is not A:
-        A2, lifts, move, weights = _normalized(A, Q.lifts)
-        Q._chart = (A, A2, lifts, move, _local_basis(A2, weights))
-    return Q._chart[1:]
-
-
 # ---------------------------------------------------------------------------
 # powers modulo the defining ideal
 
@@ -194,10 +188,9 @@ class PowerChain:
     its reduced degrevlex basis and, when asked, its colength l_A(A/S * I^n).
     A.chain(I, start) keeps one chain per (A, I, start) for the life of A,
     and every caller that asks again on (A, I) reads that one (hs_function's
-    fallback asks its chart's A); the constructor builds a fresh chain, as
-    is_superficial does for its chart's chain of a + Q^n, which no later
-    call reads.  known is an n at which a candidate's certificate held, where the
-    next certificate search starts.
+    and is_superficial's fallbacks ask their chart's A).  known is an n at
+    which a candidate's certificate held, where the next certificate
+    search starts.
 
     A step is a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
     multiplies the previous basis (usually built by its colength) by the
@@ -244,52 +237,52 @@ class PowerChain:
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel sampling and coefficient extraction
 
-def _local_basis(A: QuotientRingSpec, weights: tuple[int, ...] | None) -> tuple | None:
-    """(weights, lts): a chart's weights from _normalized and the leading
-    monomials of the local standard basis of the defining ideal a for that
-    weighted local order; None without a chart (weights None), or when the
-    basis exceeds a resource limit."""
+def _chart_colengths(J: IdealHandle, weights: tuple[int, ...] | None, n_max: int) -> dict[int, int] | None:
+    """l(R/(J + Q^{n+1})) at the origin for n = 0..n_max, Q the ideal of the
+    pivots, from J's local standard basis for a chart's weights (kept on J,
+    a resource-limit refusal too, as None); None without a chart (weights
+    None); NotLocallyFinite when a variable of weight 0 has no pure power
+    in L(J).  L(J + Q^{n+1}) = L(J) + Q^{n+1}, so the length counts the
+    standard monomials of J of weighted degree <= n: one walk for all n."""
     if weights is None:
         return None
-    try:
-        _, lts = local_standard_basis(A.defining, weights)
-    except ResourceLimit:
+    if ("local", weights) not in J._cache:
+        try:
+            J._cache["local", weights] = local_standard_basis(J, weights)[1]
+        except ResourceLimit:
+            J._cache["local", weights] = None
+    if (lts := J._cache["local", weights]) is None:
         return None
-    return weights, lts
-
-
-def _chart_colengths(local: tuple | None, n_max: int) -> dict[int, int] | None:
-    """l_A(A/Q^{n+1}) for n = 0..n_max from a chart's _local_basis (None
-    without one); NotLocallyFinite when a + Q is not finite: a variable of
-    weight 0 has no pure power in L(a).
-
-    The leading ideal of a + Q^{n+1} for the weighted local order is
-    L(a) + Q^{n+1}, so l(A/Q^{n+1}) counts the standard monomials of a of
-    weighted degree <= n: one basis and one walk give every sample."""
-    if local is None:
-        return None
-    weights, lts = local
     counts = _staircase_counts(lts, len(weights), n_max + 1, weights)
     return dict(enumerate(accumulate(counts[n] for n in range(n_max + 1))))
 
 
+def _colengths_mod_powers(chart: tuple, J: IdealHandle, n_max: int) -> dict[int, int]:
+    """l(R/(J + Q^{n+1})) at the origin for n = 0..n_max, with chart =
+    A.chart(Q.lifts) and J ⊇ a, A2's defining ideal: by _chart_colengths,
+    or else from the colengths of the ideals of A2.chain(Q) (plus J unless
+    J is a).  With groebner.VERIFY set, both run and must agree."""
+    A2, lifts, _, weights = chart
+    H = _chart_colengths(J, weights, n_max)
+    if H is None or groebner.VERIFY:
+        chain = A2.chain(IdealHandle(A2.ring, lifts))
+        by_powers = {n: chain.colength(n + 1) if J is A2.defining else
+                     local_colength_info(ideal_sum(chain.ideal(n + 1), J), A2.cap).value for n in range(n_max + 1)}
+        if H is not None and H != by_powers:
+            raise AssertionError(f"local standard basis gives {H}, the powers give {by_powers}")
+        H = by_powers
+    return H
+
+
 def hs_function(A: QuotientRingSpec, Q: ParameterIdealSpec, n_max: int | None = None) -> dict[int, int]:
     """Sampled Hilbert-Samuel function n -> l_A(A/Q^{n+1}), n = 0..n_max:
-    from one local standard basis in the parameter chart, or else from the
-    colengths of the powers.  With groebner.VERIFY set, both run and must
-    agree."""
+    _colengths_mod_powers of the defining ideal in Q's chart."""
     if n_max is None:
         n_max = A.dim + 6
     if n_max < A.dim + 1:
         raise ValueError("n_max must be at least dim + 1")
-    A2, lifts, _, local = _chart_of(A, Q)
-    H = _chart_colengths(local, n_max)
-    if H is None or groebner.VERIFY:
-        chain = A2.chain(IdealHandle(A.ring, lifts))
-        by_powers = {n: chain.colength(n + 1) for n in range(n_max + 1)}
-        if H is not None and H != by_powers:
-            raise AssertionError(f"local standard basis gives {H}, the powers give {by_powers}")
-        H = by_powers
+    chart = A.chart(Q.lifts)
+    H = _colengths_mod_powers(chart, chart[0].defining, n_max)
     if any(H[n] >= H[n + 1] for n in range(n_max)):
         raise AssertionError("Hilbert-Samuel function is not strictly increasing; engine bug")
     return H

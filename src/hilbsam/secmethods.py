@@ -20,13 +20,12 @@ from itertools import count, islice, permutations
 from math import comb, inf
 
 from .errors import BoundViolation
-from .exactalg import ExactMatrix, echelon_insert, rank
+from .exactalg import ExactMatrix, echelon_insert, field_ops, rank
 from .groebner import (
     GroebnerBasis,
     IdealHandle,
     colon,
     ideal_equal,
-    ideal_sum,
     local_colength_info,
     normal_form,
     sat_quotient_length,
@@ -37,14 +36,12 @@ from .hilbert import (
     CERTIFICATE_CAP,
     HilbertReport,
     ParameterIdealSpec,
-    PowerChain,
     QuotientRingSpec,
     extract_coeffs,
     hilbert_report,
     ideal_hilbert_report,
     is_reduction,
-    _chart_of,
-    _normalized,
+    _colengths_mod_powers,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
 
@@ -197,7 +194,7 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
     """Colon criterion ((e_1..e_{i-1}) : e_i e_j) = ((e_1..e_{i-1}) : e_j)
     for all i <= j, computed in R with the defining ideal added.  With
     all_orders, every permutation of the given sequence is checked."""
-    A2, elems, *_ = _normalized(A, elems)
+    A2, elems, *_ = A.chart(elems)
     gb = A2.defining.groebner()
     if any(normal_form(e, gb).is_zero() for e in elems):
         raise ValueError("sequence member vanishes in A")
@@ -225,20 +222,30 @@ def unmixed_component(A: QuotientRingSpec, a: Polynomial, b: Polynomial) -> Idea
 def is_superficial(
     A: QuotientRingSpec, Q: ParameterIdealSpec, a: Polynomial, window: range = range(2, 7)
 ) -> bool:
-    """Windowed check of (Q^{n+1} : a) = Q^n + (0 : a) in A.  A False is
-    definitive (a witness n exists); a True is heuristic evidence.  A
-    window that holds no n >= 0 is a ValueError."""
+    """Windowed check of (Q^{n+1} : a) = Q^n + (0 : a) in A localized at
+    the origin (in A itself wherever a + Q is supported at the origin
+    alone).  A False is definitive (a witness n exists); a True is
+    heuristic evidence.  As a lies in Q, the right side lies in the left,
+    and multiplication by a gives l(A/(Q^{n+1} : a)) = l(A/Q^{n+1}) -
+    l(A/(Q^{n+1} + aA)): they are equal iff that is l(A/(Q^n + (0 : a))),
+    0 at n = 0 (Huneke & Swanson, Integral Closure of Ideals, Rings, and
+    Modules, Ch. 8), each _colengths_mod_powers in Q's chart: of the
+    defining ideal, of it plus (a), of its colon by a (the lift of
+    0 :_A a).  A window with no n >= 0, or l(A/Q) != l(A/(Q, a)) (a not
+    in Q), is a ValueError."""
     last = max(window, default=-1)
     if last < 0:
         raise ValueError(f"the superficiality window [{window.start}, {window.stop}) holds no n >= 0")
-    A2, lifts, move, _ = _chart_of(A, Q)
-    (a,) = move([a])
-    zero_colon = colon(A2.defining, a)  # (0 :_A a), as an ideal of R
-    powers = PowerChain(A2, IdealHandle(A.ring, lifts)).ideal  # n -> a + Q^n
-    for n in range(last + 1):
-        if n in window and not ideal_equal(colon(powers(n + 1), a), ideal_sum(powers(n), zero_colon)):
-            return False
-    return True
+    chart = A.chart(Q.lifts)
+    A2, _, move, _ = chart
+    (b,) = move([a])
+    if b:  # monic, as is_d_sequence's elements are: they share its colons and sums
+        b = b.scale(field_ops(A.ring.field)[4](b.sorted_terms()[0][1]))
+    H, K, C = (_colengths_mod_powers(chart, J, last) for J in
+               (A2.defining, A2.plus(IdealHandle(A.ring, [b])), colon(A2.defining, b)))
+    if H[0] != K[0]:
+        raise ValueError(f"{a} is not in Q: l(A/Q) = {H[0]}, l(A/(Q, a)) = {K[0]}")
+    return all(H[n] - K[n] == (C[n - 1] if n else 0) for n in window if n >= 0)
 
 
 # ---------------------------------------------------------------------------

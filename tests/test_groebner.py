@@ -705,6 +705,28 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
         sat_quotient_length(ideal(R2, ["x^3", "x*y"]))
 
 
+def test_an_elimination_keeps_the_basis_it_finds(verify_mode, monkeypatch):
+    # the t-free elements of the elimination basis are the reduced degrevlex
+    # basis of the intersection, in the order a degrevlex run gives: an
+    # intersection and a saturation by a non-monomial keep them, so their
+    # groebner() runs no engine
+    results = [intersect(ideal(R2, ["x^2", "x*y - y"]), ideal(R2, ["y^2 - x"])),
+               saturate(ideal(R2, ["x^2*y - x*y", "x*y^2 - y^2"]), ideal(R2, ["x + y"]))]
+    assert results[1].generators == (P("x*y - y"),)
+    runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: runs.append(a) or real(*a, **k))
+    bases = [K.groebner() for K in results]
+    assert runs == []
+    for K, gb in zip(results, bases):
+        fresh = IdealHandle(R2, K.generators).groebner()
+        assert (gb.elements, gb.leading_monomials) == (fresh.elements, fresh.leading_monomials)
+    # in verify mode, t-free elements that are not that basis are caught
+    monkeypatch.setattr(groebner, "elimination_order", lambda block: LEX)
+    with pytest.raises(AssertionError, match="not the reduced degrevlex basis"):
+        intersect(ideal(R2, ["x^2", "x*y - y"]), ideal(R2, ["y^2 - x"]))
+
+
 @st.composite
 def _monomial_colon_cases(draw):
     """(I, c·u): I in 2-3 variables over F_32003 or QQ, with one to three

@@ -33,7 +33,6 @@ from hilbsam.hilbert import (
     lambda_map,
     parameter_ideal,
     sample_reductions,
-    _normalized,
 )
 from hilbsam.polyring import Polynomial, RingSpec, monomials_of_degree, parse_poly
 from hilbsam.secmethods import k_plus_j_analysis
@@ -64,7 +63,7 @@ def test_parameter_ideal_charts_each_candidate_once(monkeypatch):
     with pytest.raises(NotLocallyFinite):
         parameter_ideal(A, ["Z", "W"])  # a + Q = (Z, W)
     assert checks == []
-    charts = _spy(monkeypatch, hilbert, "_normalized")
+    charts = _spy(monkeypatch, hilbert, "parameter_chart")
     expected = {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
     assert hs_function(A, Q, 4) == expected
     assert charts == []
@@ -89,7 +88,7 @@ def test_parameter_ideal_chart_verdict_is_checked_in_verify_mode(verify_mode, mo
     monkeypatch.setattr(hilbert, "_chart_colengths", not_finite)
     with pytest.raises(AssertionError, match="colength path disagrees"):
         parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    monkeypatch.setattr(hilbert, "_chart_colengths", lambda local, n_max: {0: 1})
+    monkeypatch.setattr(hilbert, "_chart_colengths", lambda J, weights, n_max: {0: 1})
     with pytest.raises(AssertionError, match="colength path disagrees"):
         parameter_ideal(A, ["Z", "W"])
 
@@ -162,7 +161,7 @@ def _assert_powers_match_raw(A, I, n_max):
 
 def test_power_bases_match_raw_powers_through_a_chart():
     A = two_planes(2)
-    A2, lifts, _, weights = _normalized(A, [parse_poly(A.ring, "X*Y-Z"), parse_poly(A.ring, "X^2+Y^2-W")])
+    A2, lifts, _, weights = A.chart([parse_poly(A.ring, "X*Y-Z"), parse_poly(A.ring, "X^2+Y^2-W")])
     assert lifts == (A.ring.variable("Z"), A.ring.variable("W"))
     assert weights == (0, 0, 1, 1)
     _assert_powers_match_raw(A2, IdealHandle(A.ring, lifts), 3)
@@ -488,19 +487,19 @@ def test_direct_path_without_chart():
 
 
 def test_a_pickled_spec_keeps_its_chart(monkeypatch):
-    # one pickled (A, Q, n_max) keeps Q's chart of A: the copy neither
+    # one pickled (A, Q, n_max) keeps A's chart of Q: the copy neither
     # charts Q nor builds its local basis again
     import pickle
 
     A = two_planes(2)
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    for f in Q._chart[2]:
+    for f in A.chart(Q.lifts)[1]:
         hash(f)  # caches the hash on each of the chart's lifts
-    assert all(f._hash is not None for f in Q._chart[2])
+    assert all(f._hash is not None for f in A.chart(Q.lifts)[1])
     A2, Q2, n_max = pickle.loads(pickle.dumps((A, Q, 5)))
-    assert Q2._chart[0] is A2
-    assert all(f._hash is None for f in Q2._chart[2])  # string hashes are per process
-    charts = _spy(monkeypatch, hilbert, "_normalized")
+    assert list(A2._charts) == [Q2.lifts]
+    assert all(f._hash is None for f in A2.chart(Q2.lifts)[1])  # string hashes are per process
+    charts = _spy(monkeypatch, hilbert, "parameter_chart")
     bases = _spy(monkeypatch, hilbert, "local_standard_basis")
     assert hilbert_report(A2, Q2, n_max).coeffs == (8, -4, 0)
     assert charts == bases == []
@@ -537,11 +536,10 @@ def _chart_systems(draw):
 @settings(max_examples=20, deadline=30000, derandomize=True)
 def test_local_basis_samples_match_the_power_colengths(case):
     A, lifts, n_max = case
-    A2, lifts2, _, weights = _normalized(A, lifts)
-    local = hilbert._local_basis(A2, weights)
-    assert local is not None
+    A2, lifts2, _, weights = A.chart(lifts)
+    assert weights is not None
     try:
-        H = hilbert._chart_colengths(local, n_max)
+        H = hilbert._chart_colengths(A2.defining, weights, n_max)
     except NotLocallyFinite:
         assume(False)  # a + Q is not finite at the origin: no samples to compare
     assert H == _power_colengths(A2, IdealHandle(A.ring, lifts2), n_max)
@@ -573,8 +571,8 @@ def test_hs_function_on_a_chart_never_samples_the_powers(monkeypatch):
 def test_hs_function_falls_back_without_a_chart(monkeypatch):
     A = regular2()
     lifts = [parse_poly(A.ring, "x^2"), parse_poly(A.ring, "y^2")]
-    assert _normalized(A, lifts)[3] is None
-    assert hilbert._local_basis(A, None) is None
+    assert A.chart(lifts)[3] is None
+    assert hilbert._chart_colengths(A.defining, None, 3) is None
     calls = spy_power_chains(monkeypatch)
     assert hs_function(A, parameter_ideal(A, lifts), 3) == {n: 4 * comb(n + 2, 2) for n in range(4)}
     assert len(calls) == 1
@@ -585,7 +583,8 @@ def test_hs_function_takes_the_chart_at_sixteen_variables(monkeypatch):
     R = RingSpec(tuple(f"v{i}" for i in range(16)), GF32003)
     A = QuotientRingSpec(R, IdealHandle(R, [R.variable(i) for i in range(2, 16)]), 2)
     Q = parameter_ideal(A, ["v0", "v1"])
-    assert hilbert._chart_of(A, Q)[3] is not None
+    A2, _, _, weights = A.chart(Q.lifts)
+    assert hilbert._chart_colengths(A2.defining, weights, 0) is not None
     calls = spy_power_chains(monkeypatch)
     assert hs_function(A, Q, 3) == {n: comb(n + 2, 2) for n in range(4)}
     assert calls == []
@@ -604,8 +603,8 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
     # the chart's local basis is built (and here refused) once, by
     # parameter_ideal, which then takes the colength path
     Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    A2, _, _, weights = _normalized(A, Q.lifts)
-    assert hilbert._chart_of(A, Q)[3] is None
+    A2, _, _, weights = A.chart(Q.lifts)
+    assert hilbert._chart_colengths(A2.defining, weights, 0) is None
     with pytest.raises(ResourceLimit):
         tiny_budget(A2.defining, weights)
     calls = spy_power_chains(monkeypatch)
@@ -901,8 +900,8 @@ def test_the_seed0_suite_certifies_from_one_chain_per_quotient(monkeypatch):
     # Sally task accepts any certificate: 28 product_equals runs over the
     # suite, 30 with least certificates for Sally lengths, 76 with a search
     # per reduction of m and a chain per call; the run builds one chain per
-    # (A, I, start), and every chain but those of the superficiality checks
-    # (read by no later call) is A.chain's one
+    # (A, I, start), and every chain is A.chain's one: the superficiality
+    # checks take their lengths from walks in Q's chart and build none
     from hilbsam import problem
     from hilbsam.suite import run_paper_suite
 
@@ -923,7 +922,7 @@ def test_the_seed0_suite_certifies_from_one_chain_per_quotient(monkeypatch):
     keys = {(id(c.A), c.I.generators, c.ideal(0).generators) for _, c in built}
     assert len(keys) == len(built)
     kept = {id(k) for _, c in built for k in c.A._chains.values()}
-    assert [cmd for cmd, c in built if id(c) not in kept] == ["superficial", "superficial"]
+    assert [cmd for cmd, c in built if id(c) not in kept] == []
 
 
 @pytest.mark.parametrize("values, message", [

@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 from math import comb
 
@@ -323,28 +324,128 @@ def _d_sequence_by_elimination(A, elems):
     return True
 
 
-def _superficial_by_elimination(A, Q, a, window):
-    """The windowed criterion of is_superficial on the raw lifts with the
-    elimination colon."""
+def _superficial_by_elimination(A, Q, a, last):
+    """The criterion of is_superficial at n = 0..last, one verdict per n,
+    compared as ideals of R: on the raw lifts, with the elimination colon."""
     zero_colon = colon_by_elimination(A.defining, a)
     powers = PowerChain(A, IdealHandle(A.ring, Q.lifts)).ideal
-    for n in window:
-        if not ideal_equal(colon_by_elimination(powers(n + 1), a), ideal_sum(powers(n), zero_colon)):
-            return False
-    return True
+    return [ideal_equal(colon_by_elimination(powers(n + 1), a), ideal_sum(powers(n), zero_colon))
+            for n in range(last + 1)]
 
 
 @pytest.mark.parametrize("A", [two_planes(2), two_planes(3), staged(2), staged(3)], ids=["A2", "A3", "staged2", "staged3"])
 @pytest.mark.parametrize("lifts", [["X-Z", "Y-W"], ["X^2-Z", "Y-W"]], ids=["diagonal", "square"])
 def test_chart_checkers_match_the_colon_criterion_on_the_raw_lifts(A, lifts):
+    # a + Q is supported at the origin alone, so the lengths at the origin
+    # decide what the ideals of R do; the elements are the lifts (also on
+    # is_superficial's default window), their sum, X times a lift and the
+    # product of the lifts (in Q^2: False from n = 1)
     from hilbsam.transform import parameter_chart
 
     Q = parameter_ideal(A, lifts)
     assert parameter_chart(A.ring, Q.lifts) is not None
-    window = range(2, 7)  # is_superficial's default
     assert is_d_sequence(A, list(Q.lifts), all_orders=True) == _d_sequence_by_elimination(A, Q.lifts)
-    for a in Q.lifts:
-        assert is_superficial(A, Q, a, window) == _superficial_by_elimination(A, Q, a, window)
+    f, g = Q.lifts
+    answers = set()
+    for a in (f, g, f + g, A.ring.variable("X") * f, f * g):
+        windows = [range(0, 3), range(1, 4)] + [range(2, 7)] * (a in Q.lifts)
+        verdicts = _superficial_by_elimination(A, Q, a, windows[-1].stop - 1)
+        for window in windows:
+            answer = is_superficial(A, Q, a, window)
+            assert answer == all(verdicts[n] for n in window), (a, window)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_chartless_superficiality_matches_the_colon_criterion():
+    # no chart: the lengths are colengths of the chain of a + Q^n plus (a)
+    # or plus (a : a)
+    from hilbsam.transform import parameter_chart
+
+    A = regular2()
+    Q = parameter_ideal(A, ["x^2 + y^2", "x*y"])
+    assert parameter_chart(A.ring, Q.lifts) is None
+    for a, last, expected in [(Q.lifts[0], 4, True), (parse_poly(A.ring, "x^3 + x*y^2"), 3, False)]:
+        window = range(1, last + 1)
+        assert is_superficial(A, Q, a, window) is expected
+        assert all(_superficial_by_elimination(A, Q, a, last)[1:]) is expected
+
+
+def test_an_element_outside_q_is_refused(tmp_path, capsys):
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    for a in ("X", "X^2-Z"):  # X^2 - Z = X^2 - X modulo Q: a unit times X
+        with pytest.raises(ValueError, match="is not in Q"):
+            is_superficial(A, Q, parse_poly(A.ring, a))
+    Ar = regular2()
+    with pytest.raises(ValueError, match="is not in Q"):
+        is_superficial(Ar, parameter_ideal(Ar, ["x^2", "y^2"]), parse_poly(Ar.ring, "x"))
+    from hilbsam.cli import main
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["X", "Y", "Z", "W"], "field": "fp:32003"},
+        "ideals": {"planes": {"intersect": [["X^2", "Y^2"], ["Z", "W"]]}},
+        "quotients": {"A": {"defining": "planes", "dim": 2}},
+        "parameters": {"Q": {"quotient": "A", "lifts": ["X-Z", "Y-W"]}},
+    }))
+    assert main(["superficial", "--file", str(path), "--quotient", "A", "--params", "Q", "--a", "X"]) == 2
+    assert "is not in Q" in capsys.readouterr().err
+
+
+def test_superficiality_takes_both_sources_in_verify_mode(verify_mode, monkeypatch):
+    # in a chart under verify mode the walks and the colengths of the chain
+    # both run, and a disagreement is an AssertionError
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    walks = _spy_calls(monkeypatch, hilbert, "_chart_colengths")
+    colengths = _spy_calls(monkeypatch, hilbert, "local_colength_info")
+    assert is_superficial(A, Q, Q.lifts[0])
+    assert len(walks) == 3 and colengths
+    assert not is_superficial(A, Q, A.ring.variable("X") * Q.lifts[0], range(0, 3))
+    monkeypatch.setattr(hilbert, "_chart_colengths", lambda J, weights, n_max: dict.fromkeys(range(n_max + 1), 0))
+    with pytest.raises(AssertionError, match="local standard basis gives"):
+        is_superficial(A, Q, Q.lifts[1])
+
+
+def test_a_charted_superficiality_check_takes_two_local_bases_and_a_colon(monkeypatch):
+    # the work-counter gate: three walks in Q's chart, no power chain, and
+    # at most five engine runs (the colon by a pivot's three and two local
+    # standard bases)
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    chains = spy_power_chains(monkeypatch)
+    runs = _spy_calls(monkeypatch, groebner, "_engine")
+    assert is_superficial(A, Q, parse_poly(A.ring, "X-Z"))
+    assert chains == [] and len(runs) <= 5
+
+
+def test_a_d_sequence_and_a_superficiality_check_share_the_chart(monkeypatch):
+    # the quotient keeps one chart per lifts: the d-sequence check on Q's
+    # lifts reads the chart parameter_ideal made, and the superficiality
+    # check then finds the colon by the pivot on the chart's defining
+    # ideal; a d-sequence check on loose elements builds no local basis
+    charts = _spy_calls(monkeypatch, hilbert, "parameter_chart")
+    bases = _spy_calls(monkeypatch, hilbert, "local_standard_basis")
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    assert len(bases) == 1
+    assert not is_d_sequence(A, [parse_poly(A.ring, "X-Z"), parse_poly(A.ring, "Y-W")], all_orders=True)
+    assert len(bases) == 1
+    runs = _spy_calls(monkeypatch, groebner, "_engine")
+    assert is_superficial(A, Q, parse_poly(A.ring, "X-Z"))
+    assert len(charts) == 1 and len(runs) == 2  # the local bases of a + (a) and a : a
+    built = len(bases)
+    A = two_planes(2)
+    assert not is_d_sequence(A, [parse_poly(A.ring, "X-Z"), parse_poly(A.ring, "Y-W")])
+    assert len(charts) == 2 and len(bases) == built
+
+
+def _spy_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
 
 
 def test_chartless_checkers_on_form_parameters():
