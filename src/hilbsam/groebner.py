@@ -217,6 +217,10 @@ class _Packing:
         # x % 0xFFFF sums the 16-bit fields of x; deg(up) <= deg(a) < 0xFFFF
         return b + up + ((up % 0xFFFF) << self.shift)
 
+    def descending(self, pairs: Iterable) -> list:
+        """Packed (m, c) pairs with distinct m, sorted strictly descending."""
+        return sorted(pairs, key=lambda t: self.key(t[0]), reverse=True)
+
     def sorted_terms(self, terms: dict, trunc: int | None = None) -> list:
         """A polynomial's terms as packed (m, c) pairs, strictly descending;
         terms of degree >= trunc are dropped."""
@@ -609,10 +613,13 @@ def _standard_monomials(
 class IdealHandle:
     """Generator list plus what is computed from it, kept for the life of
     the handle in _cache: reduced Groebner bases per (order, truncation),
-    the colon and saturation parts per divisor (_part), the colons and
-    saturations per divisor generators (_by_generators), per variable x_i
-    the basis of I^h with x_i last (_by_monomial), and per chart weights
-    the leading monomials of a local basis (hilbert._chart_colengths)."""
+    each holding the engine's packed elements; the colon and saturation
+    parts per monomial u of a divisor c·u, or per non-monomial divisor
+    (_part); the colons and saturations per divisor generators
+    (_by_generators); per variable x_i the engine's packed elements of the
+    reduced degrevlex basis of I^h with x_i last (_by_monomial); and per
+    chart weights the leading monomials of a local basis
+    (hilbert._chart_colengths)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -655,9 +662,11 @@ class IdealHandle:
 
 
 def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> GroebnerBasis:
-    """The engine's minimal elements as a basis; known as in
-    _Packing.polynomials."""
-    return GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
+    """The engine's minimal elements as a basis, which keeps them as its
+    packed reducers; known as in _Packing.polynomials."""
+    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
+    gb._raw = minimal
+    return gb
 
 
 def _compute_basis(ring, order, gens, trunc, reduce_tails) -> GroebnerBasis:
@@ -717,7 +726,6 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
     pk = _packing(ring.nvars, DEGREVLEX)
     minimal = _engine(pk, ring.field, _product_gens(pk, a, F, H))
     gb = _basis(ring, DEGREVLEX, pk, minimal, None, (m for g in a.generators for m in g.terms))
-    gb._raw = minimal
     if VERIFY and gb.elements != _autoreduced_product_basis(a, F, H).elements:
         raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
@@ -970,23 +978,26 @@ def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
 
 
 def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
-    """I : f, or with saturate I : f^inf, kept on I per f: by _by_monomial
-    for a monomial f, generated by its reduced degrevlex basis; otherwise
-    by _colon_by_intersection or by _saturation_by_elimination.
+    """I : f, or with saturate I : f^inf, kept on I: for f = c·u with u a
+    monomial, per u, by _by_monomial and generated by its reduced degrevlex
+    basis; otherwise per f, by _colon_by_intersection or by
+    _saturation_by_elimination.
 
     In verify mode, a monomial part is checked against the other way
     (AssertionError on a difference)."""
     what = "saturation" if saturate else "colon"
-    if (what, f) in I._cache:
-        return I._cache[what, f]
+    monomial = len(f.terms) == 1
+    key = (what, next(iter(f.terms)) if monomial else f)
+    if key in I._cache:
+        return I._cache[key]
     other = _saturation_by_elimination if saturate else _colon_by_intersection
-    if len(f.terms) > 1:
+    if not monomial:
         part = other(I, f)
     else:
-        part = IdealHandle.of_basis(_by_monomial(I, next(iter(f.terms)), saturate))
+        part = IdealHandle.of_basis(_by_monomial(I, key[1], saturate))
         if VERIFY and list(part.generators) != list(other(I, f).groebner().elements):
             raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
-    I._cache[what, f] = part
+    I._cache[key] = part
     return part
 
 
@@ -999,7 +1010,7 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     """The reduced degrevlex basis of I : x^u, or with saturate of
     I : (x^u)^inf, from degrevlex bases alone (Bayer & Stillman, A criterion
     for detecting m-regularity, Invent. Math. 87, 1987; Eisenbud,
-    Commutative Algebra, 15.12).
+    Commutative Algebra, 15.12).  For u = 1 it is I's own basis.
 
     The homogenized reduced degrevlex basis of I generates I^h, and
     (I : x_i)^h = I^h : x_i.  Under degrevlex with x_i the last variable, a
@@ -1007,34 +1018,52 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     leading monomial, so a basis of I^h with each element divided by x_i
     (by its largest power of x_i, to saturate) is a basis of I^h : x_i
     (of I^h : x_i^inf).  The variables of u are taken in turn, x_i^e
-    dividing at most e times, and h = 1 ends it.  The variables are
-    permuted on the exponent tuples; the order stays degrevlex."""
-    ring = I.ring
-    ring_h, gens = _homogenized(ring, I.groebner().elements)
-    h = ring.nvars
-    for i, e in enumerate(u):
-        if not e:
-            continue
-        swap = list(range(h + 1))
-        swap[i], swap[h] = h, i  # x_i last, h in its place
-        ring_p = RingSpec(tuple(ring_h.variables[j] for j in swap), ring.field)
-        step = IdealHandle(ring_p, [_permuted(ring_p, f, swap) for f in gens])
-        if not any(u[:i]):  # the first step, I^h with x_i last: kept on I
-            step = I._cache.setdefault(("homogenized", i), step)
-        gb = step.groebner()
+    dividing at most e times, and h = 1 ends it.
+
+    All of it runs on the engine's packed term lists: I's basis is read as
+    its packed elements and homogenized into R[h]'s packing (h last), x_i
+    and h trade fields before each run and back after it, x_i^k is divided
+    out by subtracting a packed monomial, and h = 1 masks off h's field.
+    The order stays degrevlex, so only the term lists are re-sorted.  The
+    basis of I^h with the first variable of u last is kept on I as packed
+    elements; only the final basis in R becomes Polynomials."""
+    gb = I.groebner()
+    steps = [(i, e) for i, e in enumerate(u) if e]
+    if not steps:
+        return gb
+    ring, n = I.ring, I.ring.nvars
+    pk, pk_h = _packing(n, DEGREVLEX), _packing(n + 1, DEGREVLEX)
+    at_h = _FIELD_BITS * n  # h's field in R[h], the degree in R
+    fields = (1 << at_h) - 1  # R's variables' fields
+    exps = 0x7FFF  # the exponent bits of one field
+
+    def swap(m: int, i: int) -> int:  # trade the fields of x_i and h
+        x = (m >> _FIELD_BITS * i ^ m >> at_h) & exps
+        return m ^ (x << _FIELD_BITS * i | x << at_h)
+
+    # I^h with h last: a term m of f gets h^(deg f - deg m)
+    gens = []
+    for g in gb._raw_elems(pk):
+        d = g.lt >> at_h  # deg f, the degree of its leading monomial
+        gens.append([(m & fields | d - (m >> at_h) << at_h | d << pk_h.shift, c) for m, c in g.terms])
+    for step, (i, e) in enumerate(steps):
+        elems = I._cache.get(("homogenized", i)) if step == 0 else None
+        if elems is None:
+            elems = _engine(pk_h, ring.field, [pk_h.descending((swap(m, i), c) for m, c in f) for f in gens])
+            if step == 0:  # I^h with x_i last: kept on I
+                I._cache["homogenized", i] = elems
         gens = []
-        for f in gb.elements:
-            k = min(m[-1] for m in f.terms)
+        for el in elems:
+            k = min(m >> at_h & exps for m, _ in el.terms)
             if not saturate:
                 k = min(k, e)
-            quotient = Polynomial(ring_p, {m[:-1] + (m[-1] - k,): c for m, c in f.terms.items()}, _canonical=True)
-            gens.append(_permuted(ring_h, quotient, swap))
-    return IdealHandle(ring, [_dehomogenized(ring, f) for f in gens]).groebner()
-
-
-def _permuted(ring: RingSpec, f: Polynomial, perm: list[int]) -> Polynomial:
-    """f in ring, whose variable j is variable perm[j] of f's ring."""
-    return Polynomial(ring, {tuple(m[j] for j in perm): c for m, c in f.terms.items()}, _canonical=True)
+            q = k << at_h | k << pk_h.shift
+            gens.append([(swap(m - q, i), c) for m, c in el.terms])
+    # h = 1: f is homogeneous, so no two of its terms merge
+    minimal = _engine(pk, ring.field, [
+        pk.descending((m & fields | (m >> pk_h.shift) - (m >> at_h & exps) << at_h, c) for m, c in f) for f in gens
+    ])
+    return _basis(ring, DEGREVLEX, pk, minimal, None, (m for f in gb.elements for m in f.terms))
 
 
 def _by_generators(I: IdealHandle, J: IdealHandle, what: str, part) -> IdealHandle:
@@ -1109,7 +1138,8 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
 
     support_at_origin: the caller has certified that J has the radical of
     an ideal whose support is the origin alone, so the nilpotency walk is
-    skipped.
+    skipped.  A variable whose power is a basis element is walked by no
+    normal form either.
 
     PackedRangeExceeded propagates: the local path drops the terms past its
     cap and may still certify the value, so callers try it next."""
@@ -1128,7 +1158,10 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
     count = _staircase_counts(lts, nv, math.inf).total()
     if support_at_origin:
         return count
+    powers = [lt for lt, g in zip(lts, gb.elements) if len(g.terms) == 1]
     for i in range(nv):
+        if any(sum(m) == m[i] for m in powers):
+            continue  # a power of x_i is in J
         xi = J.ring.variable(i)
         vec = normal_form(xi, gb)
         steps = 1

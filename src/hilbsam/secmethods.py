@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import count, islice, permutations
 from math import comb, inf
 
+from . import groebner
 from .errors import BoundViolation
 from .exactalg import ExactMatrix, echelon_insert, field_ops, rank
 from .groebner import (
@@ -43,7 +44,7 @@ from .hilbert import (
     is_reduction,
     _colengths_mod_powers,
 )
-from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec
+from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec, mono_divides, mono_mul
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +76,36 @@ class ArtinAlgebra:
         return vec
 
     def action_matrix(self, f: Polynomial) -> ExactMatrix:
-        """Exact matrix of multiplication by f on C."""
-        cols = [self.coords(f * self.ring.monomial(b)) for b in self.basis]
-        data = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return ExactMatrix(self.ring.field, data, self.dim)
+        """Exact matrix of multiplication by f on C: column j is
+        sum_t c_t NF(t b_j) over the terms c_t t of f.  A standard t b_j is
+        read off the basis index; one that a monomial element of the basis
+        divides, or (truncated basis) of degree at least the cutoff, is 0;
+        any other takes one normal_form per monomial per matrix.
+
+        In verify mode, the matrix is checked against the columns
+        coords(f * b_j) (AssertionError on a difference)."""
+        field, dim, index, trunc = self.ring.field, self.dim, self._index, self.gb.trunc_degree
+        add, _sub, mul, *_ = field_ops(field)
+        zeros = [lt for lt, g in zip(self.gb.leading_monomials, self.gb.elements) if len(g.terms) == 1]
+        normal_forms: dict = {}
+        data = [[field.zero] * dim for _ in range(dim)]
+        for j, b in enumerate(self.basis):
+            for t, c in f.terms.items():
+                m = mono_mul(t, b)
+                if m in index:
+                    i = index[m]
+                    data[i][j] = add(data[i][j], c)
+                elif not (trunc is not None and sum(m) >= trunc or any(mono_divides(z, m) for z in zeros)):
+                    if m not in normal_forms:
+                        normal_forms[m] = normal_form(self.ring.monomial(m), self.gb).terms
+                    for m2, c2 in normal_forms[m].items():
+                        i = index[m2]
+                        data[i][j] = add(data[i][j], mul(c, c2))
+        if groebner.VERIFY:
+            cols = [self.coords(f * self.ring.monomial(b)) for b in self.basis]
+            if data != [[cols[j][i] for j in range(dim)] for i in range(dim)]:
+                raise AssertionError(f"the action matrix of {f} disagrees with its columns coords(f * b)")
+        return ExactMatrix(field, data, dim)
 
 
 def artin_algebra(ring: RingSpec, c: IdealHandle, cap: int = 64) -> ArtinAlgebra:
@@ -102,6 +129,11 @@ class ActionPair:
 
 
 def action_pair(C: ArtinAlgebra, a: Polynomial, b: Polynomial) -> ActionPair:
+    """The actions of the parameter images a and b on C; each must be a
+    nonzero element of the maximal ideal (ValueError otherwise)."""
+    for name, f in (("a", a), ("b", b)):
+        if f.is_zero() or f.constant_term():
+            raise ValueError(f"parameter image {name} = {f} is not a nonzero element of the maximal ideal")
     return ActionPair(C.action_matrix(a), C.action_matrix(b))
 
 

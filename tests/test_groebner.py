@@ -687,10 +687,11 @@ def test_monomial_colons_are_checked_in_verify_mode(verify_mode, monkeypatch):
     I = ideal(R2, ["x^2*y - y", "x*y^2"])
     assert colon(I, P("-2*y")).generators == tuple(colon_by_elimination(I, P("-2*y")).groebner().elements)
     assert sat_quotient_length(ideal(R2, ["x^3", "x*y"])) == 2
-    # a wrong answer from the homogenized path is caught
+    # a wrong answer from the homogenized path is caught (on a fresh handle:
+    # I keeps its colon by y from the colon by -2*y)
     monkeypatch.setattr(groebner, "_by_monomial", lambda I, u, saturate: I.groebner())
     with pytest.raises(AssertionError, match="colon by a monomial"):
-        colon(I, P("y"))
+        colon(ideal(R2, ["x^2*y - y", "x*y^2"]), P("y"))
     with pytest.raises(AssertionError, match="saturation by a monomial"):
         saturate(I, ideal(R2, ["y"]))
     # and so is a count the weight-0 local bases do not reproduce
@@ -762,6 +763,62 @@ def test_monomial_colon_matches_the_elimination(case):
 def test_monomial_saturation_matches_the_elimination(case):
     I, f = case
     assert saturate(I, IdealHandle(I.ring, [f])).generators == saturation_by_elimination(I, f).generators
+
+
+@pytest.mark.parametrize("field", [GF32003, QQ], ids=["fp", "qq"])
+@pytest.mark.parametrize("gens, divisor", [
+    (["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"], "3"),  # u = 1: I's own basis
+    (["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"], "-2*y^3*z"),  # u in I: the unit ideal
+    ([], "x*y"),  # the zero ideal
+    (["x*y + 1", "x"], "x*z"),  # the unit ideal
+    (["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"], "x^2*z"),  # y's exponent 0 between x and z
+    (["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"], "x*y*z"),  # a product of variables
+    (["x^3 - y*z", "x*y^2", "x^2*z^2 + y^3"], "x*y"),
+], ids=["constant", "in-I", "zero", "unit", "gap", "product", "xy"])
+def test_packed_colons_match_the_eliminations(field, gens, divisor):
+    # the colon and the saturation by a monomial run on packed term lists;
+    # each must be the reduced degrevlex basis the elimination paths give
+    R = RingSpec(("x", "y", "z"), field)
+    f = parse_poly(R, divisor)
+    for saturate_, other in ((False, groebner._colon_by_intersection),
+                             (True, groebner._saturation_by_elimination)):
+        I = ideal(R, gens)
+        part = groebner._part(I, f, saturate_)
+        assert part.generators == tuple(other(ideal(R, gens), f).groebner().elements)
+        assert part.groebner().elements == list(part.generators)
+    I = ideal(R, gens)
+    if divisor == "3":
+        assert colon(I, f).generators == tuple(I.groebner().elements)
+    if divisor.endswith("y^3*z"):
+        assert colon(I, f).generators == (R.one(),)
+
+
+def test_a_packed_colon_builds_no_polynomial_over_r_h(monkeypatch):
+    # the work-counter gate: _by_monomial makes its Polynomials in R alone,
+    # and as many engine runs as it takes variables of u plus one (h = 1),
+    # less the first step's basis where I keeps it
+    R = RingSpec(("x", "y", "z"), GF32003)
+    I = ideal(R, ["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"])
+    I.groebner()
+    rings = []
+    real_init = Polynomial.__init__
+
+    def init(self, ring, terms, _canonical=False):
+        rings.append(ring)
+        real_init(self, ring, terms, _canonical)
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: runs.append(a[0].nvars) or real(*a, **k))
+    colon(I, parse_poly(R, "x^2*z"))
+    assert runs == [4, 4, 3] and set(rings) == {R}
+    runs.clear()
+    colon(I, parse_poly(R, "-x*y"))  # the basis of I^h with x last is kept on I
+    assert runs == [4, 3]
+    runs.clear()
+    colon(I, parse_poly(R, "x*y"))  # and the part by x*y is kept per monomial
+    assert runs == [] and set(rings) == {R}
 
 
 def _length_by_degrees(sat, J):

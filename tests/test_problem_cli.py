@@ -489,6 +489,22 @@ def test_slice_then_unmixed_saturate_by_m_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("a", ["1+X", "0", "-3"])
+def test_kernel_e1_refuses_a_parameter_image_outside_the_maximal_ideal(tmp_path, capsys, a):
+    # a unit or zero image would give e1 = 0 or -l(C) on C = R/(X^3, Y^3, Z, W)
+    doc = _doc({"name": "k", "command": "kernel-e1", "artinian": "C3", "a": a, "b": "Y-W", "e0": 10})
+    doc["ideals"]["c3"] = ["X^3", "Y^3", "Z", "W"]
+    doc["artinian"]["C3"] = {"ideal": "c3"}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "parameter image a" in capsys.readouterr().err
+    doc["tasks"][0]["a"] = "X-Z"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["primary"] == [-3, -3]
+
+
 def test_sally_nmax_zero_is_an_input_error(tmp_path, capsys):
     # Sally lengths are reported for n = 1..nmax, so nmax 0 would check nothing
     path = tmp_path / "problem.json"

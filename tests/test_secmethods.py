@@ -30,9 +30,11 @@ from hilbsam.hilbert import (
     parameter_ideal,
     sample_reductions,
 )
-from hilbsam.polyring import Polynomial, parse_poly
+from hilbsam.polyring import Polynomial, RingSpec, monomials_below_degree, parse_poly
+from hilbsam.problem import load_problem, run_problem
 from hilbsam.secmethods import (
     ActionPair,
+    ArtinAlgebra,
     action_pair,
     annihilator_length,
     artin_algebra,
@@ -92,6 +94,67 @@ def test_mult_ops_commute_and_kill_relations():
             assert mats[i].matmul(mats[j]) == mats[j].matmul(mats[i])
     for g in C.gb.elements:
         assert C.action_matrix(g).is_zero()
+
+
+# non-monomial presentations with a monomial basis element: one on the
+# global path, one (a second point at x = 1) on the truncated basis
+_ALGEBRAS = {
+    "global": ["x^2 - y*z", "y^2 + x*z", "z^3"],
+    "truncated": ["x^3 - x^2 + y*z", "y^2 - x*z", "z^2"],
+}
+
+
+def _columns_reference(C, f):
+    """The action matrix of f from one coords(f * b) per basis monomial b."""
+    cols = [C.coords(f * C.ring.monomial(b)) for b in C.basis]
+    return [[cols[j][i] for j in range(C.dim)] for i in range(C.dim)]
+
+
+@given(st.sampled_from([GF32003, QQ]), st.sampled_from(sorted(_ALGEBRAS)), st.data())
+@settings(max_examples=40, deadline=10000, derandomize=True)
+def test_action_matrices_match_their_columns(field, kind, data):
+    # column j of the action of f is read off the standard monomials, the
+    # monomial basis elements and one normal form per other monomial; it
+    # must be the class of f * b_j in the basis
+    R = RingSpec(("x", "y", "z"), field)
+    C = artin_algebra(R, ideal(R, _ALGEBRAS[kind]))
+    assert (C.gb.trunc_degree is None) == (kind == "global")
+    coeffs = st.integers(-3, 3).filter(bool).map(field.of_int)
+    f = Polynomial(R, data.draw(st.dictionaries(
+        st.sampled_from(list(monomials_below_degree(3, 4))), coeffs, min_size=1, max_size=4)))
+    assert C.action_matrix(f).data == _columns_reference(C, f)
+
+
+@pytest.mark.parametrize("kind", sorted(_ALGEBRAS))
+def test_action_matrices_are_checked_in_verify_mode(verify_mode, monkeypatch, kind):
+    R = RingSpec(("x", "y", "z"), QQ)
+    C = artin_algebra(R, ideal(R, _ALGEBRAS[kind]))
+    f = parse_poly(R, "x*y - 2*z + x^2")
+    assert C.action_matrix(f).data == _columns_reference(C, f)
+    # a reference that differs from the lookups is caught
+    monkeypatch.setattr(ArtinAlgebra, "coords", lambda self, g: [R.field.one] * self.dim)
+    with pytest.raises(AssertionError, match="disagrees with its columns"):
+        C.action_matrix(f)
+
+
+def test_a_monomial_algebra_takes_no_normal_form(monkeypatch):
+    # the work-counter gate: on C = R/(X^l, Y^l, Z, W) every product t * b
+    # is standard or in (X^l, Y^l, Z, W), and every variable has a power
+    # among the basis elements, so kernel-e1 reduces nothing
+    calls = []
+    real = groebner.normal_form
+    for module in (groebner, hilbert, secmethods):
+        if getattr(module, "normal_form", None) is real:
+            monkeypatch.setattr(module, "normal_form", lambda *a: calls.append(a) or real(*a))
+    doc = {
+        "ring": {"variables": ["X", "Y", "Z", "W"], "field": "fp:32003"},
+        "ideals": {"c": ["X^4", "Y^4", "Z", "W"]},
+        "artinian": {"C": {"ideal": "c"}},
+        "tasks": [{"name": "k", "command": "kernel-e1", "artinian": "C", "a": "X-Z", "b": "Y-W",
+                   "e0": 17, "expect": [-4, -6]}],
+    }
+    assert run_problem(load_problem(doc)).ok
+    assert calls == []
 
 
 def test_tn_length_degenerate_action():
