@@ -251,9 +251,10 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
     for name, q in _section(doc, "quotients").items():
         _require(isinstance(q, dict) and "defining" in q and "dim" in q,
                  f"quotient {name!r} needs 'defining' and 'dim'")
+        _require(_is_int(q["dim"]), f"quotient {name!r}: 'dim' must be an integer, got {q['dim']!r}")
         try:
             problem.quotients[name] = QuotientRingSpec(
-                ring, resolve_ideal(q["defining"]), int(q["dim"]), problem.cap
+                ring, resolve_ideal(q["defining"]), q["dim"], problem.cap
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad quotient {name!r}: {exc}") from exc

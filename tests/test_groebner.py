@@ -1065,7 +1065,7 @@ def test_product_equals_stops_once_the_target_is_covered(monkeypatch):
     assert calls.count(False) > 2
 
 
-def test_product_degrees_outside_the_packed_range_raise(tmp_path, capsys):
+def test_product_degrees_outside_the_packed_range_raise(tmp_path, capsys, monkeypatch):
     a = IdealHandle(R2, [])
     F = _basis(R2, [P("x^20000")])
     assert product_basis(a, F, [P("x^12767 + y")]).elements == [P("x^32767 + x^20000*y")]
@@ -1084,6 +1084,20 @@ def test_product_degrees_outside_the_packed_range_raise(tmp_path, capsys):
     }))
     assert main(["run", str(path)]) == 3
     assert "packed range" in capsys.readouterr().err
+    # so does an ideal-hilb whose second power step reaches x^40000, at that
+    # step: the chain multiplies no generators by a second route
+    autoreduced = []
+    real = groebner.autoreduce
+    monkeypatch.setattr(groebner, "autoreduce", lambda *a: autoreduced.append(a) or real(*a))
+    path.write_text(json.dumps({
+        "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+        "ideals": {"a": ["y^2"], "I": ["x^20000 + x^2", "y"]},
+        "quotients": {"A": {"defining": "a", "dim": 1}},
+        "tasks": [{"command": "ideal-hilb", "quotient": "A", "ideal": "I"}],
+    }))
+    assert main(["run", str(path)]) == 3
+    assert "packed range" in capsys.readouterr().err
+    assert autoreduced == []
 
 
 def test_product_equals_decided_by_its_generators_builds_no_pair_set(monkeypatch):

@@ -100,7 +100,8 @@ def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeyp
     with pytest.raises(NotLocallyFinite, match="positive-dimensional"):
         parameter_ideal(A, ["x^2", "x*y"])
     assert len(checks) == 2
-    # a local standard basis over the pair budget: the same verdicts
+    # a chart's local standard basis over the pair budget ends the check:
+    # the colength path is no second route
     real = hilbert.local_standard_basis
 
     def tiny_budget(J, weights):
@@ -110,10 +111,9 @@ def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeyp
 
     monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
     A = two_planes(2)
-    parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    with pytest.raises(NotLocallyFinite, match="positive-dimensional"):
-        parameter_ideal(A, ["Z-X*Y", "W"])  # meets Z = W = 0 in XY = 0
-    assert len(checks) == 4
+    with pytest.raises(ResourceLimit, match="pair budget"):
+        parameter_ideal(A, ["X^2-Z", "Y^2-W"])
+    assert len(checks) == 2
 
 
 def test_hs_regular_ring():
@@ -177,20 +177,21 @@ def test_power_bases_match_raw_powers_over_qq():
     _assert_powers_match_raw(A, maximal_ideal(A.ring), 3)
 
 
-def test_power_bases_start_and_budget_fallback(monkeypatch):
+def test_power_bases_start_and_a_step_over_the_budget_raises(monkeypatch):
     A = two_planes(2)
     I = big_i(A, 2)
     assert PowerChain(A, I).ideal(0).groebner().contains_one()  # a + (1)
     # with no pair budget no basis of a non-monomial ideal can be built (a
-    # monomial one needs no pair): the step multiplies the previous
-    # generators, and the ideals stay the same
+    # monomial one needs no pair): the step raises, builds no ideal by a
+    # second route, and the chain steps on once the budget is back
     I = ideal(A.ring, ["X*Y-Z", "X^2+Y^2-W"])
-    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
     chain = PowerChain(A, I, start=I)
-    handles = [chain.ideal(n) for n in range(3)]
-    with pytest.raises(ResourceLimit):
-        handles[0].groebner()
+    chain.basis(0)
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    with pytest.raises(ResourceLimit, match="pair budget"):
+        chain.ideal(1)
     monkeypatch.undo()
+    handles = [chain.ideal(n) for n in range(3)]
     raw = [local_colength(A.plus(ideal_power(I, n + 1))) for n in range(3)]
     assert [local_colength(J) for J in handles] == raw
 
@@ -590,7 +591,7 @@ def test_hs_function_takes_the_chart_at_sixteen_variables(monkeypatch):
     assert calls == []
 
 
-def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
+def test_hs_function_over_the_pair_budget_raises(monkeypatch):
     A = two_planes(2)
     real = hilbert.local_standard_basis
 
@@ -600,16 +601,15 @@ def test_hs_function_falls_back_over_the_pair_budget(monkeypatch):
             return real(J, weights)
 
     monkeypatch.setattr(hilbert, "local_standard_basis", tiny_budget)
-    # the chart's local basis is built (and here refused) once, by
-    # parameter_ideal, which then takes the colength path
-    Q = parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    A2, _, _, weights = A.chart(Q.lifts)
-    assert hilbert._chart_colengths(A2.defining, weights, 0) is None
-    with pytest.raises(ResourceLimit):
-        tiny_budget(A2.defining, weights)
+    # Q unchecked, as parameter_ideal would refuse it on the same basis:
+    # the chart's local basis is refused, and no chain of powers is built
+    Q = ParameterIdealSpec(tuple(parse_poly(A.ring, f) for f in ["X^2-Z", "Y^2-W"]))
     calls = spy_power_chains(monkeypatch)
+    with pytest.raises(ResourceLimit, match="pair budget"):
+        hs_function(A, Q, 4)
+    assert calls == []
+    monkeypatch.setattr(hilbert, "local_standard_basis", real)
     assert hs_function(A, Q, 4) == {l: 8 * comb(l + 2, 2) + 4 * (l + 1) for l in range(5)}
-    assert len(calls) == 1
 
 
 def test_lambda_map_builds_the_power_chain_once(monkeypatch):
@@ -660,10 +660,9 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
 
     def refuse_bases_and_steps():
         # a handle's cached basis is read without a call to _compute_basis;
-        # a chain step goes through product_basis or autoreduced_product
+        # a chain step goes through product_basis
         monkeypatch.setattr(groebner, "_compute_basis", refuse)
         monkeypatch.setattr(hilbert, "product_basis", refuse)
-        monkeypatch.setattr(hilbert, "autoreduced_product", refuse)
 
     refuse_bases_and_steps()
     assert is_reduction(A, Q, I) == cert

@@ -50,6 +50,32 @@ def test_the_package_never_forks():
     assert found == []
 
 
+def _resource_limit_handlers(tree: ast.Module) -> list[str]:
+    """The innermost function around each except clause of the tree that
+    names ResourceLimit or PackedRangeExceeded."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+            getattr(n, "id", getattr(n, "attr", None)) in ("ResourceLimit", "PackedRangeExceeded")
+            for n in ast.walk(node.type)
+        ):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return found
+
+
+def test_a_resource_limit_is_caught_only_where_it_is_rescued_or_reported():
+    # a refused budget or packed range ends the task in exit 3: no handler
+    # retries the refused work by a second route, apart from the local
+    # colength's packed-range rescue (it trims past its cutoff cap) and
+    # verify mode's reference value
+    sources = sorted(Path(hilbsam.__file__).parent.glob("*.py"))
+    found = {f"{path.stem}.{name}" for path in sources
+             for name in _resource_limit_handlers(ast.parse(path.read_text(), str(path)))}
+    assert found == {"groebner.local_colength_info", "groebner._colength_reference", "cli.main"}
+
+
 def _module_level(kind) -> dict:
     """{name: value} of every module-level value of the package of the
     given kind (dunder names aside)."""

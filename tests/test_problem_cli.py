@@ -366,6 +366,10 @@ _MALFORMED = {
     "ring-field": (_doc_shape(lambda d: d["ring"].update(field=5)), "field"),
     "ring-order": (_doc_shape(lambda d: d["ring"].update(order=5)), "order"),
     "quotients": (_doc_shape(lambda d: d.update(quotients=[1])), "'quotients'"),
+    # a dimension that is not an integer, which int() would read as 1
+    **{f"dim-{kind}": (_doc_shape(lambda d, v=value: d["quotients"]["A"].update(dim=v)),
+                       "quotient 'A': 'dim' must be an integer")
+       for kind, value in (("float", 1.9), ("bool", True), ("text", "1"))},
     "artinian": (_doc_shape(lambda d: d.update(artinian=["x"])), "'artinian'"),
     "intersect": (_doc_shape(lambda d: d["ideals"].update(bad={"intersect": 5})), "intersect"),
     "lifts": (_doc_shape(lambda d: d["parameters"]["Q"].update(lifts=5)), "'lifts'"),
