@@ -1141,9 +1141,8 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
     skipped.  A variable whose power is a basis element is walked by no
     normal form either.
 
-    A basis over the pair budget raises ResourceLimit.  PackedRangeExceeded
-    propagates too: the local path drops the terms past its cap and may
-    still certify the value, so callers try it next."""
+    A refused basis raises; after PackedRangeExceeded callers try the local
+    path, which drops the terms past its cap and may still certify J."""
     gb = J.groebner()
     if gb.contains_one():
         return 0
@@ -1172,11 +1171,10 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
 def local_colength_info(J: IdealHandle, cap: int = 64, support_at_origin: bool = False) -> ColengthInfo:
     """The colength of J at the origin with its certificate: by the global
     zero-dimensional path (support_at_origin is passed on to it), else by
-    _local_colength_info under the cutoff cap.  A pair-budget refusal of
-    the global path propagates; when it refused J for the packed range and
-    the local path gives up too, that PackedRangeExceeded is raised.  In
-    verify mode a global-path value is checked against _colength_reference
-    (AssertionError on a difference)."""
+    _local_colength_info under the cutoff cap.  When the global path
+    refused J for the packed range and the local path gives up too, that
+    PackedRangeExceeded is raised.  In verify mode a global-path value is
+    checked against _colength_reference (AssertionError on a difference)."""
     try:
         fast = _global_zero_dim_colength(J, support_at_origin)
     except PackedRangeExceeded as refusal:

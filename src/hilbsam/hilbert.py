@@ -16,11 +16,12 @@ from functools import partial
 from itertools import accumulate
 from math import comb, inf
 
-from .errors import NoPolynomialTail, NotLocallyFinite, SamplingExhausted
+from .errors import NoPolynomialTail, NotLocallyFinite, PackedRangeExceeded, SamplingExhausted
 from . import groebner
 from .groebner import (
     IdealHandle,
     autoreduce,
+    autoreduced_product,
     ideal_sum,
     local_colength_info,
     local_standard_basis,
@@ -144,16 +145,16 @@ def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
     """Checked constructor: defining + (lifts) must have finite colength
     (NotLocallyFinite otherwise).  In a parameter chart that holds iff every
     variable of weight 0 has a pure power in L(a), read off the local
-    standard basis hs_function samples from; without a chart, the colength
-    path decides.  A resource limit on either path propagates.  With
-    groebner.VERIFY set, both run and must agree."""
+    standard basis hs_function samples from; without a chart, or past the
+    packed range, the colength path decides.  With groebner.VERIFY set,
+    both run and must agree."""
     polys = tuple(parse_poly(A.ring, f) if isinstance(f, str) else f for f in lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
     Q = ParameterIdealSpec(polys)
     A2, lifts, _, weights = A.chart(polys)
     try:
-        verdict = _chart_colengths(A2.defining, weights, 0)  # None: no chart
+        verdict = _chart_colengths(A2.defining, weights, 0)  # None: no chart verdict
     except NotLocallyFinite as exc:
         verdict = exc
     if verdict is None or groebner.VERIFY:
@@ -186,15 +187,16 @@ class PowerChain:
     and S = start (default: the unit ideal), each built once on demand with
     its reduced degrevlex basis and, when asked, its colength l_A(A/S * I^n).
     A.chain(I, start) keeps one chain per (A, I, start) for the life of A,
-    and every caller that asks again on (A, I) reads that one (hs_function
-    and is_superficial without a chart, or in verify mode, ask their
-    chart's A).  known is an n at which a candidate's certificate held,
-    where the next certificate search starts.
+    and every caller that asks again on (A, I) reads that one (hs_function's
+    and is_superficial's fallbacks ask their chart's A).  known is an n at
+    which a candidate's certificate held, where the next certificate
+    search starts.
 
     A step is a + S * I^{n+1} = a + I * (a + S * I^n): product_basis
     multiplies the previous basis (usually built by its colength) by the
-    generators of I on packed monomials.  A step over the pair budget or the
-    packed range raises ResourceLimit.
+    generators of I on packed monomials.  Past the packed range it multiplies
+    the generators of S * I^n instead, as autoreduced products (the local
+    colength trims past its cap); over the pair budget it raises.
 
     S must lie in the radical of a + I, as I does, or as I does over a
     reduction Q of it.  Then every proper ideal of the chain has the radical
@@ -203,15 +205,22 @@ class PowerChain:
 
     def __init__(self, A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
         self.A, self.I = A, I
-        self._ideals = [A.plus(start if start is not None else IdealHandle(A.ring, [A.ring.one()]))]
+        self._gens = start.generators if start is not None else (A.ring.one(),)
+        self._ideals = [A.plus(IdealHandle(A.ring, self._gens))]
         self._colengths: dict[int, int] = {}
         self._certified = False
         self.known: int | None = None
 
     def ideal(self, n: int) -> IdealHandle:
         while len(self._ideals) <= n:
-            previous = self._ideals[-1].groebner()
-            self._ideals.append(IdealHandle.of_basis(product_basis(self.A.defining, previous, self.I.generators)))
+            try:
+                previous = self._ideals[-1].groebner()
+                self._gens = previous.elements
+                nxt = IdealHandle.of_basis(product_basis(self.A.defining, previous, self.I.generators))
+            except PackedRangeExceeded:
+                self._gens = autoreduced_product(self._gens, self.I)
+                nxt = self.A.plus(IdealHandle(self.A.ring, self._gens))
+            self._ideals.append(nxt)
         return self._ideals[n]
 
     def basis(self, n: int):
@@ -231,26 +240,30 @@ class PowerChain:
 
 def _chart_colengths(J: IdealHandle, weights: tuple[int, ...] | None, n_max: int) -> dict[int, int] | None:
     """l(R/(J + Q^{n+1})) at the origin for n = 0..n_max, Q the ideal of the
-    pivots, from J's local standard basis for a chart's weights (kept on
-    J); None without a chart (weights None); NotLocallyFinite when a
-    variable of weight 0 has no pure power in L(J), ResourceLimit when the
-    basis exceeds the pair budget or the packed range.
-    L(J + Q^{n+1}) = L(J) + Q^{n+1}, so the length counts the standard
-    monomials of J of weighted degree <= n: one walk for all n."""
+    pivots, from J's local standard basis for a chart's weights (kept on J,
+    a packed-range refusal too, as None); None without a chart (weights
+    None) or past the packed range; NotLocallyFinite when a variable of
+    weight 0 has no pure power in L(J).  L(J + Q^{n+1}) = L(J) + Q^{n+1}, so
+    the length counts the standard monomials of J of weighted degree <= n."""
     if weights is None:
         return None
     if ("local", weights) not in J._cache:
-        J._cache["local", weights] = local_standard_basis(J, weights)[1]
-    counts = _staircase_counts(J._cache["local", weights], len(weights), n_max + 1, weights)
+        try:
+            J._cache["local", weights] = local_standard_basis(J, weights)[1]
+        except PackedRangeExceeded:
+            J._cache["local", weights] = None
+    if (lts := J._cache["local", weights]) is None:
+        return None
+    counts = _staircase_counts(lts, len(weights), n_max + 1, weights)
     return dict(enumerate(accumulate(counts[n] for n in range(n_max + 1))))
 
 
 def _colengths_mod_powers(chart: tuple, J: IdealHandle, n_max: int) -> dict[int, int]:
     """l(R/(J + Q^{n+1})) at the origin for n = 0..n_max, with chart =
     A.chart(Q.lifts) and J ⊇ a, A2's defining ideal: by _chart_colengths,
-    or without a chart from the colengths of the ideals of A2.chain(Q)
-    (plus J unless J is a).  A resource limit propagates.  With
-    groebner.VERIFY set, both run and must agree."""
+    or else (no chart, or past the packed range) from the colengths of the
+    ideals of A2.chain(Q) (plus J unless J is a).  A pair-budget refusal
+    propagates.  With groebner.VERIFY set, both run and must agree."""
     A2, lifts, _, weights = chart
     H = _chart_colengths(J, weights, n_max)
     if H is None or groebner.VERIFY:

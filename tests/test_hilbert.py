@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import big_i, fat_point, regular2, spy_power_chains, staged, two_planes
 from hilbsam import groebner, hilbert
-from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, ResourceLimit, SamplingExhausted
+from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, PackedRangeExceeded, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
 from hilbsam.groebner import (
     IdealHandle,
@@ -100,8 +100,12 @@ def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeyp
     with pytest.raises(NotLocallyFinite, match="positive-dimensional"):
         parameter_ideal(A, ["x^2", "x*y"])
     assert len(checks) == 2
-    # a chart's local standard basis over the pair budget ends the check:
-    # the colength path is no second route
+
+
+def test_parameter_ideal_over_the_pair_budget_raises(monkeypatch):
+    # a chart's local standard basis over the pair budget ends the check,
+    # whatever the verdict would be: the colength path is no second route
+    checks = _spy(monkeypatch, hilbert, "local_colength_info")
     real = hilbert.local_standard_basis
 
     def tiny_budget(J, weights):
@@ -113,7 +117,30 @@ def test_parameter_ideal_without_a_chart_verdict_takes_the_colength_path(monkeyp
     A = two_planes(2)
     with pytest.raises(ResourceLimit, match="pair budget"):
         parameter_ideal(A, ["X^2-Z", "Y^2-W"])
-    assert len(checks) == 2
+    with pytest.raises(ResourceLimit, match="pair budget"):
+        parameter_ideal(A, ["Z-X*Y", "W"])  # meets Z = W = 0 in XY = 0
+    assert checks == []
+
+
+def test_a_defining_term_past_the_packed_range_takes_the_local_path():
+    # a = (x^40000 + x^3): no basis of a fits the packed range, so the chart
+    # gives no verdict and every chain step multiplies the generators of
+    # Q^n alone; each colength drops x^40000 past its cutoff cap, where a is
+    # (x^3), so l(A/Q^{n+1}) = 3(n+1)
+    R = RingSpec(("x", "y"), GF32003)
+    A = QuotientRingSpec(R, ideal(R, ["x^40000 + x^3"]), 1)
+    with pytest.raises(PackedRangeExceeded):
+        A.defining.groebner()
+    Q = parameter_ideal(A, ["y"])
+    expected = {n: 3 * (n + 1) for n in range(5)}
+    assert hs_function(A, Q, 4) == expected
+    chain = A.chain(ideal(R, ["y"]))
+    assert {n: chain.colength(n + 1) for n in range(5)} == expected
+    assert ideal_hilbert_report(A, ideal(R, ["y"])).coeffs == (3, 0)
+    # trimmed, a + (x) is (x), whose local staircase is infinite: the
+    # caller sees the refusal, not a finiteness verdict
+    with pytest.raises(PackedRangeExceeded):
+        parameter_ideal(A, ["x"])
 
 
 def test_hs_regular_ring():
@@ -660,9 +687,10 @@ def test_certificate_never_builds_the_basis_of_the_smaller_side(monkeypatch):
 
     def refuse_bases_and_steps():
         # a handle's cached basis is read without a call to _compute_basis;
-        # a chain step goes through product_basis
+        # a chain step goes through product_basis or autoreduced_product
         monkeypatch.setattr(groebner, "_compute_basis", refuse)
         monkeypatch.setattr(hilbert, "product_basis", refuse)
+        monkeypatch.setattr(hilbert, "autoreduced_product", refuse)
 
     refuse_bases_and_steps()
     assert is_reduction(A, Q, I) == cert

@@ -50,30 +50,45 @@ def test_the_package_never_forks():
     assert found == []
 
 
-def _resource_limit_handlers(tree: ast.Module) -> list[str]:
-    """The innermost function around each except clause of the tree that
-    names ResourceLimit or PackedRangeExceeded."""
-    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
-            getattr(n, "id", getattr(n, "attr", None)) in ("ResourceLimit", "PackedRangeExceeded")
-            for n in ast.walk(node.type)
-        ):
-            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-            found.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+def _resource_limit_handlers(tree: ast.Module, module: str) -> set[str]:
+    """module.qualified.function: Exception for each except clause of the
+    tree that names ResourceLimit or PackedRangeExceeded, with the
+    innermost function (and class) around it."""
+    limits = ("ResourceLimit", "PackedRangeExceeded")
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                for n in ast.walk(child.type):
+                    if (name := getattr(n, "id", getattr(n, "attr", None))) in limits:
+                        found.add(f"{scope}: {name}")
+            visit(child, scope)
+
+    visit(tree, module)
     return found
 
 
 def test_a_resource_limit_is_caught_only_where_it_is_rescued_or_reported():
-    # a refused budget or packed range ends the task in exit 3: no handler
-    # retries the refused work by a second route, apart from the local
-    # colength's packed-range rescue (it trims past its cutoff cap) and
-    # verify mode's reference value
+    # a refused pair budget ends the task in exit 3: no handler retries the
+    # refused work by a second route.  Past the packed range the local
+    # colength trims past its cutoff cap, so a term of a past the range need
+    # not end the task: the chart's local basis and a chain step hand such
+    # an ideal to it.  Verify mode's reference value and the CLI's exit 3
+    # are the only other handlers.
     sources = sorted(Path(hilbsam.__file__).parent.glob("*.py"))
-    found = {f"{path.stem}.{name}" for path in sources
-             for name in _resource_limit_handlers(ast.parse(path.read_text(), str(path)))}
-    assert found == {"groebner.local_colength_info", "groebner._colength_reference", "cli.main"}
+    found = set().union(*(_resource_limit_handlers(ast.parse(path.read_text(), str(path)), path.stem)
+                          for path in sources))
+    assert found == {
+        "groebner.local_colength_info: PackedRangeExceeded",
+        "groebner._colength_reference: ResourceLimit",
+        "hilbert._chart_colengths: PackedRangeExceeded",
+        "hilbert.PowerChain.ideal: PackedRangeExceeded",
+        "cli.main: ResourceLimit",
+    }
 
 
 def _module_level(kind) -> dict:
