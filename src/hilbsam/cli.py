@@ -106,17 +106,22 @@ def main(argv: list[str] | None = None) -> int:
         problem = load_problem(doc, field_override=args.field, seed=args.seed, cutoff=args.cutoff)
         return _emit(run_problem(problem), args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (ResourceLimit, SamplingExhausted) as exc:  # NotLocallyFinite, budgets
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3, typed=True)
     except HilbsamError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2, typed=True)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
+
+
+def _error(exc: Exception, code: int, typed: bool = False) -> int:
+    """Print exc as one stderr line, with its class when typed, naming the
+    task that raised it when the document named that task; returns code."""
+    where = f"task {exc.task!r}: " if hasattr(exc, "task") else ""
+    kind = f"{type(exc).__name__}: " if typed else ""
+    print(f"error: {where}{kind}{exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -615,11 +615,11 @@ class IdealHandle:
     the handle in _cache: reduced Groebner bases per (order, truncation),
     each holding the engine's packed elements; the colon and saturation
     parts per monomial u of a divisor c·u, or per non-monomial divisor
-    (_part); the colons and saturations per divisor generators
-    (_by_generators); per variable x_i the engine's packed elements of the
-    reduced degrevlex basis of I^h with x_i last (_by_monomial); and per
-    chart weights the leading monomials of a local basis
-    (hilbert._chart_colengths)."""
+    (_part), a part equal to I sharing this _cache; the colons and
+    saturations per divisor generators (_by_generators); per variable x_i
+    the engine's packed elements of the reduced degrevlex basis of I^h
+    with x_i last (_by_monomial); and per chart weights the leading
+    monomials of a local basis (hilbert._chart_colengths)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -980,11 +980,14 @@ def colon(I: IdealHandle, f: Polynomial) -> IdealHandle:
 def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
     """I : f, or with saturate I : f^inf, kept on I: for f = c·u with u a
     monomial, per u, by _by_monomial and generated by its reduced degrevlex
-    basis; otherwise per f, by _colon_by_intersection or by
+    basis: (1) when a divided element is a constant, I's own basis when
+    u's variables are regular mod I (no run at h = 1), the part then
+    sharing all that I keeps, as the two are the same ideal; otherwise per
+    f, by _colon_by_intersection or by
     _saturation_by_elimination.
 
-    In verify mode, a monomial part is checked against the other way
-    (AssertionError on a difference)."""
+    In verify mode, a monomial part, either verdict included, is checked
+    against the other way (AssertionError on a difference)."""
     what = "saturation" if saturate else "colon"
     monomial = len(f.terms) == 1
     key = (what, next(iter(f.terms)) if monomial else f)
@@ -994,7 +997,10 @@ def _part(I: IdealHandle, f: Polynomial, saturate: bool) -> IdealHandle:
     if not monomial:
         part = other(I, f)
     else:
-        part = IdealHandle.of_basis(_by_monomial(I, key[1], saturate))
+        gb = _by_monomial(I, key[1], saturate)
+        part = IdealHandle.of_basis(gb)
+        if gb is I.groebner():  # I : x^u = I
+            part._cache = I._cache
         if VERIFY and list(part.generators) != list(other(I, f).groebner().elements):
             raise AssertionError(f"the {what} by a monomial disagrees with {other.__name__}")
     I._cache[key] = part
@@ -1020,17 +1026,23 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     (of I^h : x_i^inf).  The variables of u are taken in turn, x_i^e
     dividing at most e times, and h = 1 ends it.
 
+    Two verdicts are read off the basis with x_i last, L(I^h : x_i) being
+    L(I^h) : x_i.  When no leading monomial is divisible by x_i, x_i is
+    regular mod I and I : x_i^e = I: while the ideal is still I such a
+    variable divides nothing, and when every variable of u is regular the
+    result is I's own basis, with no run at h = 1.  When a divided element
+    is a constant (the basis held x_i^k, k <= e, or k at all to saturate),
+    the result is the unit ideal, again with no run at h = 1.
+
     All of it runs on the engine's packed term lists: I's basis is read as
     its packed elements and homogenized into R[h]'s packing (h last), x_i
     and h trade fields before each run and back after it, x_i^k is divided
     out by subtracting a packed monomial, and h = 1 masks off h's field.
     The order stays degrevlex, so only the term lists are re-sorted.  The
-    basis of I^h with the first variable of u last is kept on I as packed
-    elements; only the final basis in R becomes Polynomials."""
+    basis of I^h with x_i last is kept on I as packed elements for each
+    variable x_i met while the ideal is still I; only the final basis in R
+    becomes Polynomials."""
     gb = I.groebner()
-    steps = [(i, e) for i, e in enumerate(u) if e]
-    if not steps:
-        return gb
     ring, n = I.ring, I.ring.nvars
     pk, pk_h = _packing(n, DEGREVLEX), _packing(n + 1, DEGREVLEX)
     at_h = _FIELD_BITS * n  # h's field in R[h], the degree in R
@@ -1046,19 +1058,25 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     for g in gb._raw_elems(pk):
         d = g.lt >> at_h  # deg f, the degree of its leading monomial
         gens.append([(m & fields | d - (m >> at_h) << at_h | d << pk_h.shift, c) for m, c in g.terms])
-    for step, (i, e) in enumerate(steps):
-        elems = I._cache.get(("homogenized", i)) if step == 0 else None
+    divided = False  # whether gens generate a colon other than I^h
+    for i, e in ((i, e) for i, e in enumerate(u) if e):
+        elems = None if divided else I._cache.get(("homogenized", i))
         if elems is None:
             elems = _engine(pk_h, ring.field, [pk_h.descending((swap(m, i), c) for m, c in f) for f in gens])
-            if step == 0:  # I^h with x_i last: kept on I
+            if not divided:  # I^h with x_i last: kept on I
                 I._cache["homogenized", i] = elems
         gens = []
         for el in elems:
-            k = min(m >> at_h & exps for m, _ in el.terms)
+            k = el.lt >> at_h & exps  # x_i's exponent in lt, the least in el
             if not saturate:
                 k = min(k, e)
+            divided = divided or k > 0
             q = k << at_h | k << pk_h.shift
             gens.append([(swap(m - q, i), c) for m, c in el.terms])
+    if not divided:  # every variable of u is regular mod I
+        return gb
+    if any(f[0][0] == 0 for f in gens):  # a constant: I : x^u = (1)
+        return _basis(ring, DEGREVLEX, pk, [_Elem([(0, ring.field.one)])], None, ())
     # h = 1: f is homogeneous, so no two of its terms merge
     minimal = _engine(pk, ring.field, [
         pk.descending((m & fields | (m >> pk_h.shift) - (m >> at_h & exps) << at_h, c) for m, c in f) for f in gens
@@ -1069,14 +1087,23 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
 def _by_generators(I: IdealHandle, J: IdealHandle, what: str, part) -> IdealHandle:
     """∩_g part(g) over the autoreduced generators g of J, intersected in
     turn and kept on I per generators of J; raises ZeroDivisor when J is
-    zero."""
+    zero.  A part holding a constant is the unit ideal and joins no
+    intersection; when every part is, the result is that part, (1).
+
+    In verify mode, a result that left a part out is checked against the
+    intersection of all parts (AssertionError on a difference)."""
     if I.ring != J.ring:
         raise MixedRings("ideals from different rings")
     if (what, J.generators) not in I._cache:
         gens = autoreduce(I.ring, list(J.generators))
         if not gens:
             raise ZeroDivisor(f"{what} by the zero ideal")
-        I._cache[what, J.generators] = reduce(intersect, map(part, gens))
+        parts = [part(g) for g in gens]
+        proper = [p for p in parts if not any(g.degree() == 0 for g in p.generators)]
+        out = reduce(intersect, proper or parts[:1])
+        if VERIFY and len(proper) < len(parts) and not ideal_equal(out, reduce(intersect, parts)):
+            raise AssertionError(f"the {what} without its unit parts disagrees with the intersection of all")
+        I._cache[what, J.generators] = out
     return I._cache[what, J.generators]
 
 
@@ -1087,8 +1114,10 @@ def colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 
 def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """(I : J^inf) = ∩_g (I : g^inf) over the autoreduced generators g of J,
-    each part by _part.  Returns the saturation generated by its reduced
-    degrevlex basis.  The pair budget bounds each basis (ResourceLimit);
+    each part by _part, the unit parts left out (_by_generators): a
+    monomial g's part is (1) when I's basis with g's variable last holds a
+    power of it (_by_monomial).  Returns the saturation generated by its
+    reduced degrevlex basis.  The pair budget bounds each basis (ResourceLimit);
     raises ZeroDivisor when J is zero."""
     return _by_generators(I, J, "saturation", partial(_part, I, saturate=True))
 

@@ -28,17 +28,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exact division a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
-from .errors import InputError, PolySyntaxError, UnknownVariable
+from .errors import HilbsamError, InputError, PolySyntaxError, UnknownVariable
 from .exactalg import FieldConfig, QQ, prime_field
 from .groebner import (
     IdealHandle,
@@ -623,7 +623,12 @@ def run_problem(problem: Problem) -> Report:
     for i, task in enumerate(problem.tasks):
         name = str(task.get("name", f"task{i}"))
         start = time.perf_counter()
-        result, primary, warnings = runner.run_task(task)
+        try:
+            result, primary, warnings = runner.run_task(task)
+        except (HilbsamError, ValueError) as exc:
+            if "name" in task:
+                exc.task = name  # cli.main names the task on stderr
+            raise
         seconds = time.perf_counter() - start
         checks = _check_expectations(task, result, primary)
         results.append(

@@ -28,6 +28,7 @@ from .groebner import (
     colon,
     ideal_equal,
     local_colength_info,
+    member,
     normal_form,
     sat_quotient_length,
     saturate,
@@ -224,7 +225,11 @@ def e1_via_slice(A: QuotientRingSpec, a: Polynomial) -> int:
 
 def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool = False) -> bool:
     """Colon criterion ((e_1..e_{i-1}) : e_i e_j) = ((e_1..e_{i-1}) : e_j)
-    for all i <= j, computed in R with the defining ideal added.  With
+    for all i <= j (Huneke, The theory of d-sequences and powers of
+    ideals, Adv. Math. 46, 1982), computed in R with the defining ideal
+    added, with the left side as (P : e_j) : e_i for P = (e_1..e_{i-1}).
+    In a chart the e_i are variables, and a regular e_i gives P : e_j's own
+    basis (groebner._by_monomial), with no colon by the product.  With
     all_orders, every permutation of the given sequence is checked."""
     A2, elems, *_ = A.chart(elems)
     gb = A2.defining.groebner()
@@ -235,9 +240,8 @@ def is_d_sequence(A: QuotientRingSpec, elems: list[Polynomial], all_orders: bool
         for i in range(1, len(seq) + 1):
             prefix = A2.plus(IdealHandle(A.ring, seq[: i - 1]))
             for j in range(i, len(seq) + 1):
-                lhs = colon(prefix, seq[i - 1] * seq[j - 1])
                 rhs = colon(prefix, seq[j - 1])
-                if not ideal_equal(lhs, rhs):
+                if not ideal_equal(colon(rhs, seq[i - 1]), rhs):
                     return False
     return True
 
@@ -261,10 +265,14 @@ def is_superficial(
     and multiplication by a gives l(A/(Q^{n+1} : a)) = l(A/Q^{n+1}) -
     l(A/(Q^{n+1} + aA)): they are equal iff that is l(A/(Q^n + (0 : a))),
     0 at n = 0 (Huneke & Swanson, Integral Closure of Ideals, Rings, and
-    Modules, Ch. 8), each _colengths_mod_powers in Q's chart: of the
-    defining ideal, of it plus (a), of its colon by a (the lift of
-    0 :_A a).  A window with no n >= 0, or l(A/Q) != l(A/(Q, a)) (a not
-    in Q), is a ValueError."""
+    Modules, Ch. 8), each _colengths_mod_powers in Q's chart: H of the
+    defining ideal, K of it plus (a), C of its colon by a (the lift of
+    0 :_A a).  When every generator of that colon lies in the defining
+    ideal, a is regular in A, 0 :_A a = 0 and C = H, with no local basis
+    and no walk of the colon (for a pivot, the colon is the defining
+    ideal's own basis, groebner._by_monomial); in verify mode C is walked
+    anyway and must equal H.  A window with no n >= 0, or
+    l(A/Q) != l(A/(Q, a)) (a not in Q), is a ValueError."""
     last = max(window, default=-1)
     if last < 0:
         raise ValueError(f"the superficiality window [{window.start}, {window.stop}) holds no n >= 0")
@@ -273,10 +281,14 @@ def is_superficial(
     (b,) = move([a])
     if b:  # monic, as is_d_sequence's elements are: they share its colons and sums
         b = b.scale(field_ops(A.ring.field)[4](b.sorted_terms()[0][1]))
-    H, K, C = (_colengths_mod_powers(chart, J, last) for J in
-               (A2.defining, A2.plus(IdealHandle(A.ring, [b])), colon(A2.defining, b)))
+    zero_colon = colon(A2.defining, b)
+    regular = all(member(g, A2.defining) for g in zero_colon.generators)
+    H, K = (_colengths_mod_powers(chart, J, last) for J in (A2.defining, A2.plus(IdealHandle(A.ring, [b]))))
     if H[0] != K[0]:
         raise ValueError(f"{a} is not in Q: l(A/Q) = {H[0]}, l(A/(Q, a)) = {K[0]}")
+    C = H if regular and not groebner.VERIFY else _colengths_mod_powers(chart, zero_colon, last)
+    if regular and C != H:
+        raise AssertionError(f"{a} is regular in A, but its colon's colengths {C} are not {H}")
     return all(H[n] - K[n] == (C[n - 1] if n else 0) for n in window if n >= 0)
 
 

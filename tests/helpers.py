@@ -5,7 +5,7 @@ from __future__ import annotations
 from hilbsam.exactalg import GF32003, FieldConfig
 from hilbsam.groebner import IdealHandle, ideal, ideal_power, ideal_sum, intersect, poly_exact_div
 from hilbsam.hilbert import PowerChain, QuotientRingSpec
-from hilbsam.polyring import Polynomial, RingSpec, elimination_order
+from hilbsam.polyring import Monomial, Polynomial, RingSpec, elimination_order
 
 XYZW = ("X", "Y", "Z", "W")
 
@@ -39,6 +39,15 @@ def big_i(A: QuotientRingSpec, n: int) -> IdealHandle:
     """m^n + (Z, W) as an ideal of R."""
     R = A.ring
     return ideal_sum(ideal_power(ideal(R, list(XYZW)), n), ideal(R, ["Z", "W"]))
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    """Exact division a / b of exponent tuples; b divides a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def regular2(field: FieldConfig = GF32003) -> QuotientRingSpec:

@@ -3,12 +3,13 @@ import json
 import math
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import colon_by_elimination, ring4, saturation_by_elimination, staged, two_planes
+from helpers import colon_by_elimination, mono_div, mono_lcm, ring4, saturation_by_elimination, staged, two_planes
 from hilbsam import groebner
 from hilbsam.cli import main
 from hilbsam.errors import NotLocallyFinite, PackedRangeExceeded, ResourceLimit, ZeroDivisor
@@ -45,9 +46,7 @@ from hilbsam.polyring import (
     RingSpec,
     elimination_order,
     lazard_order,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
     monomials_below_degree,
     monomials_of_degree,
@@ -56,6 +55,7 @@ from hilbsam.polyring import (
 from hilbsam.secmethods import artin_algebra
 
 R2 = RingSpec(("x", "y"), GF32003)
+R3 = RingSpec(("x", "y", "z"), GF32003)
 
 
 def P(text, ring=R2):
@@ -819,6 +819,80 @@ def test_a_packed_colon_builds_no_polynomial_over_r_h(monkeypatch):
     runs.clear()
     colon(I, parse_poly(R, "x*y"))  # and the part by x*y is kept per monomial
     assert runs == [] and set(rings) == {R}
+
+
+def test_a_regular_variable_builds_no_colon(monkeypatch):
+    # x is regular mod I: no leading monomial of I's basis with x last is
+    # divisible by x, so I : x is I's own reduced basis after that one
+    # basis, with no run at h = 1; the part shares what I keeps, so I : x^2,
+    # I : x^inf and a second colon by x run nothing.  A power of y in J
+    # makes J : y^inf the unit ideal, again after one basis
+    R = R3
+    I = ideal(R, ["y^2 - x*z", "z^3 - x*y"])
+    basis = tuple(I.groebner().elements)
+    J = ideal(R, ["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"])
+    J.groebner()
+    runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: runs.append(a[0].nvars) or real(*a, **k))
+    part = colon(I, P("x", R))
+    assert part.generators == basis and runs == [4]
+    assert colon(I, P("x", R)) is part and colon(I, P("-2*x^2", R)).generators == basis
+    assert saturate(I, ideal(R, ["x"])).generators == basis and colon(part, P("x", R)).generators == basis
+    assert runs == [4]
+    assert saturate(J, ideal(R, ["y"])).generators == (R.one(),) and runs == [4, 4]
+    monkeypatch.undo()
+    assert colon_by_elimination(I, P("x", R)).groebner().elements == list(basis)
+    assert saturation_by_elimination(J, P("y", R)).generators == (R.one(),)
+
+
+def test_only_bases_of_i_itself_are_kept_on_i(monkeypatch):
+    # in I : x*y with x regular mod I the ideal is still I at y's turn, so
+    # the basis with y last is I's and I : y then runs only h = 1; in
+    # J : x*y, x divides, so the basis with y last is of J^h : x and J : y
+    # builds its own
+    R = R3
+    I = ideal(R, ["y^2 - x*z", "z^3 - x*y"])
+    J = ideal(R, ["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"])
+    I.groebner(), J.groebner()
+    runs = []
+    real = groebner._engine
+    monkeypatch.setattr(groebner, "_engine", lambda *a, **k: runs.append(a[0].nvars) or real(*a, **k))
+    results = [colon(I, P("x*y", R)), colon(I, P("y", R))]
+    assert runs == [4, 4, 3, 3]
+    results += [colon(J, P("x*y", R)), colon(J, P("y", R)), saturate(J, ideal(R, ["y"]))]
+    monkeypatch.undo()
+    expected = [colon_by_elimination(K, P(u, R)).groebner().elements
+                for K, u in ((I, "x*y"), (I, "y"), (J, "x*y"), (J, "y"))]
+    expected.append(saturation_by_elimination(J, P("y", R)).generators)
+    assert [list(K.generators) for K in results] == [list(e) for e in expected]
+
+
+@given(_monomial_colon_cases())
+@settings(max_examples=60, deadline=10000, derandomize=True)
+@example((ideal(R3, ["x^2*y - z^3", "x*z^2 + y^2", "y^3*z"]), None))  # two unit parts
+@example((ideal(R3, ["x^2", "y^3", "z"]), None))  # three: the result is (1)
+def test_saturation_by_m_is_the_intersection_of_all_its_parts(case):
+    # a part by a variable with a power in I is the unit ideal and joins no
+    # intersection: the saturation is the one of the other parts
+    I, _ = case
+    m = maximal_ideal(I.ring)
+    S = saturate(I, m)
+    parts = [groebner._part(I, v, True) for v in m.generators]
+    assert S.generators == tuple(reduce(intersect, parts).groebner().elements)
+
+
+def test_a_dropped_unit_part_is_checked_in_verify_mode(verify_mode, monkeypatch):
+    # (x^2*y, y^3) : m^inf drops its unit part by y and passes the check
+    # against the intersection of all parts; (x^2*y) : m^inf has the parts
+    # (y) and (x^2), and a verdict that takes every monomial for a constant
+    # drops both, which that check catches
+    assert saturate(ideal(R2, ["x^2*y", "y^3"]), maximal_ideal(R2)).generators == (P("y"),)
+    assert saturate(ideal(R2, ["x^2*y"]), maximal_ideal(R2)).generators == (P("x^2*y"),)
+    real = Polynomial.degree
+    monkeypatch.setattr(Polynomial, "degree", lambda f: 0 if len(f.terms) == 1 else real(f))
+    with pytest.raises(AssertionError, match="without its unit parts"):
+        saturate(ideal(R2, ["x^2*y"]), maximal_ideal(R2))
 
 
 def _length_by_degrees(sat, J):

@@ -451,6 +451,29 @@ def test_missing_task_keys_fail_when_the_command_reads_them(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["window"] == [2, 4]
 
 
+def test_a_task_that_raises_is_named_on_stderr(tmp_path, capsys):
+    # the error line of a run names the task that raised, and keeps the
+    # exit code and the exception class: 3 for a product past the packed
+    # range, 2 for a missing key
+    doc = {
+        "ring": {"variables": ["x", "y"], "field": "fp:32003"},
+        "ideals": {"a": ["y^2"], "I": ["x^20000 + x^2", "y"], "m": ["x", "y"]},
+        "quotients": {"A": {"defining": "a", "dim": 1}},
+        "parameters": {"Q": {"quotient": "A", "lifts": ["x"]}},
+        "tasks": [{"name": "ok", "command": "colength", "ideal": "m"},
+                  {"name": "big", "command": "ideal-hilb", "quotient": "A", "ideal": "I"}],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: task 'big': PackedRangeExceeded: monomial degree 40000 leaves the packed range (< 32768)\n")
+    doc["tasks"][1] = {"name": "bare", "command": "hilb", "params": "Q"}
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: task 'bare': task needs 'quotient'\n"
+
+
 def test_ideal_hilb_nmax_zero_is_one_sample(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(_doc({"command": "ideal-hilb", "quotient": "A", "ideal": "bigI", "nmax": 0})))
@@ -478,9 +501,10 @@ def test_local_commands_run_through_the_cli(tmp_path, capsys):
 
 def test_slice_then_unmixed_saturate_by_m_once(monkeypatch):
     # both tasks read a + (a) from the one handle A keeps, so the slice's
-    # J : m^inf (one intersection per variable after the first) is the
-    # unmixed task's quotient length too; the saturation by Y - W is by
-    # elimination, which intersects nothing
+    # J : m^inf is the unmixed task's quotient length too; its parts by X
+    # and Z are the unit ideal and join no intersection, so the parts by Y
+    # and W take one; the saturation by Y - W is by elimination, which
+    # intersects nothing
     problem = load_problem(_doc(
         {"name": "slice", "command": "slice-e1", "quotient": "A", "a": "X-Z"},
         {"name": "unmixed", "command": "unmixed", "quotient": "A", "a": "X-Z", "b": "Y-W"},
@@ -490,7 +514,7 @@ def test_slice_then_unmixed_saturate_by_m_once(monkeypatch):
     monkeypatch.setattr(groebner, "intersect", lambda I, J: calls.append(1) or real(I, J))
     report = run_problem(problem)
     assert [t.primary for t in report.tasks] == [-2, 2]
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("a", ["1+X", "0", "-3"])

@@ -387,6 +387,35 @@ def _d_sequence_by_elimination(A, elems):
     return True
 
 
+def _embedded(nvars: int, dim: int):
+    """k[x, y(, z)]/(x^2, x*y): an embedded component at the origin."""
+    R = RingSpec(("x", "y", "z")[:nvars], GF32003)
+    return hilbert.QuotientRingSpec(R, ideal(R, ["x^2", "x*y"]), dim)
+
+
+@pytest.mark.parametrize("A, elems, charted", [
+    (two_planes(2), ["X-Z", "Y-W"], True),
+    (two_planes(2), ["X^2-Z", "Y^2-W"], True),
+    (staged(2), ["X^2-Z", "Y-W"], True),
+    (fat_point(2), ["X-Z", "Y-W"], True),
+    (_embedded(3, 2), ["y - x", "z"], True),
+    (_embedded(2, 1), ["y"], True),  # a d-sequence and no regular sequence
+    (regular2(), ["x^2 + y^2", "x*y"], False),
+    (regular2(), ["x", "x*y"], False),
+    (_embedded(3, 2), ["y^2", "z + x"], False),
+], ids=["planes-diagonal", "planes-square", "staged", "fat-point", "embedded", "embedded-y",
+        "forms", "x-xy", "embedded-forms"])
+def test_d_sequence_verdicts_match_the_colon_by_the_product(A, elems, charted):
+    # is_d_sequence compares (P : e_j) : e_i with P : e_j; the reference
+    # compares P : e_i e_j with P : e_j, by eliminations on the raw
+    # elements, charted or not
+    from hilbsam.transform import parameter_chart
+
+    elems = [parse_poly(A.ring, e) for e in elems]
+    assert (parameter_chart(A.ring, elems) is not None) == charted
+    assert is_d_sequence(A, elems, all_orders=True) == _d_sequence_by_elimination(A, elems)
+
+
 def _superficial_by_elimination(A, Q, a, last):
     """The criterion of is_superficial at n = 0..last, one verdict per n,
     compared as ideals of R: on the raw lifts, with the elimination colon."""
@@ -471,6 +500,23 @@ def test_superficiality_takes_both_sources_in_verify_mode(verify_mode, monkeypat
         is_superficial(A, Q, Q.lifts[1])
 
 
+def test_a_regular_element_walks_no_colon(monkeypatch):
+    # X - Z is regular on the two planes: its colon is the chart's defining
+    # ideal, so C = H with two walks, not three; the zero divisor
+    # X*(X - Z) walks its colon.  In verify mode the colon is walked anyway
+    # and must give H, so a regularity verdict given to X*(X - Z) is caught
+    A = two_planes(2)
+    Q = parameter_ideal(A, ["X-Z", "Y-W"])
+    walks = _spy_calls(monkeypatch, hilbert, "_chart_colengths")
+    assert is_superficial(A, Q, Q.lifts[0]) and len(walks) == 2
+    zero_divisor = A.ring.variable("X") * Q.lifts[0]
+    assert not is_superficial(A, Q, zero_divisor, range(0, 3)) and len(walks) == 5
+    monkeypatch.setattr(groebner, "VERIFY", True)
+    monkeypatch.setattr(secmethods, "member", lambda f, I: True)
+    with pytest.raises(AssertionError, match="is regular in A"):
+        is_superficial(A, Q, zero_divisor, range(0, 3))
+
+
 def test_a_charted_superficiality_check_takes_two_local_bases_and_a_colon(monkeypatch):
     # the work-counter gate: three walks in Q's chart, no power chain, and
     # at most five engine runs (the colon by a pivot's three and two local
@@ -487,7 +533,9 @@ def test_a_d_sequence_and_a_superficiality_check_share_the_chart(monkeypatch):
     # the quotient keeps one chart per lifts: the d-sequence check on Q's
     # lifts reads the chart parameter_ideal made, and the superficiality
     # check then finds the colon by the pivot on the chart's defining
-    # ideal; a d-sequence check on loose elements builds no local basis
+    # ideal, which is that ideal itself (the pivot is regular), so only
+    # a + (a) takes a local basis; a d-sequence check on loose elements
+    # builds no local basis
     charts = _spy_calls(monkeypatch, hilbert, "parameter_chart")
     bases = _spy_calls(monkeypatch, hilbert, "local_standard_basis")
     A = two_planes(2)
@@ -497,7 +545,7 @@ def test_a_d_sequence_and_a_superficiality_check_share_the_chart(monkeypatch):
     assert len(bases) == 1
     runs = _spy_calls(monkeypatch, groebner, "_engine")
     assert is_superficial(A, Q, parse_poly(A.ring, "X-Z"))
-    assert len(charts) == 1 and len(runs) == 2  # the local bases of a + (a) and a : a
+    assert len(charts) == 1 and len(runs) == 1  # the local basis of a + (a)
     built = len(bases)
     A = two_planes(2)
     assert not is_d_sequence(A, [parse_poly(A.ring, "X-Z"), parse_poly(A.ring, "Y-W")])
