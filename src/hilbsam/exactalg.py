@@ -1,5 +1,4 @@
-"""Exact coefficient fields, sparse echelon rank and a dense nullspace (the
-tests' reference for rank).
+"""Exact coefficient fields and sparse echelon rank.
 
 Two fields are supported: the rationals (stdlib Fraction) and prime fields
 F_p with 2 < p < 2**31 (plain ints reduced mod p).  Coefficient values are
@@ -214,61 +213,7 @@ def echelon_insert(
     return False
 
 
-def _rref(m: ExactMatrix) -> tuple[list[list[Coeff]], list[int]]:
-    """Reduced row echelon form (monic pivots, first nonzero entry in column
-    order); returns (rows, pivot column indices).  Deterministic."""
-    _add, sub, mul, _neg, inv, one = field_ops(m.field)
-    rows = [list(r) for r in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        scale = inv(rows[r][c])
-        if scale != one:
-            rows[r] = [mul(scale, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rank(m: ExactMatrix) -> int:
-    """Exact rank; rank + nullity = cols.  An echelon basis of the rows,
-    independent of the reduced form that nullspace uses."""
+    """Exact rank; rank + nullity = cols.  An echelon basis of the rows."""
     rows: dict = {}
     return sum(echelon_insert(rows, {j: x for j, x in enumerate(r) if x}, m.field) for r in m.data)
-
-
-def nullspace(m: ExactMatrix) -> list[ExactMatrix]:
-    """Basis of {v : Mv = 0} as column vectors (reduced echelon
-    representatives: one basis vector per free column, unit at the free
-    position)."""
-    F = m.field
-    neg = field_ops(F)[3]
-    rows, pivots = _rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [F.zero] * m.cols
-        vec[free] = F.one
-        for r, pc in enumerate(pivots):
-            coeff = rows[r][free]
-            if coeff:
-                vec[pc] = neg(coeff)
-        basis.append(ExactMatrix(F, [[x] for x in vec], 1))
-    return basis

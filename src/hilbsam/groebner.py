@@ -618,8 +618,8 @@ class IdealHandle:
     (_part), a part equal to I sharing this _cache; the colons and
     saturations per divisor generators (_by_generators); per variable x_i
     the engine's packed elements of the reduced degrevlex basis of I^h
-    with x_i last (_by_monomial); and per chart weights the leading
-    monomials of a local basis (hilbert._chart_colengths)."""
+    with x_i last (_by_monomial); and per 0/1 weights the leading
+    monomials of the local standard basis (local_standard_basis)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -755,40 +755,36 @@ def product_equals(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial], K:
 # ---------------------------------------------------------------------------
 # local standard bases by Lazard's homogenization
 
-def local_standard_basis(J: IdealHandle, weights) -> tuple[list[Polynomial], list[Monomial]]:
-    """A standard basis of J in the local ring at the origin, with its
-    leading monomials, for the local order "smaller weighted degree first
-    (0/1 weights), then smaller degree, then revlex".
+def local_standard_basis(J: IdealHandle, weights: tuple[int, ...]) -> list[Monomial]:
+    """The leading monomials of a standard basis of J in the local ring at
+    the origin, for the local order "smaller weighted degree first (0/1
+    weights), then smaller degree, then revlex", kept on J per weights.
 
     Lazard's homogenization (Greuel & Pfister, A Singular Introduction to
-    Commutative Algebra, 1.7): the reduced basis of the ideal of R[h]
-    generated by the homogenized generators of J, under lazard_order, has
-    homogeneous elements, and setting h = 1 in them gives the standard
-    basis.  Raises ResourceLimit when the basis exceeds the pair budget or
-    the packed range."""
-    ring = J.ring
-    ring_h, gens = _homogenized(ring, J.generators)
-    gb = IdealHandle(ring_h, gens).groebner(lazard_order(weights))
-    elements = [_dehomogenized(ring, f) for f in gb.elements]
-    return elements, [lt[:-1] for lt in gb.leading_monomials]
+    Commutative Algebra, 1.7): a Groebner basis under lazard_order of the
+    homogenized generators of J (_homogenized, h last) has homogeneous
+    elements, and setting h = 1 in them gives a standard basis with their
+    leading monomials, h dropped.  So one engine run on packed terms, with
+    no tail reduction, gives them.  Raises ResourceLimit when the run
+    exceeds the pair budget or the packed range; a refusal is not kept."""
+    key = ("local", weights)
+    if key not in J._cache:
+        n = J.ring.nvars
+        pack, pk_h = _packing(n, DEGREVLEX).pack, _packing(n + 1, lazard_order(weights))
+        gens = [pk_h.descending(_homogenized(pk_h, [(pack(m), c) for m, c in f.terms.items()]))
+                for f in J.generators]
+        J._cache[key] = [pk_h.unpack(e.lt)[:-1] for e in _engine(pk_h, J.ring.field, gens, reduce_tails=False)]
+    return J._cache[key]
 
 
-def _homogenized(ring: RingSpec, polys: Iterable[Polynomial]) -> tuple[RingSpec, list[Polynomial]]:
-    """R[h], with h a new last variable, and the polys homogenized in it."""
-    name = "h"
-    while name in ring.variables:
-        name += "_"
-    ring_h = RingSpec(ring.variables + (name,), ring.field)
-    out = []
-    for f in polys:
-        d = f.degree()
-        out.append(Polynomial(ring_h, {m + (d - sum(m),): c for m, c in f.terms.items()}, _canonical=True))
-    return ring_h, out
-
-
-def _dehomogenized(ring: RingSpec, f: Polynomial) -> Polynomial:
-    """f at h = 1, for f homogeneous in R[h]: no two of its terms merge."""
-    return Polynomial(ring, {m[:-1]: c for m, c in f.terms.items()}, _canonical=True)
+def _homogenized(pk_h: _Packing, terms: list) -> list:
+    """The homogenization of f in R[h], from f's packed (m, c) pairs in R,
+    as unsorted pairs packed by pk_h with h last: a term m gets
+    h^(deg f - deg m)."""
+    at_h = pk_h.shift - _FIELD_BITS  # h's field in R[h], the degree in R
+    fields = (1 << at_h) - 1  # R's variables' fields
+    d = max(m for m, _ in terms) >> at_h  # deg f
+    return [(m & fields | d - (m >> at_h) << at_h | d << pk_h.shift, c) for m, c in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -1035,13 +1031,13 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     the result is the unit ideal, again with no run at h = 1.
 
     All of it runs on the engine's packed term lists: I's basis is read as
-    its packed elements and homogenized into R[h]'s packing (h last), x_i
-    and h trade fields before each run and back after it, x_i^k is divided
-    out by subtracting a packed monomial, and h = 1 masks off h's field.
-    The order stays degrevlex, so only the term lists are re-sorted.  The
-    basis of I^h with x_i last is kept on I as packed elements for each
-    variable x_i met while the ideal is still I; only the final basis in R
-    becomes Polynomials."""
+    its packed elements and homogenized into R[h]'s packing (h last;
+    _homogenized), x_i and h trade fields before each run and back after
+    it, x_i^k is divided out by subtracting a packed monomial, and h = 1
+    masks off h's field.  The order stays degrevlex, so only the term lists
+    are re-sorted.  The basis of I^h with x_i last is kept on I as packed
+    elements for each variable x_i met while the ideal is still I; only the
+    final basis in R becomes Polynomials."""
     gb = I.groebner()
     ring, n = I.ring, I.ring.nvars
     pk, pk_h = _packing(n, DEGREVLEX), _packing(n + 1, DEGREVLEX)
@@ -1053,11 +1049,7 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
         x = (m >> _FIELD_BITS * i ^ m >> at_h) & exps
         return m ^ (x << _FIELD_BITS * i | x << at_h)
 
-    # I^h with h last: a term m of f gets h^(deg f - deg m)
-    gens = []
-    for g in gb._raw_elems(pk):
-        d = g.lt >> at_h  # deg f, the degree of its leading monomial
-        gens.append([(m & fields | d - (m >> at_h) << at_h | d << pk_h.shift, c) for m, c in g.terms])
+    gens = [_homogenized(pk_h, g.terms) for g in gb._raw_elems(pk)]  # I^h, h last
     divided = False  # whether gens generate a colon other than I^h
     for i, e in ((i, e) for i, e in enumerate(u) if e):
         elems = None if divided else I._cache.get(("homogenized", i))
@@ -1159,16 +1151,12 @@ def colength_at_cutoff(J: IdealHandle, cutoff: int) -> int:
     return n
 
 
-def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -> int | None:
+def _global_zero_dim_colength(J: IdealHandle) -> int | None:
     """Colength at the origin through the untruncated basis: applies when
     the staircase is finite and every variable is nilpotent mod J (support
     is the origin alone, so the global and local colengths agree).  Returns
-    None when the path does not apply.
-
-    support_at_origin: the caller has certified that J has the radical of
-    an ideal whose support is the origin alone, so the nilpotency walk is
-    skipped.  A variable whose power is a basis element is walked by no
-    normal form either.
+    None when the path does not apply.  A variable whose power is a basis
+    element is walked by no normal form.
 
     A refused basis raises; after PackedRangeExceeded callers try the local
     path, which drops the terms past its cap and may still certify J."""
@@ -1180,8 +1168,6 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
     if not all(any(sum(lt) == lt[i] for lt in lts) for i in range(nv)):
         return None  # an infinite staircase
     count = _staircase_counts(lts, nv, math.inf).total()
-    if support_at_origin:
-        return count
     powers = [lt for lt, g in zip(lts, gb.elements) if len(g.terms) == 1]
     for i in range(nv):
         if any(sum(m) == m[i] for m in powers):
@@ -1197,15 +1183,15 @@ def _global_zero_dim_colength(J: IdealHandle, support_at_origin: bool = False) -
     return count
 
 
-def local_colength_info(J: IdealHandle, cap: int = 64, support_at_origin: bool = False) -> ColengthInfo:
+def local_colength_info(J: IdealHandle, cap: int = 64) -> ColengthInfo:
     """The colength of J at the origin with its certificate: by the global
-    zero-dimensional path (support_at_origin is passed on to it), else by
-    _local_colength_info under the cutoff cap.  When the global path
-    refused J for the packed range and the local path gives up too, that
-    PackedRangeExceeded is raised.  In verify mode a global-path value is
-    checked against _colength_reference (AssertionError on a difference)."""
+    zero-dimensional path, else by _local_colength_info under the cutoff
+    cap.  When the global path refused J for the packed range and the local
+    path gives up too, that PackedRangeExceeded is raised.  In verify mode
+    a global-path value is checked against _colength_reference
+    (AssertionError on a difference)."""
     try:
-        fast = _global_zero_dim_colength(J, support_at_origin)
+        fast = _global_zero_dim_colength(J)
     except PackedRangeExceeded as refusal:
         try:
             return _local_colength_info(J, cap)
@@ -1237,7 +1223,7 @@ def _local_colength_info(J: IdealHandle, cap: int) -> ColengthInfo:
         for g in J.generators
     ])
     try:
-        staircase = _standard_monomials(local_standard_basis(trimmed, (0,) * nv)[1], nv, 1, (0,) * nv)
+        staircase = _standard_monomials(local_standard_basis(trimmed, (0,) * nv), nv, 1, (0,) * nv)
     except NotLocallyFinite:
         raise NotLocallyFinite(
             f"the local staircase below cutoff cap {cap} is infinite: a positive-dimensional component"
@@ -1261,7 +1247,7 @@ def _colength_reference(J: IdealHandle, value: int) -> int:
     local Artinian ring of length v has m^v ⊆ J, so D(v) = v."""
     nv = J.ring.nvars
     try:
-        lts = local_standard_basis(J, (0,) * nv)[1]
+        lts = local_standard_basis(J, (0,) * nv)
     except ResourceLimit:
         return colength_at_cutoff(J, max(value, 1))
     try:
@@ -1333,6 +1319,6 @@ def _local_sat_quotient_length(J: IdealHandle, sat: IdealHandle) -> int:
     L0(sat) outside L0(J).  sat/J is killed by a power of m, so it equals
     its localization, whose length that is."""
     nv, zero = J.ring.nvars, (0,) * J.ring.nvars
-    inner = local_standard_basis(J, zero)[1]
-    starts = [g for g in local_standard_basis(sat, zero)[1] if not any(mono_divides(lt, g) for lt in inner)]
+    inner = local_standard_basis(J, zero)
+    starts = [g for g in local_standard_basis(sat, zero) if not any(mono_divides(lt, g) for lt in inner)]
     return len(_standard_monomials(inner, nv, math.inf, starts=starts))

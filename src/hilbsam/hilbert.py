@@ -196,19 +196,13 @@ class PowerChain:
     multiplies the previous basis (usually built by its colength) by the
     generators of I on packed monomials.  Past the packed range it multiplies
     the generators of S * I^n instead, as autoreduced products (the local
-    colength trims past its cap); over the pair budget it raises.
-
-    S must lie in the radical of a + I, as I does, or as I does over a
-    reduction Q of it.  Then every proper ideal of the chain has the radical
-    of a + S: once one took the global zero-dimensional path (no window), the
-    later colengths skip its nilpotency walk; a + (1) certifies nothing."""
+    colength trims past its cap); over the pair budget it raises."""
 
     def __init__(self, A: QuotientRingSpec, I: IdealHandle, start: IdealHandle | None = None):
         self.A, self.I = A, I
         self._gens = start.generators if start is not None else (A.ring.one(),)
         self._ideals = [A.plus(IdealHandle(A.ring, self._gens))]
         self._colengths: dict[int, int] = {}
-        self._certified = False
         self.known: int | None = None
 
     def ideal(self, n: int) -> IdealHandle:
@@ -228,10 +222,7 @@ class PowerChain:
 
     def colength(self, n: int) -> int:
         if n not in self._colengths:
-            info = local_colength_info(self.ideal(n), self.A.cap, self._certified)
-            if info.window is None and info.value:  # a proper ideal supported at the origin alone
-                self._certified = True
-            self._colengths[n] = info.value
+            self._colengths[n] = local_colength_info(self.ideal(n), self.A.cap).value
         return self._colengths[n]
 
 
@@ -240,19 +231,16 @@ class PowerChain:
 
 def _chart_colengths(J: IdealHandle, weights: tuple[int, ...] | None, n_max: int) -> dict[int, int] | None:
     """l(R/(J + Q^{n+1})) at the origin for n = 0..n_max, Q the ideal of the
-    pivots, from J's local standard basis for a chart's weights (kept on J,
-    a packed-range refusal too, as None); None without a chart (weights
-    None) or past the packed range; NotLocallyFinite when a variable of
-    weight 0 has no pure power in L(J).  L(J + Q^{n+1}) = L(J) + Q^{n+1}, so
-    the length counts the standard monomials of J of weighted degree <= n."""
+    pivots, from the leading monomials of J's local standard basis for a
+    chart's weights; None without a chart (weights None) or past the packed
+    range; NotLocallyFinite when a variable of weight 0 has no pure power in
+    L(J).  L(J + Q^{n+1}) = L(J) + Q^{n+1}, so the length counts the
+    standard monomials of J of weighted degree <= n."""
     if weights is None:
         return None
-    if ("local", weights) not in J._cache:
-        try:
-            J._cache["local", weights] = local_standard_basis(J, weights)[1]
-        except PackedRangeExceeded:
-            J._cache["local", weights] = None
-    if (lts := J._cache["local", weights]) is None:
+    try:
+        lts = local_standard_basis(J, weights)
+    except PackedRangeExceeded:
         return None
     counts = _staircase_counts(lts, len(weights), n_max + 1, weights)
     return dict(enumerate(accumulate(counts[n] for n in range(n_max + 1))))

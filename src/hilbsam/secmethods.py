@@ -185,9 +185,14 @@ def e1_e2_via_kernel(
 ) -> KernelReport:
     """Fit e_0*binom(n+2,2) + l(T_n) on the window and return (e_1, e_2);
     checks the proven bracket -l(C) <= e_1 <= -l((0):_C Q).  One pass of
-    _tn_lengths gives every l(T_n) up to the window's end, and l(T_0)."""
-    lengths = list(islice(_tn_lengths(act), max(window, default=0) + 1))
-    samples = {n: e0 * comb(n + 2, 2) + (lengths[n] if n >= 0 else 0) for n in window}
+    _tn_lengths gives every l(T_n) up to the window's end, and l(T_0).
+    The sample H(n) = l(A/Q^{n+1}) is 0 for n < 0; a window with no n >= 0
+    is a ValueError."""
+    last = max(window, default=-1)
+    if last < 0:
+        raise ValueError(f"the kernel window [{window.start}, {window.stop}) holds no n >= 0")
+    lengths = list(islice(_tn_lengths(act), last + 1))
+    samples = {n: e0 * comb(n + 2, 2) + lengths[n] if n >= 0 else 0 for n in window}
     rep = extract_coeffs(samples, 2)
     if rep.coeffs[0] != e0:
         raise ValueError(f"fit changed the multiplicity: {rep.coeffs[0]} != {e0}")

@@ -222,7 +222,7 @@ def test_criterion_9d_oracle_equivalence():
                 gens.append(R.monomial(e1) - R.monomial(e2).scale(R.field.of_int(rng.randint(1, 7))))
         J = IdealHandle(R, gens)
         zero = (0,) * nv
-        t = max(map(sum, _standard_monomials(local_standard_basis(J, zero)[1], nv, 1, zero)))
+        t = max(map(sum, _standard_monomials(local_standard_basis(J, zero), nv, 1, zero)))
         value = local_colength(J)
         for cutoff in (t + 1, t + 2):
             assert colength_at_cutoff(J, cutoff) == truncation_colength_oracle(J, cutoff) == value, trial

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import nullspace, rref
 from hilbsam.exactalg import (
     ExactMatrix,
     FieldConfig,
     GF32003,
     QQ,
-    _rref,
     echelon_insert,
     field_ops,
     is_prime,
-    nullspace,
     prime_field,
     rank,
 )
@@ -122,5 +121,5 @@ def test_echelon_rows_span_the_row_space(m):
     stored = [[row.get(j, m.field.zero) for j in range(m.cols)] for row in rows.values()]
     # checked by the reduced row echelon form, which shares no code with rank
     both = ExactMatrix(m.field, m.data + stored, m.cols)
-    assert len(_rref(both)[1]) == len(_rref(m)[1]) == len(rows)
+    assert len(rref(both)[1]) == len(rref(m)[1]) == len(rows)
 

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import colon_by_elimination, mono_div, mono_lcm, ring4, saturation_by_elimination, staged, two_planes
+from helpers import (
+    colon_by_elimination,
+    lazard_reference,
+    mono_div,
+    mono_lcm,
+    ring4,
+    saturation_by_elimination,
+    spy_lazard_runs,
+    staged,
+    two_planes,
+)
 from hilbsam import groebner
 from hilbsam.cli import main
 from hilbsam.errors import NotLocallyFinite, PackedRangeExceeded, ResourceLimit, ZeroDivisor
@@ -574,14 +584,15 @@ def test_basis_and_autoreduce_share_exponent_tuples():
 # differential properties: independent colength paths agree
 
 @st.composite
-def _small_ideals(draw):
-    """Ideals of F_32003[x, y, z] (up to three variables) whose generators
-    have degree <= 3 and small coefficients; constants are allowed, so the
-    support can leave the origin.  Half of them also get a pure power of
-    each variable plus nonconstant lower terms, which makes finite
-    colengths at the origin common."""
+def _small_ideals(draw, fields=(GF32003,), names=(("x", "y", "z"),)):
+    """Ideals of F_32003[x, y, z] (up to three variables; or over one of
+    fields, in one of the variable names) whose generators have degree <= 3
+    and small coefficients; constants are allowed, so the support can leave
+    the origin.  Half of them also get a pure power of each variable plus
+    nonconstant lower terms, which makes finite colengths at the origin
+    common."""
     nvars = draw(st.integers(1, 3))
-    ring = RingSpec(("x", "y", "z")[:nvars], GF32003)
+    ring = RingSpec(draw(st.sampled_from(names))[:nvars], draw(st.sampled_from(fields)))
     monos = list(monomials_below_degree(nvars, 4))
     coeffs = st.integers(-5, 5).map(ring.field.of_int)
     gens = []
@@ -1020,17 +1031,27 @@ def test_weighted_standard_monomials_match_a_brute_force_filter(case):
         assert groebner._staircase_counts(lts, nvars, bound, weights) == wdeg
 
 
-@given(_small_ideals(), st.data())
+@given(_small_ideals(fields=(GF32003, QQ), names=(("x", "y", "z"), ("h", "y", "z"))), st.data())
 @settings(max_examples=60, deadline=5000)
 def test_local_standard_basis_lies_in_the_ideal_and_leads_its_elements(J, data):
+    # the packed Lazard run gives the leading monomials of the Polynomial
+    # route's basis, whose elements lie in J and lead with them; in a ring
+    # with a variable named h, the reference names its new variable h_
     weights = data.draw(st.tuples(*[st.integers(0, 1)] * J.ring.nvars))
-    elements, lts = groebner.local_standard_basis(J, weights)
+    elements, lts = lazard_reference(J, weights)
     gb = J.groebner()
     order = lazard_order(weights)
     for f, lt in zip(elements, lts, strict=True):
         assert normal_form(f, gb).is_zero()
         # lt leads f under the local order: least weight, then least degree, then revlex
         assert lt == max(f.terms, key=lambda m: order.key(m + (-sum(m),)))
+    assert groebner.local_standard_basis(J, weights) == lts
+    with pytest.MonkeyPatch.context() as m:
+        runs = spy_lazard_runs(m)
+        assert groebner.local_standard_basis(J, weights) == lts
+        assert runs == []  # kept on J per weights
+    other = tuple(1 - w for w in weights)
+    assert groebner.local_standard_basis(J, other) == lazard_reference(J, other)[1]
     # the leading monomials generate L(J): with all weights 0 and a finite
     # staircase, their standard monomials count the local colength
     if not any(weights):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import big_i, fat_point, regular2, spy_power_chains, staged, two_planes
+from helpers import big_i, fat_point, regular2, spy_lazard_runs, spy_power_chains, staged, two_planes
 from hilbsam import groebner, hilbert
 from hilbsam.errors import NoPolynomialTail, NotLocallyFinite, PackedRangeExceeded, ResourceLimit, SamplingExhausted
 from hilbsam.exactalg import GF32003, QQ
@@ -249,9 +249,11 @@ def _chain_against_raw(A, I, n_max):
 
 
 def test_power_colengths_reuse_the_support_certificate(monkeypatch):
-    # a + Q is supported at the origin alone: the first proper ideal of the
-    # chain takes the global path, and only its nilpotency walk calls
-    # normal_form; verify mode still checks every power against its reference
+    # a + Q is supported at the origin alone: every power takes the global
+    # path, and verify mode checks each against its reference.  The chain A
+    # keeps for (A, Q) walks the support of each power on its first read,
+    # and a second read of the same (A, Q) reads its colengths and walks
+    # nothing
     monkeypatch.setattr(groebner, "VERIFY", True)
     A = two_planes(2)
     Q = ideal(A.ring, ["X-Z", "Y-W"])
@@ -260,17 +262,8 @@ def test_power_colengths_reuse_the_support_certificate(monkeypatch):
     calls = []
     real = groebner.normal_form
     monkeypatch.setattr(groebner, "normal_form", lambda f, gb: calls.append(1) or real(f, gb))
-    local_colength_info(A.plus(Q))
-    walk = len(calls)
-    assert walk > 0
-    calls.clear()
-    _power_colengths(A, Q, 3)
-    assert len(calls) == walk
-    # the chain A keeps for (A, Q) walks once on its first read, and a
-    # second call on the same (A, Q) reads its colengths and walks nothing
-    calls.clear()
     colengths = [A.chain(Q).colength(n + 1) for n in range(4)]
-    assert len(calls) == walk
+    assert colengths == [info.value for info in infos] and calls
     calls.clear()
     assert [A.chain(Q).colength(n + 1) for n in range(4)] == colengths
     assert calls == []
@@ -528,9 +521,9 @@ def test_a_pickled_spec_keeps_its_chart(monkeypatch):
     assert list(A2._charts) == [Q2.lifts]
     assert all(f._hash is None for f in A2.chart(Q2.lifts)[1])  # string hashes are per process
     charts = _spy(monkeypatch, hilbert, "parameter_chart")
-    bases = _spy(monkeypatch, hilbert, "local_standard_basis")
+    runs = spy_lazard_runs(monkeypatch)
     assert hilbert_report(A2, Q2, n_max).coeffs == (8, -4, 0)
-    assert charts == bases == []
+    assert charts == runs == []
 
 
 # ---------------------------------------------------------------------------

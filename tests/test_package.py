@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import hilbsam
+from helpers import dense_row_operations
 from hilbsam import groebner
 from hilbsam.suite import run_paper_suite
 
@@ -13,6 +14,11 @@ _FORKING_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
 # the seed-0 suite runs over primes no other test uses, one per test: no
 # earlier test in the process has computed anything of them
 _FRESH_FIELDS = ("fp:10007", "fp:10009")
+
+
+def _sources() -> list[Path]:
+    """The package's modules."""
+    return sorted(Path(hilbsam.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -43,10 +49,43 @@ def _forks(node: ast.AST) -> bool:
 def test_the_package_never_forks():
     # every task runs in one process: no module imports a process pool,
     # multiprocessing or subprocess, or calls os.fork
-    sources = sorted(Path(hilbsam.__file__).parent.glob("*.py"))
+    sources = _sources()
     assert len(sources) > 5
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(), str(path))) if _forks(node)]
+    assert found == []
+
+
+def _unread_imports(tree: ast.Module) -> set[str]:
+    """The names the tree imports (from __future__ aside) and never reads,
+    re-exports in __all__ aside."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = {e.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets) for e in node.value.elts}
+    return imported - read - exported
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a deletion that leaves its imports behind fails here
+    assert _unread_imports(ast.parse("import os.path\nfrom . import a, b as c\nc()\n__all__ = ['a']")) == {"os"}
+    found = {f"{path.stem}.{name}" for path in _sources()
+             for name in _unread_imports(ast.parse(path.read_text(), str(path)))}
+    assert found == set()
+
+
+def test_no_module_defines_a_dense_elimination():
+    # rank, the kernel method and every colength run sparse echelon bases;
+    # the dense reduced row echelon form is the tests' reference for rank
+    helpers = Path(__file__).with_name("helpers.py")
+    assert dense_row_operations(ast.parse(helpers.read_text())) != []
+    found = [f"{path.name}:{line}" for path in _sources()
+             for line in dense_row_operations(ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 
@@ -79,9 +118,8 @@ def test_a_resource_limit_is_caught_only_where_it_is_rescued_or_reported():
     # not end the task: the chart's local basis and a chain step hand such
     # an ideal to it.  Verify mode's reference value and the CLI's exit 3
     # are the only other handlers.
-    sources = sorted(Path(hilbsam.__file__).parent.glob("*.py"))
     found = set().union(*(_resource_limit_handlers(ast.parse(path.read_text(), str(path)), path.stem)
-                          for path in sources))
+                          for path in _sources()))
     assert found == {
         "groebner.local_colength_info: PackedRangeExceeded",
         "groebner._colength_reference: ResourceLimit",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import spy_lazard_runs
 from hilbsam import groebner
 from hilbsam.cli import main
 from hilbsam.errors import InputError
@@ -241,21 +242,22 @@ def test_unreadable_problem_files_are_input_errors(tmp_path, capsys):
 
 
 def test_sampled_coeffs_builds_one_local_basis_per_candidate(monkeypatch):
-    # parameter_ideal builds each candidate's local standard basis once and
-    # keeps it on the spec; hs_function walks that one and looks up no other
+    # parameter_ideal builds each candidate's local standard basis in one
+    # Lazard run, kept on the chart's defining ideal; hs_function walks that
+    # one and runs no other
     from hilbsam import hilbert
 
     problem = load_problem(_doc(
         {"name": "s", "command": "sampled-coeffs", "quotient": "A", "ideal": "bigI",
          "count": 3, "seed": 0, "nmax": 5},
     ))
-    calls = {"parameter_ideal": [], "local_standard_basis": []}
-    for name, seen in calls.items():
-        real = getattr(hilbert, name)
-        monkeypatch.setattr(hilbert, name, lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+    candidates = []
+    real = hilbert.parameter_ideal
+    monkeypatch.setattr(hilbert, "parameter_ideal", lambda *a: candidates.append(a) or real(*a))
+    runs = spy_lazard_runs(monkeypatch)
     report = run_problem(problem)
     assert report.ok and len(report.tasks[0].result["coeffs"]) == 3
-    assert len(calls["local_standard_basis"]) == len(calls["parameter_ideal"]) >= 3
+    assert len(runs) == len(candidates) >= 3
 
 
 _OFF_ORIGIN_DOC = {
@@ -449,6 +451,24 @@ def test_missing_task_keys_fail_when_the_command_reads_them(capsys, tmp_path):
     assert main(["superficial", "--file", str(path), "--quotient", "A", "--params", "Qdiag",
                  "--a", "X-Z", "--window", "2", "4", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["window"] == [2, 4]
+
+
+def test_kernel_windows_below_zero(tmp_path, capsys):
+    # H(n) = l(A/Q^{n+1}) is 0 for n < 0: a window reaching below 0 fits the
+    # same tail, and a window with no n >= 0 is an input error naming it
+    from hilbsam.suite import paper_suite_doc
+
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(paper_suite_doc()))
+    args = ["kernel-e1", "--file", str(path), "--artinian", "C_pp2", "--a", "X-Z", "--b", "Y-W",
+            "--e0", "5", "--json", "--window"]
+    results = []
+    for window in (["0", "8"], ["-3", "8"]):
+        assert main(args + window) == 0
+        results.append(json.loads(capsys.readouterr().out)["tasks"][0]["result"])
+    assert results[0]["e1"] == results[1]["e1"] == -2 and results[0]["e2"] == results[1]["e2"] == -1
+    assert main(args + ["-8", "-1"]) == 2
+    assert capsys.readouterr().err == "error: task 'kernel-e1': the kernel window [-8, -1) holds no n >= 0\n"
 
 
 def test_a_task_that_raises_is_named_on_stderr(tmp_path, capsys):

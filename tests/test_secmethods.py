@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    big_i, colon_by_elimination, fat_point, regular2, ring4, spy_power_chains, staged, two_planes,
+    big_i, colon_by_elimination, dense_eliminations_run, fat_point, nullspace, regular2, ring4,
+    spy_power_chains, staged, two_planes,
 )
-from hilbsam import exactalg, groebner, hilbert, secmethods
-from hilbsam.exactalg import GF32003, QQ, ExactMatrix, nullspace, rank
+from hilbsam import groebner, hilbert, secmethods
+from hilbsam.exactalg import GF32003, QQ, ExactMatrix, rank
 from hilbsam.groebner import (
     IdealHandle,
     ideal,
@@ -213,30 +214,26 @@ def test_incremental_tn_lengths_match_the_dense_block_matrix(act):
         assert next(lengths) == len(nullspace(_block_matrix(act, n))), n
 
 
-def test_kernel_method_runs_no_dense_elimination(monkeypatch):
+def test_kernel_method_runs_no_dense_elimination():
     # one sparse echelon basis serves the whole window, and the binomial fit
     # reads the integer difference table: no dense elimination at all
     C = artin_algebra(ring4(), ideal(ring4(), ["X^3", "Y^3", "Z", "W"]))
     act = action_pair(C, parse_poly(C.ring, "X-Z"), parse_poly(C.ring, "Y-W"))
-
-    def refuse(m):
-        raise AssertionError(f"dense elimination of a {m.rows} x {m.cols} matrix")
-
-    monkeypatch.setattr(exactalg, "_rref", refuse)
-    rep = e1_e2_via_kernel(C, act, 10, range(0, 12))
+    rep, dense = dense_eliminations_run(e1_e2_via_kernel, C, act, 10, range(0, 12))
+    assert dense == []
     assert (rep.e1, rep.e2) == (-3, -3)
     assert rep.annihilator_bound == tn_length(C, act, 0) == 1
+    # the tracer sees the tests' reference, the one dense elimination left
+    _, dense = dense_eliminations_run(nullspace, _block_matrix(act, 2))
+    assert dense == ["helpers.rref"]
 
 
-def test_the_suite_runs_no_dense_elimination(monkeypatch):
-    # _rref is left to nullspace, the tests' reference for rank
+def test_the_suite_runs_no_dense_elimination():
     from hilbsam.suite import run_paper_suite
 
-    calls = []
-    dense = exactalg._rref
-    monkeypatch.setattr(exactalg, "_rref", lambda m: calls.append((m.rows, m.cols)) or dense(m))
-    assert run_paper_suite(field="fp:32003", seed=0).ok
-    assert calls == []
+    report, dense = dense_eliminations_run(run_paper_suite, field="fp:32003", seed=0)
+    assert report.ok
+    assert dense == []
 
 
 def test_kernel_e1_e2_examples():
@@ -600,15 +597,12 @@ def test_sally_lengths_accept_the_known_certificate(monkeypatch):
 
 
 def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
-    # a + Q^n I and a + I^{n+1} keep the radical of a + I: the two chains
-    # are read in turn from n = 1, and once a chain's first ideal took the
-    # global path, its later ones skip the nilpotency walk; a second call
-    # on the same quotient object reads both chains of the first and walks
-    # nothing
+    # the first call walks each ideal of the chains of a + Q^n I and
+    # a + I^{n+1}, n = 1..n_max, once; the chains keep their colengths, so
+    # a second call on the same quotient object walks nothing
     walks = []
     real = groebner._global_zero_dim_colength
-    monkeypatch.setattr(groebner, "_global_zero_dim_colength",
-                        lambda J, support_at_origin=False: walks.append(support_at_origin) or real(J, support_at_origin))
+    monkeypatch.setattr(groebner, "_global_zero_dim_colength", lambda J: walks.append(J) or real(J))
     for lifts, n_max, lengths in [(["X^2-Z", "Y^2-W"], 4, {1: 2, 2: 3, 3: 4, 4: 5}),
                                   (["X*Y-Z", "X^2+Y^2-W"], 3, {1: 1, 2: 1, 3: 1})]:
         A = two_planes(2)
@@ -616,7 +610,7 @@ def test_sally_lengths_walk_the_support_once_per_chain(monkeypatch):
         Q = parameter_ideal(A, lifts)
         walks.clear()
         assert sally_lengths(A, I, Q, n_max) == lengths
-        assert walks == [False, False] + [True] * (2 * (n_max - 1))
+        assert len(walks) == len(set(map(id, walks))) == 2 * n_max
         walks.clear()
         assert sally_lengths(A, I, Q, n_max) == lengths
         assert walks == []
