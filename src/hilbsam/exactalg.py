@@ -12,35 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Union
 
 Coeff = Union[int, Fraction]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24 (covers 2**31)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to isqrt(n): at most 46,340 divisions below 2**31,
+    the largest characteristic a FieldConfig admits."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -133,11 +114,6 @@ class ExactMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    @classmethod
-    def zeros(cls, field: FieldConfig, rows: int, cols: int) -> ExactMatrix:
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols)
-
     def __getitem__(self, idx: tuple[int, int]) -> Coeff:
         return self.data[idx[0]][idx[1]]
 
@@ -152,25 +128,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
-
-    def matmul(self, other: ExactMatrix) -> ExactMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        add, _sub, mul, *_ = field_ops(self.field)
-        out = ExactMatrix.zeros(self.field, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = add(orow[j], mul(a, b))
-        return out
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)

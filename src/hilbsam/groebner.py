@@ -230,18 +230,11 @@ class _Packing:
         packed = {pack(m): c for m, c in terms.items()}
         return [(m, packed[m]) for m in sorted(packed, key=self.key, reverse=True)]
 
-    def polynomials(
-        self, ring: RingSpec, term_lists: list, known: Iterable[Monomial] = ()
-    ) -> list[Polynomial]:
-        """Packed term lists as polynomials.  A monomial in several of them,
-        or equal to a tuple in known (the caller's input terms), is held by
-        one exponent tuple; the sharing dict lives for this call only."""
+    def polynomials(self, ring: RingSpec, term_lists: list) -> list[Polynomial]:
+        """Packed term lists as polynomials; a monomial in several of them
+        is held by one exponent tuple."""
         unpack = self.unpack
-        share = {m: m for m in known}
-        tuples = {}
-        for m in {m for pairs in term_lists for m, _ in pairs}:
-            t = unpack(m)
-            tuples[m] = share.setdefault(t, t)
+        tuples = {m: unpack(m) for m in {m for pairs in term_lists for m, _ in pairs}}
         return [
             Polynomial(ring, {tuples[m]: c for m, c in pairs}, _canonical=True) for pairs in term_lists
         ]
@@ -616,10 +609,9 @@ class IdealHandle:
     each holding the engine's packed elements; the colon and saturation
     parts per monomial u of a divisor c·u, or per non-monomial divisor
     (_part), a part equal to I sharing this _cache; the colons and
-    saturations per divisor generators (_by_generators); per variable x_i
-    the engine's packed elements of the reduced degrevlex basis of I^h
-    with x_i last (_by_monomial); and per 0/1 weights the leading
-    monomials of the local standard basis (local_standard_basis)."""
+    saturations per divisor generators (_by_generators); and per 0/1
+    weights the leading monomials of the local standard basis
+    (local_standard_basis)."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -661,21 +653,19 @@ class IdealHandle:
         return gb
 
 
-def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc, known) -> GroebnerBasis:
+def _basis(ring, order, pk: _Packing, minimal: list[_Elem], trunc) -> GroebnerBasis:
     """The engine's minimal elements as a basis, which keeps them as its
-    packed reducers; known as in _Packing.polynomials."""
-    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal], known), trunc)
+    packed reducers."""
+    gb = GroebnerBasis(ring, order, pk.polynomials(ring, [e.terms for e in minimal]), trunc)
     gb._raw = minimal
     return gb
 
 
 def _compute_basis(ring, order, gens, trunc, reduce_tails) -> GroebnerBasis:
-    if trunc is not None and not order.degree_compatible:
-        raise ValueError("truncated bases need a degree-compatible order")
     pk = _packing(ring.nvars, order)
     raw = [pk.sorted_terms(f.terms, trunc) for f in gens]
     minimal = _engine(pk, ring.field, raw, trunc, reduce_tails)
-    return _basis(ring, order, pk, minimal, trunc, (m for f in gens for m in f.terms))
+    return _basis(ring, order, pk, minimal, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +715,7 @@ def product_basis(a: IdealHandle, F: GroebnerBasis, H: Sequence[Polynomial]) -> 
     ring = a.ring
     pk = _packing(ring.nvars, DEGREVLEX)
     minimal = _engine(pk, ring.field, _product_gens(pk, a, F, H))
-    gb = _basis(ring, DEGREVLEX, pk, minimal, None, (m for g in a.generators for m in g.terms))
+    gb = _basis(ring, DEGREVLEX, pk, minimal, None)
     if VERIFY and gb.elements != _autoreduced_product_basis(a, F, H).elements:
         raise AssertionError("the product basis disagrees with the basis of the autoreduced products")
     return gb
@@ -884,7 +874,7 @@ def autoreduce(ring: RingSpec, gens: list[Polynomial], order: MonomialOrder = DE
                 c = inv(lc)
                 rem = [(m, mul(c, v)) for (m, v) in rem]
             kept.append(_Elem(rem))
-    return pk.polynomials(ring, [e.terms for e in kept], (m for g in gens for m in g.terms))
+    return pk.polynomials(ring, [e.terms for e in kept])
 
 
 def _aux_ring(ring: RingSpec) -> RingSpec:
@@ -1035,9 +1025,9 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     _homogenized), x_i and h trade fields before each run and back after
     it, x_i^k is divided out by subtracting a packed monomial, and h = 1
     masks off h's field.  The order stays degrevlex, so only the term lists
-    are re-sorted.  The basis of I^h with x_i last is kept on I as packed
-    elements for each variable x_i met while the ideal is still I; only the
-    final basis in R becomes Polynomials."""
+    are re-sorted.  No basis of I^h is kept: each call runs the engine
+    once per variable of u, and only the final basis in R becomes
+    Polynomials; the part it generates is kept on I (_part)."""
     gb = I.groebner()
     ring, n = I.ring, I.ring.nvars
     pk, pk_h = _packing(n, DEGREVLEX), _packing(n + 1, DEGREVLEX)
@@ -1052,11 +1042,7 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     gens = [_homogenized(pk_h, g.terms) for g in gb._raw_elems(pk)]  # I^h, h last
     divided = False  # whether gens generate a colon other than I^h
     for i, e in ((i, e) for i, e in enumerate(u) if e):
-        elems = None if divided else I._cache.get(("homogenized", i))
-        if elems is None:
-            elems = _engine(pk_h, ring.field, [pk_h.descending((swap(m, i), c) for m, c in f) for f in gens])
-            if not divided:  # I^h with x_i last: kept on I
-                I._cache["homogenized", i] = elems
+        elems = _engine(pk_h, ring.field, [pk_h.descending((swap(m, i), c) for m, c in f) for f in gens])
         gens = []
         for el in elems:
             k = el.lt >> at_h & exps  # x_i's exponent in lt, the least in el
@@ -1068,12 +1054,12 @@ def _by_monomial(I: IdealHandle, u: Monomial, saturate: bool) -> GroebnerBasis:
     if not divided:  # every variable of u is regular mod I
         return gb
     if any(f[0][0] == 0 for f in gens):  # a constant: I : x^u = (1)
-        return _basis(ring, DEGREVLEX, pk, [_Elem([(0, ring.field.one)])], None, ())
+        return _basis(ring, DEGREVLEX, pk, [_Elem([(0, ring.field.one)])], None)
     # h = 1: f is homogeneous, so no two of its terms merge
     minimal = _engine(pk, ring.field, [
         pk.descending((m & fields | (m >> pk_h.shift) - (m >> at_h & exps) << at_h, c) for m, c in f) for f in gens
     ])
-    return _basis(ring, DEGREVLEX, pk, minimal, None, (m for f in gb.elements for m in f.terms))
+    return _basis(ring, DEGREVLEX, pk, minimal, None)
 
 
 def _by_generators(I: IdealHandle, J: IdealHandle, what: str, part) -> IdealHandle:

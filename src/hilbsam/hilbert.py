@@ -141,16 +141,26 @@ class ParameterIdealSpec:
     lifts: tuple[Polynomial, ...]
 
 
+def require_in_maximal_ideal(f: Polynomial, what: str) -> None:
+    """ValueError naming f as what unless f is a nonzero element of the
+    maximal ideal at the origin, i.e. nonzero with no constant term."""
+    if f.is_zero() or f.constant_term():
+        raise ValueError(f"{what} is not a nonzero element of the maximal ideal")
+
+
 def parameter_ideal(A: QuotientRingSpec, lifts) -> ParameterIdealSpec:
-    """Checked constructor: defining + (lifts) must have finite colength
-    (NotLocallyFinite otherwise).  In a parameter chart that holds iff every
-    variable of weight 0 has a pure power in L(a), read off the local
-    standard basis hs_function samples from; without a chart, or past the
-    packed range, the colength path decides.  With groebner.VERIFY set,
+    """Checked constructor: each lift must be a nonzero element of the
+    maximal ideal (ValueError otherwise), and defining + (lifts) must have
+    finite colength (NotLocallyFinite otherwise).  In a parameter chart
+    that holds iff every variable of weight 0 has a pure power in L(a),
+    read off the local standard basis hs_function samples from; without a
+    chart, or past the packed range, the colength path decides.  With groebner.VERIFY set,
     both run and must agree."""
     polys = tuple(parse_poly(A.ring, f) if isinstance(f, str) else f for f in lifts)
     if len(polys) != A.dim:
         raise ValueError(f"expected {A.dim} lifts, got {len(polys)}")
+    for f in polys:
+        require_in_maximal_ideal(f, f"lift {f}")
     Q = ParameterIdealSpec(polys)
     A2, lifts, _, weights = A.chart(polys)
     try:
@@ -469,8 +479,6 @@ def sample_reductions(
                 if c:
                     acc = acc + g.scale(F.of_int(c))
             lifts.append(acc)
-        if any(f.is_zero() for f in lifts):
-            continue
         try:
             Q = parameter_ideal(A, lifts)
         except (NotLocallyFinite, ValueError):

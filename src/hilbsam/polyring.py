@@ -75,12 +75,6 @@ class MonomialOrder:
             tuple(-e for e in reversed(tail)),
         )
 
-    @property
-    def degree_compatible(self) -> bool:
-        """True when the key compares total degree first (needed for
-        truncated bases)."""
-        return self.kind == "degrevlex"
-
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
@@ -215,17 +209,7 @@ class Polynomial:
         return Polynomial(self.ring, res, _canonical=True)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        self._check(other)
-        F = self.ring.field
-        sub, zero = field_ops(F)[1], F.zero
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = sub(res.get(m, zero), c)
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Polynomial(self.ring, res, _canonical=True)
+        return self + -other
 
     def __neg__(self) -> Polynomial:
         neg = field_ops(self.ring.field)[3]

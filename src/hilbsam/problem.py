@@ -264,8 +264,11 @@ def load_problem(doc: dict, field_override: str | None = None, seed: int | None 
                  f"parameter ideal {name!r} needs 'quotient' and a list 'lifts'")
         qname = p["quotient"]
         _require(isinstance(qname, str) and qname in problem.quotients, f"unknown quotient {qname!r}")
-        problem.parameters[name] = (
-            qname, parameter_ideal(problem.quotients[qname], _polynomials(ring, p["lifts"])))
+        lifts = _polynomials(ring, p["lifts"])
+        try:
+            problem.parameters[name] = qname, parameter_ideal(problem.quotients[qname], lifts)
+        except ValueError as exc:
+            raise InputError(f"bad parameter ideal {name!r}: {exc}") from exc
 
     for name, a in _section(doc, "artinian").items():
         _require(isinstance(a, dict) and "ideal" in a, f"artinian {name!r} needs 'ideal'")

@@ -44,6 +44,7 @@ from .hilbert import (
     ideal_hilbert_report,
     is_reduction,
     _colengths_mod_powers,
+    require_in_maximal_ideal,
 )
 from .polyring import DEGREVLEX, Monomial, Polynomial, RingSpec, mono_divides, mono_mul
 
@@ -133,8 +134,7 @@ def action_pair(C: ArtinAlgebra, a: Polynomial, b: Polynomial) -> ActionPair:
     """The actions of the parameter images a and b on C; each must be a
     nonzero element of the maximal ideal (ValueError otherwise)."""
     for name, f in (("a", a), ("b", b)):
-        if f.is_zero() or f.constant_term():
-            raise ValueError(f"parameter image {name} = {f} is not a nonzero element of the maximal ideal")
+        require_in_maximal_ideal(f, f"parameter image {name} = {f}")
     return ActionPair(C.action_matrix(a), C.action_matrix(b))
 
 
@@ -220,8 +220,7 @@ def e1_via_slice(A: QuotientRingSpec, a: Polynomial) -> int:
     coordinates.  a must be a nonzero element of the maximal ideal."""
     if A.dim != 2:
         raise ValueError("slice method is for dimension 2")
-    if a.is_zero() or a.constant_term():
-        raise ValueError(f"slice element {a} is not a nonzero element of the maximal ideal")
+    require_in_maximal_ideal(a, f"slice element {a}")
     return -sat_quotient_length(A.plus(IdealHandle(A.ring, [a])))
 
 
@@ -276,8 +275,10 @@ def is_superficial(
     ideal, a is regular in A, 0 :_A a = 0 and C = H, with no local basis
     and no walk of the colon (for a pivot, the colon is the defining
     ideal's own basis, groebner._by_monomial); in verify mode C is walked
-    anyway and must equal H.  A window with no n >= 0, or
-    l(A/Q) != l(A/(Q, a)) (a not in Q), is a ValueError."""
+    anyway and must equal H.  An a outside the maximal ideal (zero
+    included), a window with no n >= 0, or l(A/Q) != l(A/(Q, a)) (a not in
+    Q), is a ValueError."""
+    require_in_maximal_ideal(a, f"superficial element {a}")
     last = max(window, default=-1)
     if last < 0:
         raise ValueError(f"the superficiality window [{window.start}, {window.stop}) holds no n >= 0")

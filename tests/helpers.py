@@ -199,6 +199,20 @@ def nullspace(m: ExactMatrix) -> list[ExactMatrix]:
     return basis
 
 
+def zeros(field: FieldConfig, rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(field, [[field.zero] * cols for _ in range(rows)], cols)
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product a·b: the tests' check of kernels and of commuting actions."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    add, _sub, mul, *_ = field_ops(a.field)
+    cols = list(zip(*b.data)) if b.rows else [()] * b.cols
+    return ExactMatrix(a.field, [[functools.reduce(add, map(mul, row, col), a.field.zero) for col in cols]
+                                 for row in a.data], b.cols)
+
+
 def dense_row_operations(tree: ast.Module) -> list[int]:
     """The lines of the comprehensions of the tree that subtract a multiple
     of one dense row from another element by element: over zip(...), a

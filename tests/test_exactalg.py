@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nullspace, rref
+from helpers import matmul, nullspace, rref, zeros
 from hilbsam.exactalg import (
     ExactMatrix,
     FieldConfig,
@@ -32,6 +32,27 @@ def test_is_prime_smalls():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(32003) and not is_prime(32001)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 825265, 321197185])
+def test_carmichael_numbers_are_composite(n):
+    # each passes Fermat's test to every base prime to it
+    assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7, 11, 13) if n % a)
+    assert not is_prime(n)
+
+
+def test_is_prime_near_the_field_cap():
+    assert is_prime(2**31 - 1) and not is_prime(2**31 - 3)
+    assert FieldConfig("prime", 2**31 - 1).characteristic == 2**31 - 1
 
 
 def test_field_arith_examples():
@@ -69,20 +90,20 @@ def _identity(field, n):
 
 def test_rank_examples():
     assert rank(_identity(QQ, 3)) == 3
-    assert rank(ExactMatrix.zeros(QQ, 3, 4)) == 0
+    assert rank(zeros(QQ, 3, 4)) == 0
     assert rank(_mat(QQ, [[1, 2], [2, 4]])) == 1  # proportional rows
     # reducing the second row creates an entry the first row's support adds
     assert rank(_mat(QQ, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])) == 3
 
 
 def test_nullspace_examples():
-    assert len(nullspace(ExactMatrix.zeros(GF32003, 2, 3))) == 3
+    assert len(nullspace(zeros(GF32003, 2, 3))) == 3
     assert nullspace(_identity(GF32003, 4)) == []
     m = _mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     basis = nullspace(m)
     assert len(basis) == 3 - rank(m)
     for v in basis:
-        assert m.matmul(v).is_zero(), "M v must vanish exactly"
+        assert matmul(m, v).is_zero(), "M v must vanish exactly"
 
 
 @st.composite

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hilbsam
@@ -76,6 +77,50 @@ def test_no_module_imports_a_name_it_never_reads():
     assert _unread_imports(ast.parse("import os.path\nfrom . import a, b as c\nc()\n__all__ = ['a']")) == {"os"}
     found = {f"{path.stem}.{name}" for path in _sources()
              for name in _unread_imports(ast.parse(path.read_text(), str(path)))}
+    assert found == set()
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+    return out
+
+
+def _unused_functions(trees: dict[str, ast.Module], readers: list[ast.AST]) -> set[str]:
+    """The module-level functions and methods of trees, dunders and cmd_*
+    dispatch methods aside, whose name nothing reads in trees or readers
+    outside their own bodies."""
+    read = sum((_references(t) for t in [*trees.values(), *readers]), Counter())
+    found = set()
+    for module, tree in trees.items():
+        defs = [(f"{module}.{d.name}", d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+        defs += [(f"{module}.{c.name}.{d.name}", d) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for d in c.body if isinstance(d, ast.FunctionDef)]
+        for where, d in defs:
+            if d.name.startswith(("__", "cmd_")):
+                continue
+            if read[d.name] == sum((_references(s) for s in d.body), Counter())[d.name]:
+                found.add(where)
+    return found
+
+
+def test_every_function_of_the_package_is_read_outside_the_tests():
+    # code only the tests call belongs in tests/helpers.py; the benchmark
+    # is a reader, since it wraps and rebinds the package's functions
+    toy = ast.parse("def f(n):\n    return f(n - 1)\ndef g(): pass\nclass C:\n    def h(self): g()\n"
+                    "    def __eq__(self, o): pass\n    def cmd_x(self): pass\n")
+    assert _unused_functions({"m": toy}, []) == {"m.f", "m.C.h"}
+    assert _unused_functions({"m": toy}, [ast.parse("C().h(); f(3)")]) == set()
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    found = _unused_functions({path.stem: ast.parse(path.read_text(), str(path)) for path in _sources()},
+                              [ast.parse(path.read_text(), str(path)) for path in sorted(bench.glob("*.py"))])
     assert found == set()
 
 

@@ -355,6 +355,15 @@ _MALFORMED = {
     "slice-zero": (_task_shape(command="slice-e1", quotient="A", a="0"), "not a nonzero element"),
     "slice-unit": (_task_shape(command="slice-e1", quotient="A", a="1"), "not a nonzero element"),
     "slice-unit-plus": (_task_shape(command="slice-e1", quotient="A", a="1+X"), "not a nonzero element"),
+    "superficial-zero": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="0"),
+                         "superficial element 0 is not a nonzero element"),
+    # a named parameter ideal with a lift outside the maximal ideal, refused
+    # at load, before coeffs or hilb could walk its powers
+    **{f"lifts-{command}-{'-'.join(lifts)}": (_doc_shape(lambda d, c=command, v=lifts: (
+        d["parameters"].update(Qbad={"quotient": "A", "lifts": v}),
+        d["tasks"].append({"command": c, "quotient": "A", "params": "Qbad", "nmax": 3}))),
+        "bad parameter ideal 'Qbad': lift")
+       for command in ("coeffs", "hilb") for lifts in (["X+1", "Y-W"], ["1", "X"], ["0", "X"])},
     "window-reversed": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",
                                     window=[5, 2]), "'window' must be"),
     "window-negative": (_task_shape(command="superficial", quotient="A", params="Qdiag", a="X-Z",
@@ -560,6 +569,18 @@ def test_sally_nmax_zero_is_an_input_error(tmp_path, capsys):
         {"command": "sally", "quotient": "A", "ideal": "c", "params": "Q", "nmax": 0})))
     assert main(["run", str(path)]) == 2
     assert "n_max 0 checks nothing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample-reductions", "lambda"])
+def test_sampling_from_the_unit_ideal_is_exhausted(tmp_path, capsys, command):
+    # every lift drawn from (1) is a constant, which no parameter ideal admits
+    doc = _doc({"name": "s", "command": command, "quotient": "A", "ideal": "one", "count": 1})
+    doc["ideals"]["one"] = ["1"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "SamplingExhausted: found 0/1 reductions in 10 attempts" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["sampled-coeffs", "lambda"])

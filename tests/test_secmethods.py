@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    big_i, colon_by_elimination, dense_eliminations_run, fat_point, nullspace, regular2, ring4,
+    big_i, colon_by_elimination, dense_eliminations_run, fat_point, matmul, nullspace, regular2, ring4,
     spy_power_chains, staged, two_planes,
 )
 from hilbsam import groebner, hilbert, secmethods
@@ -92,7 +92,7 @@ def test_mult_ops_commute_and_kill_relations():
     mats = [C.action_matrix(R.variable(i)) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
-            assert mats[i].matmul(mats[j]) == mats[j].matmul(mats[i])
+            assert matmul(mats[i], mats[j]) == matmul(mats[j], mats[i])
     for g in C.gb.elements:
         assert C.action_matrix(g).is_zero()
 
